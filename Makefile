@@ -30,10 +30,14 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDownloadResponse -fuzztime=10s ./internal/openft
 	go test -run='^$$' -fuzz=FuzzCheckLine -fuzztime=10s ./internal/filtersvc
 
-# Chaos gate: the fault-profile × worker-count survival matrix plus the
-# faulted determinism pin, under the race detector, twice.
+# Chaos gate: the fault-profile × worker-count survival matrix plus every
+# identity test (*EmitIdentical*: same-seed and worker-count byte equality
+# of events, records, spans, and churned runs, faulted or clean), under
+# the race detector, twice. The race detector's scheduling is the
+# perturbation that would expose a leaked flood count or a flood that
+# ends early.
 chaos:
-	go test ./internal/core/ -race -count=2 -run 'TestStudySurvivesFaultMatrix|TestFaultedWorkerCountsEmitIdenticalTraces'
+	go test ./internal/core/ -race -count=2 -run 'TestStudySurvivesFaultMatrix|EmitIdentical'
 
 # Golden-trace gate: regenerated event traces must match testdata/golden/
 # byte for byte. Refresh after an intentional trace change with:

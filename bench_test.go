@@ -23,7 +23,6 @@ package p2pmalware
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"p2pmalware/internal/analysis"
 	"p2pmalware/internal/core"
@@ -49,7 +48,6 @@ func sharedTrace(b *testing.B) *dataset.Trace {
 	traceOnce.Do(func() {
 		st, err := core.NewStudy(core.StudyConfig{
 			Seed: benchSeed, Days: 2, QueriesPerDay: benchQueriesLW / 2,
-			Quiesce:  6 * time.Millisecond,
 			LimeWire: &netsim.LimeWireConfig{Seed: benchSeed},
 		})
 		if err != nil {
@@ -64,8 +62,7 @@ func sharedTrace(b *testing.B) *dataset.Trace {
 		// OpenFT needs more queries for stable malicious counts.
 		st2, err := core.NewStudy(core.StudyConfig{
 			Seed: benchSeed, Days: 2, QueriesPerDay: benchQueriesFT / 2,
-			Quiesce: 6 * time.Millisecond,
-			OpenFT:  &netsim.OpenFTConfig{Seed: benchSeed},
+			OpenFT: &netsim.OpenFTConfig{Seed: benchSeed},
 		})
 		if err != nil {
 			traceErr = err
@@ -263,7 +260,6 @@ func BenchmarkExtension_FakeContent(b *testing.B) {
 	fakeOnce.Do(func() {
 		st, err := core.NewStudy(core.StudyConfig{
 			Seed: benchSeed, Days: 1, QueriesPerDay: 80,
-			Quiesce:  6 * time.Millisecond,
 			LimeWire: &netsim.LimeWireConfig{Seed: benchSeed, FakeFileShare: 0.35},
 		})
 		if err != nil {
@@ -294,11 +290,11 @@ func runStudyPair(b *testing.B, workers int) int {
 	n := 0
 	for _, cfg := range []core.StudyConfig{
 		{Seed: benchSeed, Days: 2, QueriesPerDay: benchQueriesLW / 2,
-			Quiesce: 6 * time.Millisecond, Workers: workers,
+			Workers:  workers,
 			LimeWire: &netsim.LimeWireConfig{Seed: benchSeed}},
 		{Seed: benchSeed, Days: 2, QueriesPerDay: benchQueriesFT / 2,
-			Quiesce: 6 * time.Millisecond, Workers: workers,
-			OpenFT: &netsim.OpenFTConfig{Seed: benchSeed}},
+			Workers: workers,
+			OpenFT:  &netsim.OpenFTConfig{Seed: benchSeed}},
 	} {
 		st, err := core.NewStudy(cfg)
 		if err != nil {
@@ -358,7 +354,6 @@ func BenchmarkAblation_NoQueryEcho(b *testing.B) {
 	noEchoOnce.Do(func() {
 		st, err := core.NewStudy(core.StudyConfig{
 			Seed: benchSeed, Days: 1, QueriesPerDay: 80,
-			Quiesce:  6 * time.Millisecond,
 			LimeWire: &netsim.LimeWireConfig{Seed: benchSeed, EchoHosts: -1},
 		})
 		if err != nil {
@@ -423,7 +418,6 @@ func BenchmarkAblation_Polymorphism(b *testing.B) {
 	polyOnce.Do(func() {
 		st, err := core.NewStudy(core.StudyConfig{
 			Seed: benchSeed, Days: 1, QueriesPerDay: 80,
-			Quiesce:  6 * time.Millisecond,
 			LimeWire: &netsim.LimeWireConfig{Seed: benchSeed, Catalog: polymorphicCatalog()},
 		})
 		if err != nil {
@@ -460,8 +454,7 @@ func BenchmarkAblation_FlatSearch(b *testing.B) {
 	flatOnce.Do(func() {
 		st, err := core.NewStudy(core.StudyConfig{
 			Seed: benchSeed, Days: 1, QueriesPerDay: 120,
-			Quiesce: 6 * time.Millisecond,
-			OpenFT:  &netsim.OpenFTConfig{Seed: benchSeed, SearchNodes: 1},
+			OpenFT: &netsim.OpenFTConfig{Seed: benchSeed, SearchNodes: 1},
 		})
 		if err != nil {
 			flatErr = err

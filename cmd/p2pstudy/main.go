@@ -121,7 +121,6 @@ func main() {
 		network = flag.String("network", "both", "network to measure: both, limewire, openft")
 		out     = flag.String("out", "trace.jsonl", "output trace path (JSONL)")
 		csvOut  = flag.String("csv", "", "optional CSV export path")
-		quiesce = flag.Duration("quiesce", 10*time.Millisecond, "response-collection quiesce window")
 		churn   = flag.Float64("churn", 0, "fraction of honest LimeWire leaves replaced per virtual day")
 		fake    = flag.Float64("fake-files", 0, "fraction of honest downloadable shares that are decoys (size lies)")
 		quiet   = flag.Bool("quiet", false, "suppress progress output")
@@ -163,7 +162,7 @@ func main() {
 
 	cfg := core.StudyConfig{
 		Seed: *seed, Days: *days, QueriesPerDay: *perDay,
-		Quiesce: *quiesce, ChurnPerDay: *churn, Workers: *workers,
+		ChurnPerDay: *churn, Workers: *workers,
 		ProgressEvery: *progress, TraceWallLatency: *wallLatency,
 		SpanWallLatency: *spansWall,
 		Faults:          plan,

@@ -20,7 +20,6 @@ func main() {
 
 	study, err := core.NewStudy(core.StudyConfig{
 		Seed: 2006, Days: 2, QueriesPerDay: 120,
-		Quiesce:  8 * time.Millisecond,
 		LimeWire: &netsim.LimeWireConfig{Seed: 2006},
 	})
 	if err != nil {

@@ -20,8 +20,7 @@ func main() {
 
 	study, err := core.NewStudy(core.StudyConfig{
 		Seed: 2006, Days: 2, QueriesPerDay: 200,
-		Quiesce: 8 * time.Millisecond,
-		OpenFT:  &netsim.OpenFTConfig{Seed: 2006},
+		OpenFT: &netsim.OpenFTConfig{Seed: 2006},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"p2pmalware/internal/core"
 	"p2pmalware/internal/dataset"
@@ -21,7 +20,6 @@ func main() {
 
 	study, err := core.NewStudy(core.StudyConfig{
 		Seed: 42, Days: 3, QueriesPerDay: 100,
-		Quiesce:  8 * time.Millisecond,
 		LimeWire: &netsim.LimeWireConfig{Seed: 42},
 	})
 	if err != nil {

@@ -40,7 +40,6 @@ func TestStudySurvivesFaultMatrix(t *testing.T) {
 				plan := faultsim.Profiles[profile]
 				st, err := NewStudy(StudyConfig{
 					Seed: 900, Days: 2, QueriesPerDay: 4,
-					Quiesce: 6 * time.Millisecond, MaxWait: 400 * time.Millisecond,
 					Workers:    workers,
 					Faults:     &plan,
 					FetchRetry: chaosRetry(),
@@ -89,7 +88,6 @@ func faultedWorkerStudy(t *testing.T, seed uint64, workers int) (events, records
 	t.Helper()
 	st, err := NewStudy(StudyConfig{
 		Seed: seed, Days: 2, QueriesPerDay: 3,
-		Quiesce: 250 * time.Millisecond, MaxWait: 4 * time.Second,
 		Workers:    workers,
 		Faults:     canonicalPlan(),
 		FetchRetry: goldenRetry(),
@@ -118,38 +116,21 @@ func faultedWorkerStudy(t *testing.T, seed uint64, workers int) (events, records
 // byte-identical event and record traces for any worker count — fault
 // decisions are PRF-keyed, retries are schedule-independent, and breaker
 // state only moves behind barriers, so parallelism must not leak into
-// the trace. Bounded retry absorbs scheduler starvation, as in the
-// clean-run worker test.
+// the trace.
 func TestFaultedWorkerCountsEmitIdenticalTraces(t *testing.T) {
-	const attempts = 3
-	var lastDiff string
-	for attempt := 0; attempt < attempts; attempt++ {
-		ev1, rec1 := faultedWorkerStudy(t, 71, 1)
-		if len(ev1) == 0 || len(rec1) == 0 {
-			t.Fatal("empty trace from Workers:1 faulted study")
+	ev1, rec1 := faultedWorkerStudy(t, 71, 1)
+	if len(ev1) == 0 || len(rec1) == 0 {
+		t.Fatal("empty trace from Workers:1 faulted study")
+	}
+	for _, workers := range []int{4, 8} {
+		ev, rec := faultedWorkerStudy(t, 71, workers)
+		if !bytes.Equal(ev1, ev) {
+			t.Fatalf("events (workers 1 vs %d):\n%s", workers, firstDiffContext(string(ev1), string(ev)))
 		}
-		rec1 = stripServentIDs(rec1)
-		identical := true
-		for _, workers := range []int{4, 8} {
-			ev, rec := faultedWorkerStudy(t, 71, workers)
-			if !bytes.Equal(ev1, ev) {
-				identical = false
-				lastDiff = fmt.Sprintf("events (workers 1 vs %d):\n%s", workers, firstDiffContext(string(ev1), string(ev)))
-				t.Logf("attempt %d: %s", attempt+1, lastDiff)
-				break
-			}
-			if !bytes.Equal(rec1, stripServentIDs(rec)) {
-				identical = false
-				lastDiff = fmt.Sprintf("records (workers 1 vs %d):\n%s", workers, firstDiffContext(string(rec1), string(stripServentIDs(rec))))
-				t.Logf("attempt %d: %s", attempt+1, lastDiff)
-				break
-			}
-		}
-		if identical {
-			return
+		if !bytes.Equal(rec1, rec) {
+			t.Fatalf("records (workers 1 vs %d):\n%s", workers, firstDiffContext(string(rec1), string(rec)))
 		}
 	}
-	t.Fatalf("faulted worker counts produced different traces on all %d attempts; last diff:\n%s", attempts, lastDiff)
 }
 
 // headlineStudy runs both networks at a sample size large enough for
@@ -158,7 +139,6 @@ func headlineStudy(t *testing.T, faults *faultsim.FaultPlan) *dataset.Trace {
 	t.Helper()
 	st, err := NewStudy(StudyConfig{
 		Seed: 23, Days: 2, QueriesPerDay: 80,
-		Quiesce: 6 * time.Millisecond, MaxWait: 400 * time.Millisecond,
 		Faults:     faults,
 		FetchRetry: chaosRetry(),
 		LimeWire:   &netsim.LimeWireConfig{Seed: 23},

@@ -11,14 +11,11 @@ import (
 )
 
 // eventStudy runs a small two-network study and returns the study after
-// Run. The quiesce window is deliberately wide: response *collection*
-// waits on wall time, so a window that a loaded machine can outrun would
-// let a straggler response into one run and not the other.
+// Run.
 func eventStudy(t *testing.T, seed uint64) *Study {
 	t.Helper()
 	st, err := NewStudy(StudyConfig{
 		Seed: seed, Days: 1, QueriesPerDay: 5,
-		Quiesce: 250 * time.Millisecond, MaxWait: 4 * time.Second,
 		ProgressEvery: 6 * time.Hour,
 		LimeWire:      &netsim.LimeWireConfig{Seed: seed, HonestLeaves: 14, EchoHosts: 6},
 		OpenFT:        &netsim.OpenFTConfig{Seed: seed, HonestUsers: 14},
@@ -32,43 +29,26 @@ func eventStudy(t *testing.T, seed uint64) *Study {
 	return st
 }
 
+// TestSameSeedStudiesEmitIdenticalEventTraces pins the point of stamping
+// events with the virtual trace clock and merging per-network streams by
+// (time, scope, seq): two runs of the same configuration serialize to the
+// same bytes, even though the two networks execute concurrently on
+// nondeterministic goroutine schedules and every flood's responses
+// arrive in scheduler order.
 func TestSameSeedStudiesEmitIdenticalEventTraces(t *testing.T) {
-	// Deliberately not parallel: the byte-identical guarantee holds when
-	// every response lands inside the collection window, so the test
-	// avoids competing with the rest of the package for CPU.
-	//
-	// The point of stamping events with the virtual trace clock and
-	// merging per-network streams by (time, scope, seq): two runs of the
-	// same configuration must serialize to the same bytes, even though the
-	// two networks execute concurrently on nondeterministic goroutine
-	// schedules. What is under test is that virtual-time pipeline; the
-	// wall-clock *collection* window can still be outrun by a starved
-	// scheduler (the population-stats test bounds that tolerance at 2%),
-	// so a bounded retry absorbs machines where a responder goroutine
-	// stalls past the quiesce window.
-	const attempts = 3
-	var diff string
-	for attempt := 0; attempt < attempts; attempt++ {
-		a := eventStudy(t, 57)
-		b := eventStudy(t, 57)
-
-		var bufA, bufB bytes.Buffer
-		if err := a.WriteEvents(&bufA); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.WriteEvents(&bufB); err != nil {
-			t.Fatal(err)
-		}
-		if bufA.Len() == 0 {
-			t.Fatal("no events emitted")
-		}
-		if bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
-			return
-		}
-		diff = firstDiffContext(bufA.String(), bufB.String())
-		t.Logf("attempt %d: same-seed traces differ (likely scheduler starvation):\n%s", attempt+1, diff)
+	var bufA, bufB bytes.Buffer
+	if err := eventStudy(t, 57).WriteEvents(&bufA); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("same-seed event traces differed on all %d attempts; last diff:\n%s", attempts, diff)
+	if err := eventStudy(t, 57).WriteEvents(&bufB); err != nil {
+		t.Fatal(err)
+	}
+	if bufA.Len() == 0 {
+		t.Fatal("no events emitted")
+	}
+	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
+		t.Fatalf("same-seed event traces differ:\n%s", firstDiffContext(bufA.String(), bufB.String()))
+	}
 }
 
 // firstDiffContext returns the first differing lines of two JSONL blobs,

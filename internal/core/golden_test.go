@@ -35,14 +35,11 @@ func goldenRetry() p2p.RetryPolicy {
 }
 
 // goldenEvents runs a small single-network study and serializes its
-// event trace. The generous quiesce window follows the same-seed events
-// test: response collection waits on wall time, so the window must
-// outlast scheduler starvation for the trace to reproduce byte for byte.
+// event trace.
 func goldenEvents(t *testing.T, network string, faults *faultsim.FaultPlan) []byte {
 	t.Helper()
 	cfg := StudyConfig{
 		Seed: 42, Days: 2, QueriesPerDay: 3,
-		Quiesce: 250 * time.Millisecond, MaxWait: 4 * time.Second,
 		Workers:    4,
 		Faults:     faults,
 		FetchRetry: goldenRetry(),
@@ -76,7 +73,6 @@ func goldenSpans(t *testing.T, network string, faults *faultsim.FaultPlan) []byt
 	t.Helper()
 	cfg := StudyConfig{
 		Seed: 42, Days: 2, QueriesPerDay: 3,
-		Quiesce: 250 * time.Millisecond, MaxWait: 4 * time.Second,
 		Workers:    4,
 		Faults:     faults,
 		FetchRetry: goldenRetry(),
@@ -104,8 +100,7 @@ func goldenSpans(t *testing.T, network string, faults *faultsim.FaultPlan) []byt
 }
 
 // checkGolden diffs a regenerated trace byte-for-byte against its
-// committed golden, with the package's standard bounded retry absorbing
-// scheduler starvation. -update rewrites the file instead.
+// committed golden. -update rewrites the file instead.
 func checkGolden(t *testing.T, name string, gen func() []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", "golden", name)
@@ -127,22 +122,10 @@ func checkGolden(t *testing.T, name string, gen func() []byte) {
 	if err != nil {
 		t.Fatalf("missing golden trace (regenerate with: go test ./internal/core/ -run GoldenTrace -update): %v", err)
 	}
-	const attempts = 3
-	var diff string
-	for attempt := 0; attempt < attempts; attempt++ {
-		got := gen()
-		if bytes.Equal(got, want) {
-			return
-		}
-		diff = firstDiffContext(string(want), string(got))
-		t.Logf("attempt %d: trace differs from golden (likely scheduler starvation):\n%s", attempt+1, diff)
+	if got := gen(); !bytes.Equal(got, want) {
+		t.Fatalf("trace differs from %s (A=golden, B=regenerated):\n%s", path, firstDiffContext(string(want), string(got)))
 	}
-	t.Fatalf("trace differed from %s on all %d attempts; last diff (A=golden, B=regenerated):\n%s", path, attempts, diff)
 }
-
-// The golden tests are deliberately not parallel: byte-identical
-// reproduction depends on every response landing inside its wall-clock
-// collection window, so they avoid competing with the package for CPU.
 
 func TestGoldenTraceLimeWireClean(t *testing.T) {
 	checkGolden(t, "limewire_clean.jsonl", func() []byte { return goldenEvents(t, "limewire", nil) })

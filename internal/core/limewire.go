@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"sync"
 	"time"
 
 	"p2pmalware/internal/archive"
@@ -19,128 +18,11 @@ import (
 	"p2pmalware/internal/simclock"
 )
 
-// lwCollector accumulates the hits for one in-flight query. Hits are
-// demultiplexed to it by query GUID, so any number of queries can collect
-// concurrently while the pipeline overlaps their settle waits.
-type lwCollector struct {
-	set    *settler
-	mu     sync.Mutex
-	hits   []lwHit // guarded by mu
-	closed bool    // take() happened; guarded by mu
-}
-
+// lwHit is one file entry of a query hit, with the hit descriptor that
+// carried it.
 type lwHit struct {
 	qh  gnutella.QueryHit
 	hit gnutella.Hit
-}
-
-// add accepts one hit, or reports false if the collector has already
-// been drained — the caller must re-route the hit, never drop it.
-func (c *lwCollector) add(h lwHit) bool {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return false
-	}
-	c.hits = append(c.hits, h)
-	c.mu.Unlock()
-	c.set.arrived()
-	return true
-}
-
-// take drains and closes the collector; late hits must go elsewhere.
-func (c *lwCollector) take() []lwHit {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	out := c.hits
-	c.hits = nil
-	return out
-}
-
-func (c *lwCollector) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-// lwDemux routes query hits to the collector registered for their GUID.
-// Hits for unregistered GUIDs — stragglers that arrive after their query's
-// quiesce window closed — go to the oldest in-flight query instead, which
-// is exactly where the sequential engine's single shared collector put
-// them; with no query in flight they are buffered for the next one. That
-// keeps population totals independent of collection timing: a straggler is
-// never lost, only (rarely, and only under CPU contention) attributed to a
-// neighboring query.
-type lwDemux struct {
-	mu       sync.Mutex
-	cols     map[guid.GUID]*lwCollector // guarded by mu
-	order    []guid.GUID                // registration order; guarded by mu
-	overflow []lwHit                    // stragglers awaiting a collector; guarded by mu
-}
-
-// dispatch delivers a query hit's file entries to the right collector.
-func (d *lwDemux) dispatch(g guid.GUID, qh *gnutella.QueryHit) {
-	for _, h := range qh.Hits {
-		d.route(g, lwHit{qh: *qh, hit: h})
-	}
-}
-
-// route lands one hit in exactly one place: the addressed collector, the
-// oldest still-open in-flight collector, or the overflow buffer. The
-// retry loop closes the race where a collector drains (take) between the
-// lookup and the delivery — before it, such a straggler was appended to
-// an already-drained collector and silently lost, skewing population
-// totals under churn and fault-induced slow responses.
-func (d *lwDemux) route(g guid.GUID, h lwHit) {
-	for {
-		d.mu.Lock()
-		col := d.cols[g]
-		if col == nil || col.isClosed() {
-			col = nil
-			for _, og := range d.order {
-				if c := d.cols[og]; c != nil && !c.isClosed() {
-					col = c
-					break
-				}
-			}
-		}
-		if col == nil {
-			d.overflow = append(d.overflow, h)
-			d.mu.Unlock()
-			return
-		}
-		d.mu.Unlock()
-		if col.add(h) {
-			return
-		}
-	}
-}
-
-func (d *lwDemux) put(g guid.GUID, c *lwCollector) {
-	d.mu.Lock()
-	d.cols[g] = c
-	d.order = append(d.order, g)
-	of := d.overflow
-	d.overflow = nil
-	d.mu.Unlock()
-	for _, h := range of {
-		if !c.add(h) {
-			d.route(g, h)
-		}
-	}
-}
-
-func (d *lwDemux) del(g guid.GUID) {
-	d.mu.Lock()
-	delete(d.cols, g)
-	for i, o := range d.order {
-		if o == g {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
-	}
-	d.mu.Unlock()
 }
 
 // lwDone is one finished (downloaded, scanned) response awaiting commit.
@@ -163,7 +45,7 @@ func (s *Study) runLimeWire(tr *dataset.Trace) error {
 	}
 	defer net_.Close()
 
-	demux := &lwDemux{cols: make(map[guid.GUID]*lwCollector)}
+	var sink floodSink[lwHit]
 	clientIP := net.IPv4(156, 56, 1, 10) // the measurement host
 	client := gnutella.NewNode(gnutella.Config{
 		Role:        gnutella.Leaf,
@@ -172,7 +54,11 @@ func (s *Study) runLimeWire(tr *dataset.Trace) error {
 		AdvertiseIP: clientIP, AdvertisePort: 6346,
 		UserAgent: "LimeWire/4.10.9-instrumented", Vendor: "LIME",
 		OnQueryHit: func(qh *gnutella.QueryHit, m *gnutella.Message) {
-			demux.dispatch(m.GUID, qh)
+			hits := make([]lwHit, len(qh.Hits))
+			for k, h := range qh.Hits {
+				hits[k] = lwHit{qh: *qh, hit: h}
+			}
+			sink.add(p2p.FloodID(m.GUID), hits...)
 		},
 	})
 	if err := client.Start(); err != nil {
@@ -190,6 +76,7 @@ func (s *Study) runLimeWire(tr *dataset.Trace) error {
 		return err
 	}
 	fx := s.newNetFaults("limewire", net_.Mem)
+	floods := net_.Mem.Floods()
 	cache := newFetchCache()
 	pushLocks := newKeyedLocks()
 	total := s.totalQueries()
@@ -253,9 +140,8 @@ func (s *Study) runLimeWire(tr *dataset.Trace) error {
 				return
 			}
 			// The callback only draws the term (the generator stream must
-			// advance in issue order) and submits; the flood itself runs in
-			// a worker so that no more than Workers queries are collecting
-			// hits at once.
+			// advance in issue order) and submits; the flood itself runs on
+			// the pipeline's collector goroutine.
 			term := gen.Next()
 			emitQuery := func() {
 				trace.EmitAt(now, "query", obs.Int("n", int64(i)), obs.String("q", term.Text), obs.String("category", string(term.Category)))
@@ -265,19 +151,17 @@ func (s *Study) runLimeWire(tr *dataset.Trace) error {
 			var floodErr error
 			task := &pipeTask{seq: int64(i), at: now, spans: spans}
 			task.collect = func() {
-				col := &lwCollector{set: newSettler(wallClock)}
 				g := guid.New()
-				demux.put(g, col)
-				if err := client.QueryWith(g, term.Text, ""); err != nil {
-					demux.del(g)
-					floodErr = err
+				collectStart := wallClock.Now()
+				floodErr = sink.collect(floods, p2p.FloodID(g), func() error {
+					return client.QueryWith(g, term.Text, "")
+				})
+				if floodErr != nil {
+					floodErr = fmt.Errorf("query %d %q: %w", i, term.Text, floodErr)
 					return
 				}
-				collectStart := wallClock.Now()
-				col.set.settle(s.cfg.Quiesce, s.cfg.MaxWait)
-				demux.del(g)
 				lwMet.stageCollect.ObserveDuration(simclock.Since(wallClock, collectStart))
-				hits = col.take()
+				hits = sink.take()
 				sortLWHits(hits)
 			}
 			task.run = func() {

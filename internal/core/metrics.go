@@ -34,8 +34,8 @@ type netMetrics struct {
 
 	// Pipeline introspection: how many queries sit between issue and
 	// commit, and where each one spends its wall time. stageCollect is
-	// the settler-wait histogram (flood + quiesce/max-wait inside the
-	// collector); stageCommitWait is the committer blocked on an
+	// the flood histogram (send until the flood ledger reports the flood
+	// complete, inside the collector); stageCommitWait is the committer blocked on an
 	// unfinished task, while stageCommitHold is the converse — a finished
 	// task waiting for the committer to reach it.
 	inflight        *obs.Gauge

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"sync"
 	"time"
 
 	"p2pmalware/internal/archive"
@@ -17,115 +16,6 @@ import (
 	"p2pmalware/internal/p2p"
 	"p2pmalware/internal/simclock"
 )
-
-// ftCollector accumulates search results for one in-flight OpenFT search,
-// demultiplexed by search ID so queries collect concurrently.
-type ftCollector struct {
-	set     *settler
-	mu      sync.Mutex
-	results []openft.SearchResp // guarded by mu
-	closed  bool                // take() happened; guarded by mu
-}
-
-// add accepts one result, or reports false if the collector has already
-// been drained — the caller must re-route the result, never drop it.
-func (c *ftCollector) add(r openft.SearchResp) bool {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return false
-	}
-	c.results = append(c.results, r)
-	c.mu.Unlock()
-	c.set.arrived()
-	return true
-}
-
-func (c *ftCollector) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-// ftDemux routes search results to the collector registered for their
-// search ID. Results for unregistered IDs — stragglers past their query's
-// quiesce window — go to the oldest in-flight search (the sequential
-// engine's shared-collector behavior), or are buffered for the next one,
-// so population totals stay independent of collection timing.
-type ftDemux struct {
-	mu       sync.Mutex
-	cols     map[uint32]*ftCollector // guarded by mu
-	order    []uint32                // registration order; guarded by mu
-	overflow []openft.SearchResp     // stragglers awaiting a collector; guarded by mu
-}
-
-// dispatch delivers one search result to the right collector. It lands
-// in exactly one place: the addressed collector, the oldest still-open
-// in-flight collector, or the overflow buffer. The retry loop closes the
-// race where a collector drains (take) between the lookup and the
-// delivery — before it, such a straggler was appended to an
-// already-drained collector and silently lost, skewing population
-// totals under churn and fault-induced slow responses.
-func (d *ftDemux) dispatch(r openft.SearchResp) {
-	for {
-		d.mu.Lock()
-		col := d.cols[r.ID]
-		if col == nil || col.isClosed() {
-			col = nil
-			for _, oid := range d.order {
-				if c := d.cols[oid]; c != nil && !c.isClosed() {
-					col = c
-					break
-				}
-			}
-		}
-		if col == nil {
-			d.overflow = append(d.overflow, r)
-			d.mu.Unlock()
-			return
-		}
-		d.mu.Unlock()
-		if col.add(r) {
-			return
-		}
-	}
-}
-
-func (d *ftDemux) put(id uint32, c *ftCollector) {
-	d.mu.Lock()
-	d.cols[id] = c
-	d.order = append(d.order, id)
-	of := d.overflow
-	d.overflow = nil
-	d.mu.Unlock()
-	for _, r := range of {
-		if !c.add(r) {
-			d.dispatch(r)
-		}
-	}
-}
-
-func (d *ftDemux) del(id uint32) {
-	d.mu.Lock()
-	delete(d.cols, id)
-	for i, o := range d.order {
-		if o == id {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
-	}
-	d.mu.Unlock()
-}
-
-// take drains and closes the collector; late results must go elsewhere.
-func (c *ftCollector) take() []openft.SearchResp {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	out := c.results
-	c.results = nil
-	return out
-}
 
 // ftDone is one finished (downloaded, scanned) response awaiting commit.
 type ftDone struct {
@@ -147,7 +37,7 @@ func (s *Study) runOpenFT(tr *dataset.Trace) error {
 	}
 	defer net_.Close()
 
-	demux := &ftDemux{cols: make(map[uint32]*ftCollector)}
+	var sink floodSink[openft.SearchResp]
 	clientIP := net.IPv4(156, 56, 1, 11)
 	client := openft.NewNode(openft.Config{
 		Class:       openft.ClassUser,
@@ -156,7 +46,7 @@ func (s *Study) runOpenFT(tr *dataset.Trace) error {
 		AdvertiseIP: clientIP, AdvertisePort: 1216,
 		Alias: "giFT-instrumented",
 		OnSearchResult: func(r openft.SearchResp) {
-			demux.dispatch(r)
+			sink.add(openft.SearchFloodID(r.ID), r)
 		},
 	})
 	if err := client.Start(); err != nil {
@@ -174,6 +64,7 @@ func (s *Study) runOpenFT(tr *dataset.Trace) error {
 		return err
 	}
 	fx := s.newNetFaults("openft", net_.Mem)
+	floods := net_.Mem.Floods()
 	cache := newFetchCache()
 	total := s.totalQueries()
 	interval := 24 * time.Hour / time.Duration(s.cfg.QueriesPerDay)
@@ -227,8 +118,8 @@ func (s *Study) runOpenFT(tr *dataset.Trace) error {
 				return
 			}
 			// Term draw stays on the clock goroutine (generator order is
-			// issue order); the flood runs in a worker so at most Workers
-			// searches collect results at once.
+			// issue order); the search runs on the pipeline's collector
+			// goroutine.
 			term := gen.Next()
 			emitQuery := func() {
 				trace.EmitAt(now, "query", obs.Int("n", int64(i)), obs.String("q", term.Text), obs.String("category", string(term.Category)))
@@ -238,19 +129,17 @@ func (s *Study) runOpenFT(tr *dataset.Trace) error {
 			var floodErr error
 			task := &pipeTask{seq: int64(i), at: now, spans: spans}
 			task.collect = func() {
-				col := &ftCollector{set: newSettler(wallClock)}
 				id := openft.NewSearchID()
-				demux.put(id, col)
-				if err := client.SearchWith(id, term.Text); err != nil {
-					demux.del(id)
-					floodErr = err
+				collectStart := wallClock.Now()
+				floodErr = sink.collect(floods, openft.SearchFloodID(id), func() error {
+					return client.SearchWith(id, term.Text)
+				})
+				if floodErr != nil {
+					floodErr = fmt.Errorf("query %d %q: %w", i, term.Text, floodErr)
 					return
 				}
-				collectStart := wallClock.Now()
-				col.set.settle(s.cfg.Quiesce, s.cfg.MaxWait)
-				demux.del(id)
 				ftMet.stageCollect.ObserveDuration(simclock.Since(wallClock, collectStart))
-				results = col.take()
+				results = sink.take()
 				sortFTResults(results)
 			}
 			task.run = func() {

@@ -20,17 +20,18 @@ import (
 //     generator stream must advance in issue order — and submit a task.
 //     The callback returns without waiting, so the clock immediately
 //     fires the next query.
-//  2. Collect (single collector goroutine): register a per-query
-//     collector keyed by the search identifier, flood the query, wait
-//     for the response stream to settle, and sort the hits into stable
-//     identity order. Collection is strictly serialized in issue order:
+//  2. Collect (single collector goroutine): open the query's flood on
+//     the universe's flood ledger, send it, wait until no message of
+//     the flood is outstanding — every response has then arrived — and
+//     sort the hits into stable identity order. Collection is strictly
+//     serialized in issue order:
 //     simulated responders consume per-host random streams as queries
 //     arrive (an echo host draws its decoy filename per query), so two
 //     floods in flight at once would permute those draws and change
 //     response *content*, not just order.
 //  3. Fetch (bounded worker pool): download each downloadable hit
 //     through the deduplicating fetch cache and scan it. Query N+1's
-//     flood and settle wait overlap query N's downloads and scans —
+//     flood overlaps query N's downloads and scans —
 //     downloads only read per-file static content, so they cannot
 //     perturb later queries' responses.
 //  4. Commit (single committer goroutine): in submission order, stamp
@@ -168,11 +169,11 @@ func newPipeline(workers int, met *netMetrics) *pipeline {
 
 // emitQuerySpans turns one committed task's wall stamps into its span
 // tree: a root query span plus children that partition it — collect
-// queue wait, collect (flood + settler), fetch queue wait, fetch service,
-// commit hold, commit — and a scan child under fetch when the query
-// downloaded anything. Runs on the committer goroutine in commit order,
-// which is what makes per-scope span emission order (and therefore the
-// serialized stream) deterministic at any worker count.
+// queue wait, collect (the flood, to completion), fetch queue wait,
+// fetch service, commit hold, commit — and a scan child under fetch when
+// the query downloaded anything. Runs on the committer goroutine in
+// commit order, which is what makes per-scope span emission order (and
+// therefore the serialized stream) deterministic at any worker count.
 func emitQuerySpans(t *pipeTask, commitEnd time.Time) {
 	r := t.spans
 	if r == nil {
@@ -236,83 +237,50 @@ func (p *pipeline) stop() {
 	})
 }
 
-// settler is the sync.Cond-based replacement for the old busy-poll
-// collector wait: responders signal arrival, and the settle loop sleeps
-// exactly until the quiesce window can next expire instead of polling at
-// quiesce/5. One settler serves one query.
-type settler struct {
-	clock simclock.Clock // always simclock.Real; a field so tests could stub it
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int       // responses so far; guarded by mu
-	last    time.Time // arrival time of the latest response; guarded by mu
-	wakerAt time.Time // earliest pending waker, zero if none; guarded by mu
+// floodSink gathers the responses to the one query a network's collector
+// has in flight. Responses arrive keyed by their flood; anything for
+// another flood — a late arrival from a flood that failed — is dropped.
+type floodSink[R any] struct {
+	mu   sync.Mutex
+	id   p2p.FloodID // guarded by mu
+	open bool        // guarded by mu
+	got  []R         // guarded by mu
 }
 
-func newSettler(clock simclock.Clock) *settler {
-	s := &settler{clock: clock}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// arrived records one response arrival and wakes the settle loop.
-func (s *settler) arrived() {
+// collect runs one query's flood to completion: it opens flood id on led
+// holding the issuer's count, sends, releases the hold, and waits until
+// no message of the flood is outstanding — every response has then been
+// added, so take returns the complete set.
+func (s *floodSink[R]) collect(led *p2p.FloodLedger, id p2p.FloodID, send func() error) error {
 	s.mu.Lock()
-	s.n++
-	s.last = s.clock.Now()
-	s.cond.Broadcast()
+	s.id, s.open, s.got = id, true, nil
+	s.mu.Unlock()
+	f := led.Open(id)
+	err := send()
+	f.Release()
+	if err != nil {
+		return err
+	}
+	return f.Wait()
+}
+
+// add accepts responses to flood id.
+func (s *floodSink[R]) add(id p2p.FloodID, rs ...R) {
+	s.mu.Lock()
+	if s.open && s.id == id {
+		s.got = append(s.got, rs...)
+	}
 	s.mu.Unlock()
 }
 
-// settle blocks until the response stream has been idle for quiesce, or —
-// when nothing has arrived at all — until the first response or maxWait,
-// whichever comes first. (The old drain imposed a 4*quiesce floor on
-// unanswered queries; now they simply wait out maxWait, and the pipeline
-// overlaps that wait with other queries' work.)
-func (s *settler) settle(quiesce, maxWait time.Duration) {
+// take ends collection and returns the responses.
+func (s *floodSink[R]) take() []R {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	deadline := s.clock.Now().Add(maxWait)
-	for {
-		now := s.clock.Now()
-		if !now.Before(deadline) {
-			return
-		}
-		if s.n > 0 {
-			quiet := s.last.Add(quiesce)
-			if !now.Before(quiet) {
-				return
-			}
-			s.wakeAt(quiet, deadline)
-		} else {
-			s.wakeAt(deadline, deadline)
-		}
-		s.cond.Wait()
-	}
-}
-
-// wakeAt arms a waker goroutine that broadcasts at target (clamped to
-// deadline), unless an already-armed waker fires no later. Called with mu
-// held.
-func (s *settler) wakeAt(target, deadline time.Time) {
-	if target.After(deadline) {
-		target = deadline
-	}
-	if !s.wakerAt.IsZero() && !s.wakerAt.After(target) {
-		return
-	}
-	s.wakerAt = target
-	d := target.Sub(s.clock.Now())
-	go func() {
-		simclock.Sleep(s.clock, d)
-		s.mu.Lock()
-		if s.wakerAt.Equal(target) {
-			s.wakerAt = time.Time{}
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}()
+	s.open = false
+	out := s.got
+	s.got = nil
+	return out
 }
 
 // errCircuitOpen is the fast-fail verdict for fetches addressed to hosts

@@ -2,12 +2,10 @@ package core
 
 import (
 	"bytes"
-	"regexp"
 	"testing"
 	"time"
 
 	"p2pmalware/internal/netsim"
-	"p2pmalware/internal/simclock"
 )
 
 // workerStudy runs the eventStudy configuration with an explicit worker
@@ -16,7 +14,6 @@ func workerStudy(t *testing.T, seed uint64, workers int) (events, records []byte
 	t.Helper()
 	st, err := NewStudy(StudyConfig{
 		Seed: seed, Days: 1, QueriesPerDay: 5,
-		Quiesce: 250 * time.Millisecond, MaxWait: 4 * time.Second,
 		ProgressEvery: 6 * time.Hour,
 		Workers:       workers,
 		LimeWire:      &netsim.LimeWireConfig{Seed: seed, HonestLeaves: 14, EchoHosts: 6},
@@ -39,60 +36,80 @@ func workerStudy(t *testing.T, seed uint64, workers int) (events, records []byte
 	return ev.Bytes(), rec.Bytes()
 }
 
-// serventIDField matches the servent_id record field. Servent GUIDs come
-// from crypto/rand at node construction, so they are unique per network
-// build (pre-existing behavior); every other record byte must agree.
-var serventIDField = regexp.MustCompile(`"servent_id":"[0-9a-f]{32}"`)
-
-func stripServentIDs(b []byte) []byte {
-	return serventIDField.ReplaceAll(b, []byte(`"servent_id":"-"`))
-}
-
+// TestWorkerCountsEmitIdenticalTraces pins the pipeline's determinism
+// contract: for one seed, the event and record traces are byte-identical
+// at any worker count, servent IDs included.
 func TestWorkerCountsEmitIdenticalTraces(t *testing.T) {
-	// Deliberately not parallel, for the same reason as the same-seed
-	// events test: the guarantee holds when every response lands inside
-	// the wall-clock collection window, so a bounded retry absorbs
-	// scheduler starvation on loaded machines.
-	const attempts = 3
-	var lastDiff string
-	for attempt := 0; attempt < attempts; attempt++ {
-		ev1, rec1 := workerStudy(t, 57, 1)
-		if len(ev1) == 0 || len(rec1) == 0 {
-			t.Fatal("empty trace from Workers:1 study")
+	ev1, rec1 := workerStudy(t, 57, 1)
+	if len(ev1) == 0 || len(rec1) == 0 {
+		t.Fatal("empty trace from Workers:1 study")
+	}
+	for _, workers := range []int{4, 8} {
+		ev, rec := workerStudy(t, 57, workers)
+		if !bytes.Equal(ev1, ev) {
+			t.Fatalf("events (workers 1 vs %d):\n%s", workers, firstDiffContext(string(ev1), string(ev)))
 		}
-		rec1 = stripServentIDs(rec1)
-		identical := true
-		for _, workers := range []int{4, 8} {
-			ev, rec := workerStudy(t, 57, workers)
-			if !bytes.Equal(ev1, ev) {
-				identical = false
-				lastDiff = "events (workers 1 vs " + string(rune('0'+workers)) + "):\n" + firstDiffContext(string(ev1), string(ev))
-				t.Logf("attempt %d: %s", attempt+1, lastDiff)
-				break
-			}
-			if !bytes.Equal(rec1, stripServentIDs(rec)) {
-				identical = false
-				lastDiff = "records (workers 1 vs " + string(rune('0'+workers)) + "):\n" + firstDiffContext(string(rec1), string(stripServentIDs(rec)))
-				t.Logf("attempt %d: %s", attempt+1, lastDiff)
-				break
-			}
-		}
-		if identical {
-			return
+		if !bytes.Equal(rec1, rec) {
+			t.Fatalf("records (workers 1 vs %d):\n%s", workers, firstDiffContext(string(rec1), string(rec)))
 		}
 	}
-	t.Fatalf("worker counts produced different traces on all %d attempts; last diff:\n%s", attempts, lastDiff)
+}
+
+// churnedStudy runs a study whose LimeWire leaves churn at every day
+// boundary and returns its serialized event and record traces.
+func churnedStudy(t *testing.T, seed uint64) (events, records []byte) {
+	t.Helper()
+	st, err := NewStudy(StudyConfig{
+		Seed: seed, Days: 3, QueriesPerDay: 6,
+		ChurnPerDay: 0.4,
+		Workers:     4,
+		LimeWire:    &netsim.LimeWireConfig{Seed: seed, HonestLeaves: 16, EchoHosts: 6},
+		OpenFT:      &netsim.OpenFTConfig{Seed: seed, HonestUsers: 14},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := st.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ev, rec bytes.Buffer
+	if err := st.WriteEvents(&ev); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteJSONL(&rec); err != nil {
+		t.Fatal(err)
+	}
+	return ev.Bytes(), rec.Bytes()
+}
+
+// TestSameSeedChurnedStudiesEmitIdenticalTraces extends the same-seed
+// guarantee to studies with day-boundary churn: the replacement leaves
+// attach to arbitrary ultrapeers, so it holds only because every
+// ultrapeer reaches its leaves whatever TTL its first copy of a query
+// carries, and because collection ends on exact flood completion.
+func TestSameSeedChurnedStudiesEmitIdenticalTraces(t *testing.T) {
+	ev1, rec1 := churnedStudy(t, 101)
+	if len(ev1) == 0 || len(rec1) == 0 {
+		t.Fatal("empty trace from churned study")
+	}
+	ev2, rec2 := churnedStudy(t, 101)
+	if !bytes.Equal(ev1, ev2) {
+		t.Fatalf("same-seed churned events differ:\n%s", firstDiffContext(string(ev1), string(ev2)))
+	}
+	if !bytes.Equal(rec1, rec2) {
+		t.Fatalf("same-seed churned records differ:\n%s", firstDiffContext(string(rec1), string(rec2)))
+	}
 }
 
 // TestPipelinedStudyUnderChurn exercises the pipelined downloader with a
 // high worker count while day-boundary churn replaces leaves mid-study.
-// Run with -race this stresses the demux, settler, fetch cache, and
+// Run with -race this stresses the flood ledger, fetch cache, and
 // barrier paths against node teardown.
 func TestPipelinedStudyUnderChurn(t *testing.T) {
 	t.Parallel()
 	st, err := NewStudy(StudyConfig{
 		Seed: 101, Days: 3, QueriesPerDay: 8,
-		Quiesce: 4 * time.Millisecond, MaxWait: 250 * time.Millisecond,
 		ChurnPerDay: 0.4,
 		Workers:     8,
 		LimeWire:    &netsim.LimeWireConfig{Seed: 101, HonestLeaves: 16, EchoHosts: 6},
@@ -122,38 +139,5 @@ func TestPipelinedStudyUnderChurn(t *testing.T) {
 	}
 	if queries != 24 {
 		t.Fatalf("expected 24 query events, got %d", queries)
-	}
-}
-
-// TestSettlerFirstSignalOrMaxWait pins the satellite fix to the old
-// no-responder heuristic: an unanswered query must wait out maxWait (not
-// 4x quiesce), and the first arrival must release the wait promptly.
-func TestSettlerFirstSignalOrMaxWait(t *testing.T) {
-	t.Parallel()
-	clock := simclock.Real{}
-
-	// Unanswered: settle holds until maxWait.
-	s := newSettler(clock)
-	start := clock.Now()
-	s.settle(5*time.Millisecond, 60*time.Millisecond)
-	if waited := simclock.Since(clock, start); waited < 55*time.Millisecond {
-		t.Fatalf("empty settle returned after %v, want ~60ms (maxWait)", waited)
-	}
-
-	// Answered late: the first signal starts a quiesce window instead of
-	// the old fixed 4x-quiesce bailout.
-	s2 := newSettler(clock)
-	go func() {
-		simclock.Sleep(clock, 30*time.Millisecond)
-		s2.arrived()
-	}()
-	start = clock.Now()
-	s2.settle(5*time.Millisecond, 500*time.Millisecond)
-	waited := simclock.Since(clock, start)
-	if waited < 30*time.Millisecond {
-		t.Fatalf("settle returned before the first response arrived (%v)", waited)
-	}
-	if waited > 250*time.Millisecond {
-		t.Fatalf("settle kept waiting %v after the stream went quiet", waited)
 	}
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
-	"time"
 
 	"p2pmalware/internal/netsim"
 	"p2pmalware/internal/obs"
@@ -17,7 +15,6 @@ func spanStudy(t *testing.T, seed uint64, workers int, wall bool) ([]byte, []obs
 	t.Helper()
 	st, err := NewStudy(StudyConfig{
 		Seed: seed, Days: 1, QueriesPerDay: 5,
-		Quiesce: 250 * time.Millisecond, MaxWait: 4 * time.Second,
 		Workers:         workers,
 		SpanWallLatency: wall,
 		LimeWire:        &netsim.LimeWireConfig{Seed: seed, HonestLeaves: 14, EchoHosts: 6},
@@ -43,30 +40,15 @@ func spanStudy(t *testing.T, seed uint64, workers int, wall bool) ([]byte, []obs
 // are virtual, and emission happens in commit order. Run under -race (as
 // CI does) this also stresses the recorder against the worker pool.
 func TestWorkerCountsEmitIdenticalSpans(t *testing.T) {
-	// Not parallel: byte-identical reproduction depends on responses
-	// landing inside their wall-clock collection windows.
-	const attempts = 3
-	var lastDiff string
-	for attempt := 0; attempt < attempts; attempt++ {
-		base, _ := spanStudy(t, 57, 1, false)
-		if len(base) == 0 {
-			t.Fatal("empty span stream from Workers:1 study")
-		}
-		identical := true
-		for _, workers := range []int{4, 8} {
-			got, _ := spanStudy(t, 57, workers, false)
-			if !bytes.Equal(base, got) {
-				identical = false
-				lastDiff = fmt.Sprintf("spans (workers 1 vs %d):\n%s", workers, firstDiffContext(string(base), string(got)))
-				t.Logf("attempt %d: %s", attempt+1, lastDiff)
-				break
-			}
-		}
-		if identical {
-			return
+	base, _ := spanStudy(t, 57, 1, false)
+	if len(base) == 0 {
+		t.Fatal("empty span stream from Workers:1 study")
+	}
+	for _, workers := range []int{4, 8} {
+		if got, _ := spanStudy(t, 57, workers, false); !bytes.Equal(base, got) {
+			t.Fatalf("spans (workers 1 vs %d):\n%s", workers, firstDiffContext(string(base), string(got)))
 		}
 	}
-	t.Fatalf("worker counts produced different span streams on all %d attempts; last diff:\n%s", attempts, lastDiff)
 }
 
 // TestSpanStreamOmitsWallBytes pins the determinism contract at the byte

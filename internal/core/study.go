@@ -36,12 +36,6 @@ type StudyConfig struct {
 	QueriesPerDay int
 	// ZipfExponent is the query-popularity skew (default 1.0).
 	ZipfExponent float64
-	// Quiesce is how long (real time) the collector waits after the last
-	// response before considering a query answered (default 25ms; the
-	// in-memory network settles in microseconds).
-	Quiesce time.Duration
-	// MaxWait bounds total (real-time) collection per query (default 1s).
-	MaxWait time.Duration
 	// ChurnPerDay is the fraction of honest LimeWire leaves replaced at
 	// each virtual day boundary (0 = static population). Malware hosts
 	// persist, matching the paper's stable malicious sources.
@@ -96,12 +90,6 @@ func (c *StudyConfig) applyDefaults() {
 	}
 	if c.ZipfExponent == 0 {
 		c.ZipfExponent = 1.0
-	}
-	if c.Quiesce <= 0 {
-		c.Quiesce = 25 * time.Millisecond
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = time.Second
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)

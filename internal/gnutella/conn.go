@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"p2pmalware/internal/guid"
+	"p2pmalware/internal/p2p"
 )
 
 // Handshake implements the Gnutella 0.6 three-way connect:
@@ -217,6 +218,9 @@ type Conn struct {
 	c  net.Conn
 	br *bufio.Reader
 	bw *bufio.Writer
+	// box sits between bw and c: it counts the bytes c accepted and the
+	// counted flood descriptors staged since the last clean flush.
+	box *p2p.Outbox
 	// rhdr and whdr are reader-/writer-owned header scratch space: io
 	// calls take them through interfaces, and a per-call stack array would
 	// escape into a fresh heap allocation per descriptor.
@@ -234,7 +238,14 @@ func NewConn(c net.Conn) *Conn {
 // NewConnFrom wraps an established connection, continuing to read through
 // br so no bytes buffered during the handshake are lost.
 func NewConnFrom(c net.Conn, br *bufio.Reader) *Conn {
-	return &Conn{c: c, br: br, bw: bufio.NewWriterSize(c, 32<<10)}
+	return newFloodConn(c, br, nil)
+}
+
+// newFloodConn is NewConnFrom for a node whose universe keeps a flood
+// ledger (nil for none).
+func newFloodConn(c net.Conn, br *bufio.Reader, led *p2p.FloodLedger) *Conn {
+	box := p2p.NewOutbox(c, led)
+	return &Conn{c: c, br: br, bw: bufio.NewWriterSize(box, 32<<10), box: box}
 }
 
 // errPayloadSize lives off the hot path so Read/WriteBuffered stay free of
@@ -304,8 +315,25 @@ func (fc *Conn) WriteBuffered(m *Message) error {
 	return nil
 }
 
+// stage is WriteBuffered for the node's writer: it also records the
+// descriptor with the outbox, so a failed write retires it unless the
+// receiver read it in full.
+//
+// lint:hotpath
+func (fc *Conn) stage(m *Message) error {
+	id, counted := floodKey(m)
+	fc.box.Staged(HeaderSize+len(m.Payload), id, counted)
+	return fc.WriteBuffered(m)
+}
+
 // Flush pushes buffered descriptors onto the wire.
-func (fc *Conn) Flush() error { return fc.bw.Flush() }
+func (fc *Conn) Flush() error {
+	if err := fc.bw.Flush(); err != nil {
+		return err
+	}
+	fc.box.Flushed()
+	return nil
+}
 
 // Write sends a descriptor and flushes.
 func (fc *Conn) Write(m *Message) error {

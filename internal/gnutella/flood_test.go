@@ -1,0 +1,313 @@
+package gnutella
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"p2pmalware/internal/guid"
+	"p2pmalware/internal/p2p"
+)
+
+// TestUltrapeerDeliversLastHopToLeaves pins the last-hop rule: a query
+// that reaches an ultrapeer only with TTL 1 — its first copy came the long
+// way round the ultrapeer mesh — is still handed to the ultrapeer's
+// QRP-matching leaves, their hits route back, and a push for such a hit,
+// which crosses the same ultrapeers, still reaches the leaf.
+func TestUltrapeerDeliversLastHopToLeaves(t *testing.T) {
+	mem := p2p.NewMem()
+	up := NewNode(Config{Role: Ultrapeer, Transport: mem, ListenAddr: "up:1",
+		AdvertiseIP: net.IPv4(5, 9, 50, 1), AdvertisePort: 6346})
+	if err := up.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	lib := p2p.NewLibrary()
+	lib.Add(p2p.StaticFile("last hop file.exe", []byte("x")))
+	leaf := NewNode(Config{Role: Leaf, Transport: mem, ListenAddr: "leaf:1",
+		AdvertiseIP: net.IPv4(5, 9, 50, 2), AdvertisePort: 6346, Library: lib})
+	if err := leaf.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer leaf.Close()
+	if err := leaf.Connect("up:1"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return up.QRPReadyLeaves() == 1 })
+
+	// A raw ultrapeer neighbour forwards the query with its last unit of
+	// TTL, as the third ultrapeer on a path would.
+	c, err := mem.Dial("up:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	br := bufio.NewReader(c)
+	if _, err := ClientHandshake(c, br, HandshakeOptions{Ultrapeer: true, UserAgent: "mesh", Timeout: 2 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	fc := NewConnFrom(c, br)
+	g := guid.New()
+	if err := fc.Write(&Message{GUID: g, Type: MsgQuery, TTL: 1, Hops: 3, Payload: Query{Criteria: "last hop"}.Encode()}); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(3 * time.Second))
+	var qh QueryHit
+	for {
+		m, err := fc.Read()
+		if err != nil {
+			t.Fatalf("no query hit from the leaf behind a TTL-1 ultrapeer: %v", err)
+		}
+		hit := m.Type == MsgQueryHit && m.GUID == g
+		if hit {
+			qh, err = ParseQueryHit(m.Payload)
+		}
+		m.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit {
+			break
+		}
+	}
+	if qh.Hits[0].Name != "last hop file.exe" {
+		t.Fatalf("hit = %+v", qh.Hits[0])
+	}
+
+	// The push for that hit arrives with its last unit of TTL as well.
+	l, err := mem.Listen("5.9.50.9:6346")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	push := Push{ServentID: qh.ServentID, Index: qh.Hits[0].Index, IP: net.IPv4(5, 9, 50, 9), Port: 6346}
+	if err := fc.Write(&Message{GUID: guid.New(), Type: MsgPush, TTL: 1, Hops: 3, Payload: push.Encode()}); err != nil {
+		t.Fatal(err)
+	}
+	called := make(chan net.Conn, 1)
+	go func() {
+		if cb, err := l.Accept(); err == nil {
+			called <- cb
+		}
+	}()
+	select {
+	case cb := <-called:
+		defer cb.Close()
+		line, err := bufio.NewReader(cb).ReadString('\n')
+		if err != nil || !strings.HasPrefix(line, "GIV ") {
+			t.Fatalf("push callback sent %q, %v; want a GIV line", line, err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("a push arriving at TTL 1 never reached the leaf")
+	}
+}
+
+// floodPeer returns an unstarted peer connection on a node whose universe
+// keeps a flood ledger, plus the remote end of its pipe.
+func floodPeer(t *testing.T) (*Node, *peerConn, net.Conn) {
+	t.Helper()
+	n := NewNode(Config{Transport: p2p.NewMem()})
+	local, remote := net.Pipe()
+	t.Cleanup(func() { local.Close(); remote.Close() })
+	pc := newPeerConn(n, newFloodConn(local, bufio.NewReader(local), n.floods), &HandshakeInfo{}, false)
+	return n, pc, remote
+}
+
+func floodQuery(g guid.GUID) *Message {
+	q := Query{Criteria: "flood accounting"}
+	m := NewMessage(g, MsgQuery, DefaultTTL, 0, q.encodedSize())
+	m.Payload = q.AppendTo(m.Payload)
+	return m
+}
+
+func completed(f *p2p.Flood) bool {
+	select {
+	case <-f.Done():
+		return true
+	default:
+		return false
+	}
+}
+
+// TestFloodDropPathsRetire pins that every path on which a counted
+// descriptor never reaches its receiver retires it: a closed peer, a full
+// queue, a queue drained at shutdown, a failed write, and a descriptor the
+// receiver had buffered but never handled.
+func TestFloodDropPathsRetire(t *testing.T) {
+	g := guid.New()
+	cases := []struct {
+		name string
+		run  func(t *testing.T, pc *peerConn, remote net.Conn)
+	}{
+		{"closed peer", func(t *testing.T, pc *peerConn, _ net.Conn) {
+			pc.shutdown()
+			if err := pc.send(floodQuery(g)); err != errPeerClosed {
+				t.Fatalf("send = %v, want errPeerClosed", err)
+			}
+		}},
+		{"full queue", func(t *testing.T, pc *peerConn, _ net.Conn) {
+			for i := 0; i < sendQueueCap; i++ {
+				pc.out <- &Message{Type: MsgPing}
+			}
+			if err := pc.send(floodQuery(g)); err != errSendQueueFull {
+				t.Fatalf("send = %v, want errSendQueueFull", err)
+			}
+		}},
+		{"drained at shutdown", func(t *testing.T, pc *peerConn, _ net.Conn) {
+			if err := pc.send(floodQuery(g)); err != nil {
+				t.Fatal(err)
+			}
+			pc.shutdown()
+			pc.writeLoop() // sees the shutdown and drains its queue
+		}},
+		{"failed write", func(t *testing.T, pc *peerConn, remote net.Conn) {
+			remote.Close()
+			if err := pc.send(floodQuery(g)); err != nil {
+				t.Fatal(err)
+			}
+			pc.writeLoop() // the flush fails: nothing reached the peer
+		}},
+		{"buffered but unhandled", func(t *testing.T, pc *peerConn, _ net.Conn) {
+			m := floodQuery(g)
+			var hdr [HeaderSize]byte
+			copy(hdr[:16], g[:])
+			hdr[16] = byte(MsgQuery)
+			hdr[17] = m.TTL
+			binary.LittleEndian.PutUint32(hdr[19:], uint32(len(m.Payload)))
+			pc.fc.br = bufio.NewReader(bytes.NewReader(append(hdr[:], m.Payload...)))
+			m.Release()
+			pc.node.floods.Sent(p2p.FloodID(g)) // the sender's count
+			pc.drainInbound()
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n, pc, remote := floodPeer(t)
+			f := n.floods.Open(p2p.FloodID(g))
+			c.run(t, pc, remote)
+			f.Release()
+			if !completed(f) {
+				t.Fatal("the dropped descriptor was not retired")
+			}
+		})
+	}
+}
+
+// TestFloodCompletesWhenPeerKilledMidFlood kills an ultrapeer while one of
+// its leaves is still handling the query: the leaf's hit can no longer be
+// routed, but every message of the flood is still accounted for, so the
+// flood completes, with the hits that did route back.
+func TestFloodCompletesWhenPeerKilledMidFlood(t *testing.T) {
+	mem := p2p.NewMem()
+	up1 := NewNode(Config{Role: Ultrapeer, Transport: mem, ListenAddr: "up1:1",
+		AdvertiseIP: net.IPv4(5, 9, 51, 1), AdvertisePort: 6346})
+	up2 := NewNode(Config{Role: Ultrapeer, Transport: mem, ListenAddr: "up2:1",
+		AdvertiseIP: net.IPv4(5, 9, 51, 2), AdvertisePort: 6346})
+	for _, n := range []*Node{up1, up2} {
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+	}
+	if err := up1.Connect("up2:1"); err != nil {
+		t.Fatal(err)
+	}
+	lib := p2p.NewLibrary()
+	lib.Add(p2p.StaticFile("mid flood file.exe", []byte("x")))
+	near := NewNode(Config{Role: Leaf, Transport: mem, ListenAddr: "near:1",
+		AdvertiseIP: net.IPv4(5, 9, 51, 3), AdvertisePort: 6346, Library: lib})
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	far := NewNode(Config{Role: Leaf, Transport: mem, ListenAddr: "far:1",
+		AdvertiseIP: net.IPv4(5, 9, 51, 4), AdvertisePort: 6346, PromiscuousQRP: true,
+		QueryResponder: func(q *Query, m *Message) []Hit {
+			entered <- struct{}{}
+			<-release
+			return []Hit{{Index: 1, Size: 1, Name: "mid flood late.exe"}}
+		}})
+	for addr, n := range map[string]*Node{"up1:1": near, "up2:1": far} {
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		if err := n.Connect(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return up1.QRPReadyLeaves() == 1 && up2.QRPReadyLeaves() == 1 })
+
+	var mu sync.Mutex
+	var names []string
+	client := NewNode(Config{Role: Leaf, Transport: mem, ListenAddr: "client:1",
+		AdvertiseIP: net.IPv4(5, 9, 51, 5), AdvertisePort: 6346,
+		OnQueryHit: func(qh *QueryHit, m *Message) {
+			mu.Lock()
+			for _, h := range qh.Hits {
+				names = append(names, h.Name)
+			}
+			mu.Unlock()
+		}})
+	if err := client.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Connect("up1:1"); err != nil {
+		t.Fatal(err)
+	}
+
+	g := guid.New()
+	f := mem.Floods().Open(p2p.FloodID(g))
+	if err := client.QueryWith(g, "mid flood", ""); err != nil {
+		t.Fatal(err)
+	}
+	f.Release()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the query never reached the far leaf")
+	}
+	killed := make(chan struct{})
+	go func() {
+		up2.Close()
+		close(killed)
+	}()
+	waitFor(t, func() bool { peers, _ := up1.NumPeers(); return peers == 0 })
+	close(release)
+	select {
+	case <-f.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("flood never completed after an ultrapeer died mid-flood")
+	}
+	<-killed
+	mu.Lock()
+	defer mu.Unlock()
+	if len(names) != 1 || names[0] != "mid flood file.exe" {
+		t.Fatalf("hits = %v, want only the near leaf's", names)
+	}
+}
+
+// TestFloodSendPathZeroAllocs pins the `// lint:hotpath` contract on the
+// per-descriptor flood path: counting a descriptor into a peer's queue and
+// discarding it again allocate nothing.
+func TestFloodSendPathZeroAllocs(t *testing.T) {
+	n, pc, _ := floodPeer(t)
+	g := guid.New()
+	f := n.floods.Open(p2p.FloodID(g))
+	defer f.Release()
+	m := floodQuery(g)
+	defer m.Release()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		m.Retain()
+		if err := pc.send(m); err != nil {
+			t.Fatal(err)
+		}
+		pc.discard(<-pc.out)
+	}); allocs != 0 {
+		t.Fatalf("flood send path allocs = %v, want 0", allocs)
+	}
+}

@@ -80,6 +80,10 @@ type Config struct {
 	HitLimit int
 	// Log, when set, receives leveled debug logging (see internal/obs).
 	Log *obs.Logger
+	// ServentID is the servent GUID placed in query hits. The zero value
+	// mints a random one; simulated universes pass a seeded one so their
+	// records reproduce.
+	ServentID guid.GUID
 }
 
 // Node is one Gnutella servent.
@@ -101,6 +105,10 @@ type Node struct {
 	pushWaiters map[string]chan net.Conn // "index:guid" -> GIV delivery; guarded by pushMu
 
 	hostCache *HostCache // endpoints learned from pongs
+
+	// floods is the universe's flood ledger (see p2p.FloodLedger), nil
+	// over transports that keep none.
+	floods *p2p.FloodLedger
 }
 
 // peerConn is one established overlay connection. Outbound descriptors go
@@ -118,11 +126,18 @@ type peerConn struct {
 	done   chan struct{}
 	once   sync.Once
 	qrp    *QRPTable // QRP table received from a leaf; guarded by qrpMu
-	qrpMu  sync.Mutex
+	// qrpPatched reports that a patch followed the last reset: a table
+	// that was only reset is empty and routes nothing yet.
+	qrpPatched bool // guarded by qrpMu
+	qrpMu      sync.Mutex
 }
 
 // sendQueueCap bounds per-peer outbound backlog.
 const sendQueueCap = 512
+
+// byeBound is how long Close lets its writers flush their byes before it
+// cuts off the peers that have not read theirs.
+const byeBound = time.Second
 
 func newPeerConn(n *Node, fc *Conn, info *HandshakeInfo, isLeaf bool) *peerConn {
 	return &peerConn{
@@ -139,6 +154,15 @@ var (
 	errSendQueueFull = errors.New("gnutella: send queue full, descriptor dropped")
 )
 
+// floodKey names the flood a descriptor belongs to and reports whether
+// the flood ledger counts it: queries and their hits share the query's
+// GUID.
+//
+// lint:hotpath
+func floodKey(m *Message) (p2p.FloodID, bool) {
+	return p2p.FloodID(m.GUID), m.Type == MsgQuery || m.Type == MsgQueryHit
+}
+
 // send enqueues a descriptor for the writer goroutine; it never blocks on
 // the network. A full queue drops the descriptor (flooded descriptors are
 // best-effort), and a closed peer reports an error.
@@ -146,23 +170,59 @@ var (
 // send consumes one reference in every outcome: the writer releases it
 // after the wire write, and the drop/closed paths release it here. Callers
 // sending one managed message to several peers retain once per extra
-// target. (Unmanaged messages are unaffected; Release is a no-op.)
+// target. (Unmanaged messages are unaffected; Release is a no-op.) A
+// counted flood descriptor is added to the ledger first, and the drop and
+// closed paths retire it.
 //
 // lint:hotpath
 func (pc *peerConn) send(m *Message) error {
+	if id, counted := floodKey(m); counted {
+		pc.node.floods.Sent(id)
+	}
 	select {
 	case <-pc.done:
-		m.Release()
+		pc.discard(m)
 		return errPeerClosed
 	default:
 	}
 	select {
 	case pc.out <- m:
+		// A shutdown between the check above and the enqueue may have
+		// found the queue empty; take back whatever its drain missed.
+		select {
+		case <-pc.done:
+			pc.drainQueue()
+		default:
+		}
 		return nil
 	default:
 		met.drop[byte(m.Type)].Inc()
-		m.Release()
+		pc.discard(m)
 		return errSendQueueFull
+	}
+}
+
+// discard drops a descriptor that will never reach the peer: it retires
+// a counted one and releases the reference.
+//
+// lint:hotpath
+func (pc *peerConn) discard(m *Message) {
+	if id, counted := floodKey(m); counted {
+		pc.node.floods.Retire(id)
+	}
+	m.Release()
+}
+
+// drainQueue discards everything still queued for a peer that has shut
+// down. Concurrent drains are safe: each descriptor leaves the queue once.
+func (pc *peerConn) drainQueue() {
+	for {
+		select {
+		case m := <-pc.out:
+			pc.discard(m)
+		default:
+			return
+		}
 	}
 }
 
@@ -170,23 +230,31 @@ func (pc *peerConn) send(m *Message) error {
 // staged into the connection's write buffer and flushed once per burst —
 // the loop only flushes when the queue goes momentarily empty — so a
 // flooded query fan-out or a pong-cache harvest costs one syscall, not
-// one per descriptor. Messages still queued at shutdown are reclaimed by
-// the garbage collector; their refcounts die with them.
+// one per descriptor. A bye is flushed at once and then shuts the peer
+// down. When the loop ends, descriptors still queued are discarded, and
+// after a failed write the staged flood descriptors the peer never read
+// in full are retired.
 func (pc *peerConn) writeLoop() {
+	defer pc.drainQueue()
 	for {
 		select {
 		case <-pc.done:
 			return
 		case m := <-pc.out:
+			bye := false
 			for {
-				err := pc.fc.WriteBuffered(m)
+				bye = m.Type == MsgBye
+				err := pc.fc.stage(m)
 				if err == nil {
 					met.tx[byte(m.Type)].Inc()
 				}
 				m.Release()
 				if err != nil {
-					pc.shutdown()
+					pc.writeFailed()
 					return
+				}
+				if bye {
+					break
 				}
 				select {
 				case m = <-pc.out:
@@ -196,11 +264,22 @@ func (pc *peerConn) writeLoop() {
 				break
 			}
 			if err := pc.fc.Flush(); err != nil {
+				pc.writeFailed()
+				return
+			}
+			if bye {
 				pc.shutdown()
 				return
 			}
 		}
 	}
+}
+
+// writeFailed shuts the peer down after a failed write and retires the
+// staged flood descriptors it never read in full.
+func (pc *peerConn) writeFailed() {
+	pc.shutdown()
+	pc.fc.box.Failed()
 }
 
 // shutdown marks the peer dead and closes the connection, unblocking both
@@ -232,9 +311,13 @@ func NewNode(cfg Config) *Node {
 	if cfg.Library == nil {
 		cfg.Library = p2p.NewLibrary()
 	}
+	id := cfg.ServentID
+	if id.IsZero() {
+		id = guid.New()
+	}
 	return &Node{
 		cfg:         cfg,
-		serventID:   guid.New(),
+		serventID:   id,
 		clock:       simclock.OrReal(cfg.Clock),
 		peers:       make(map[*peerConn]bool),
 		myQueries:   make(map[guid.GUID]bool),
@@ -242,6 +325,7 @@ func NewNode(cfg Config) *Node {
 		pushRoutes:  newRouteTable(0),
 		pushWaiters: make(map[string]chan net.Conn),
 		hostCache:   NewHostCache(0),
+		floods:      p2p.Floods(cfg.Transport),
 	}
 }
 
@@ -345,7 +429,7 @@ func (n *Node) acceptOverlay(sc *sniffConn) {
 		return
 	}
 	met.handshakeAcceptOK.Inc()
-	pc := newPeerConn(n, NewConnFrom(sc.Conn, sc.br), info, !info.Ultrapeer)
+	pc := newPeerConn(n, newFloodConn(sc.Conn, sc.br, n.floods), info, !info.Ultrapeer)
 	if !n.addPeer(pc) {
 		sc.Close()
 		return
@@ -385,7 +469,7 @@ func (n *Node) Connect(addr string) error {
 		return err
 	}
 	met.handshakeDialOK.Inc()
-	pc := newPeerConn(n, NewConnFrom(c, br), info, false)
+	pc := newPeerConn(n, newFloodConn(c, br, n.floods), info, false)
 	if !n.addPeer(pc) {
 		c.Close()
 		return errors.New("gnutella: node closed")
@@ -487,7 +571,7 @@ func (n *Node) QRPReadyLeaves() int {
 	ready := 0
 	for _, pc := range leaves {
 		pc.qrpMu.Lock()
-		if pc.qrp != nil {
+		if pc.qrpPatched {
 			ready++
 		}
 		pc.qrpMu.Unlock()
@@ -496,7 +580,10 @@ func (n *Node) QRPReadyLeaves() int {
 }
 
 func (n *Node) runPeer(pc *peerConn) {
-	defer n.removePeer(pc)
+	defer func() {
+		n.removePeer(pc)
+		pc.drainInbound()
+	}()
 	for {
 		m, err := pc.fc.Read()
 		if err != nil {
@@ -506,12 +593,39 @@ func (n *Node) runPeer(pc *peerConn) {
 		// The read loop owns the descriptor's original reference; handlers
 		// that forward it retain once per target. Releasing here is what
 		// lets the next Read reuse the slab, so any handler code holding
-		// payload bytes past this point must have retained or copied.
+		// payload bytes past this point must have retained or copied. A
+		// counted flood descriptor is retired once its handler returns:
+		// every send it caused has been added to the ledger by then.
+		id, counted := floodKey(m)
 		err = n.handle(pc, m)
+		if counted {
+			n.floods.Retire(id)
+		}
 		if err != nil {
 			n.logf("handle %s from %s: %v", m.Type, pc.fc.RemoteAddr(), err)
 			m.Release()
 			return
+		}
+		m.Release()
+	}
+}
+
+// drainInbound retires the flood descriptors the peer delivered in full
+// but the read loop never handled. The connection is closed by now, so
+// Read returns only what is already buffered; a descriptor cut off
+// mid-frame is its sender's to retire.
+func (pc *peerConn) drainInbound() {
+	led := pc.node.floods
+	if led == nil {
+		return
+	}
+	for {
+		m, err := pc.fc.Read()
+		if err != nil {
+			return
+		}
+		if id, counted := floodKey(m); counted {
+			led.Retire(id)
 		}
 		m.Release()
 	}
@@ -633,10 +747,16 @@ func (n *Node) handleQuery(pc *peerConn, m *Message) error {
 			return err
 		}
 	}
-	// Forward.
-	if n.cfg.Role != Ultrapeer || m.TTL <= 1 {
+	// Forward. An ultrapeer hands every query it accepts to its
+	// QRP-matching leaves whatever TTL remains — the leaf hop is the last
+	// one and costs nothing — and spends TTL only on other ultrapeers.
+	// Which copy of a query reaches an ultrapeer first depends on
+	// scheduling, so cutting the leaves off at TTL 1 would make the
+	// answering population depend on it too.
+	if n.cfg.Role != Ultrapeer {
 		return nil
 	}
+	toMesh := m.TTL > 1
 	n.mu.Lock()
 	targets := make([]*peerConn, 0, len(n.peers))
 	for other := range n.peers {
@@ -650,6 +770,8 @@ func (n *Node) handleQuery(pc *peerConn, m *Message) error {
 			if !match {
 				continue
 			}
+		} else if !toMesh {
+			continue
 		}
 		targets = append(targets, other)
 	}
@@ -658,7 +780,9 @@ func (n *Node) handleQuery(pc *peerConn, m *Message) error {
 	// only the TTL/Hops header fields change, and they change once, before
 	// any target can write the message. Each target holds its own
 	// reference until its writer has flushed the bytes.
-	m.TTL--
+	if m.TTL > 0 {
+		m.TTL--
+	}
 	m.Hops++
 	for _, t := range targets {
 		m.Retain()
@@ -721,12 +845,17 @@ func (n *Node) handlePush(pc *peerConn, m *Message) error {
 		}()
 		return nil
 	}
+	// A push follows the last-hop rule too: only the ultrapeer mesh spends
+	// TTL. The query that reached a leaf may have used up every unit of
+	// TTL on the way, and the push back to it crosses the same ultrapeers.
 	dest := n.pushRoutes.lookup(p.ServentID)
-	if dest == nil || m.TTL <= 1 {
+	if dest == nil || (m.TTL <= 1 && !dest.isLeaf) {
 		return nil
 	}
 	// Zero-copy push forward; see handleQuery.
-	m.TTL--
+	if m.TTL > 0 {
+		m.TTL--
+	}
 	m.Hops++
 	m.Retain()
 	return dest.send(m)
@@ -740,6 +869,7 @@ func (n *Node) handleRouteTable(pc *peerConn, m *Message) error {
 		return err
 	}
 	pc.qrp = next
+	pc.qrpPatched = len(m.Payload) > 0 && m.Payload[0] == qrpVariantPatch
 	return nil
 }
 
@@ -832,15 +962,27 @@ func (n *Node) Close() error {
 	if n.listener != nil {
 		n.listener.Close()
 	}
+	// Each writer shuts its peer down once its bye is flushed; a peer whose
+	// bye cannot be queued is shut down at once, and peers still unread
+	// after byeBound are cut off. This waits on real goroutine progress,
+	// so it is wall time by design.
 	bye := &Message{GUID: guid.New(), Type: MsgBye, TTL: 1, Payload: Bye{Code: 200, Reason: "shutting down"}.Encode()}
 	for _, pc := range peers {
-		pc.send(bye)
+		if pc.send(bye) != nil {
+			pc.shutdown()
+		}
 	}
-	// Give the writers a moment to flush the byes, then tear down. This
-	// waits on real goroutine progress, so it is wall time by design.
-	simclock.Sleep(ioClock, 5*time.Millisecond)
+	expired := simclock.After(ioClock, byeBound)
 	for _, pc := range peers {
-		pc.shutdown()
+		select {
+		case <-pc.done:
+			continue
+		case <-expired:
+		}
+		for _, unread := range peers {
+			unread.shutdown()
+		}
+		break
 	}
 	n.wg.Wait()
 	return nil

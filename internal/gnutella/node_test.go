@@ -532,3 +532,52 @@ func TestTCPInterop(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
+
+// TestQRPReadyWaitsForPatch pins what population builders and churn wait
+// on: a leaf whose route-table reset has been applied but whose patch has
+// not is not query-reachable yet, so it must not count as ready.
+func TestQRPReadyWaitsForPatch(t *testing.T) {
+	mem := p2p.NewMem()
+	up := NewNode(Config{Role: Ultrapeer, Transport: mem, ListenAddr: "up:1",
+		AdvertiseIP: net.IPv4(5, 9, 52, 1), AdvertisePort: 6346})
+	if err := up.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	c, err := mem.Dial("up:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	br := bufio.NewReader(c)
+	if _, err := ClientHandshake(c, br, HandshakeOptions{UserAgent: "leaf", Timeout: 2 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	fc := NewConnFrom(c, br)
+	if err := fc.Write(&Message{GUID: guid.New(), Type: MsgRouteTable, TTL: 1, Payload: EncodeQRPReset(QRPTableBits)}); err != nil {
+		t.Fatal(err)
+	}
+	// The pong proves the reset written ahead of the ping was applied.
+	if err := fc.Write(&Message{GUID: guid.New(), Type: MsgPing, TTL: 1}); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(3 * time.Second))
+	for {
+		m, err := fc.Read()
+		if err != nil {
+			t.Fatalf("no pong: %v", err)
+		}
+		pong := m.Type == MsgPong
+		m.Release()
+		if pong {
+			break
+		}
+	}
+	if n := up.QRPReadyLeaves(); n != 0 {
+		t.Fatalf("a leaf that only reset its table counts as ready (%d)", n)
+	}
+	if err := fc.Write(&Message{GUID: guid.New(), Type: MsgRouteTable, TTL: 1, Payload: EncodeQRPPatch(NewQRPTable(QRPTableBits))}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return up.QRPReadyLeaves() == 1 })
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"p2pmalware/internal/gnutella"
+	"p2pmalware/internal/guid"
 	"p2pmalware/internal/ipaddr"
 	"p2pmalware/internal/malware"
 	"p2pmalware/internal/p2p"
@@ -238,6 +239,10 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed, 0x11ABE)
+	// Servent IDs come from their own stream, drawn in host build order,
+	// so they reproduce without shifting any population draw.
+	idRNG := stats.NewRNG(cfg.Seed, 0x5E1D)
+	serventID := func() guid.GUID { return guid.NewFromRand(idRNG.Fill) }
 	gen, err := workload.NewGenerator(stats.NewRNG(cfg.Seed, 0x3A11), workload.DefaultCorpus(), cfg.ZipfExponent)
 	if err != nil {
 		return nil, err
@@ -270,6 +275,7 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 			ListenAddr: spec.ListenKey, AdvertiseIP: ip, AdvertisePort: 6346,
 			UserAgent: "LimeWire/4.9.37", Vendor: "LIME",
 			MaxPeers: cfg.Ultrapeers + 4, MaxLeaves: cfg.HonestLeaves + cfg.EchoHosts + 64,
+			ServentID: serventID(),
 		})
 		if err := node.Start(); err != nil {
 			return fail(err)
@@ -319,6 +325,7 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 			Role: gnutella.Leaf, Transport: mem,
 			ListenAddr: spec.ListenKey, AdvertiseIP: ip, AdvertisePort: 6346,
 			UserAgent: "LimeWire/4.9.37", Vendor: "LIME", Library: lib,
+			ServentID: serventID(),
 		})
 		if err := node.Start(); err != nil {
 			return nil, nil, err
@@ -380,7 +387,7 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 			} else {
 				spec.ListenKey = fmt.Sprintf("%s:6346", ip)
 			}
-			node, err := buildEchoNode(mem, spec, f, echoIdx)
+			node, err := buildEchoNode(mem, spec, f, echoIdx, serventID())
 			if err != nil {
 				return fail(err)
 			}
@@ -437,6 +444,7 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 				Role: gnutella.Leaf, Transport: mem,
 				ListenAddr: spec.ListenKey, AdvertiseIP: ip, AdvertisePort: 6346,
 				UserAgent: "LimeWire/4.9.33", Vendor: "LIME", Library: lib,
+				ServentID: serventID(),
 			})
 			if err := node.Start(); err != nil {
 				return fail(err)
@@ -471,7 +479,7 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 // buildEchoNode constructs a query-echo malware servent: it shares its
 // family specimen and answers every query with a query-derived filename
 // pointing at that specimen.
-func buildEchoNode(mem *p2p.Mem, spec *HostSpec, f *malware.Family, hostIdx int) (*gnutella.Node, error) {
+func buildEchoNode(mem *p2p.Mem, spec *HostSpec, f *malware.Family, hostIdx int, id guid.GUID) (*gnutella.Node, error) {
 	variant := hostIdx % f.NumVariants()
 	data, err := f.Specimen(variant)
 	if err != nil {
@@ -488,6 +496,7 @@ func buildEchoNode(mem *p2p.Mem, spec *HostSpec, f *malware.Family, hostIdx int)
 		ListenAddr: spec.ListenKey, AdvertiseIP: spec.IP, AdvertisePort: spec.Port,
 		UserAgent: "LimeWire/4.2.6", Vendor: "LIME",
 		Library: lib, Firewalled: spec.Firewalled, PromiscuousQRP: true,
+		ServentID: id,
 		QueryResponder: func(q *gnutella.Query, m *gnutella.Message) []gnutella.Hit {
 			return []gnutella.Hit{{
 				Index: specimen.Index,

@@ -121,8 +121,8 @@ func TestBuildLimeWireDeterministic(t *testing.T) {
 		}
 		defer net_.Close()
 		var out []string
-		for _, s := range net_.Specs {
-			out = append(out, string(s.Kind)+"/"+s.Addr())
+		for i, s := range net_.Specs {
+			out = append(out, string(s.Kind)+"/"+s.Addr()+"/"+net_.Nodes[i].ServentID().String())
 		}
 		return out
 	}

@@ -3,6 +3,7 @@ package openft
 import (
 	"bufio"
 	"crypto/md5"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -63,6 +64,10 @@ type Node struct {
 	myShares   map[string]*p2p.SharedFile // md5 -> file; guarded by mu
 	mySearches map[uint32]bool            // guarded by mu
 	knownNodes map[string]Class           // "ip:port" -> class, from NODELIST; guarded by mu
+
+	// floods is the universe's flood ledger (see p2p.FloodLedger), nil
+	// over transports that keep none.
+	floods *p2p.FloodLedger
 }
 
 // globalSearchID issues process-unique search IDs.
@@ -81,10 +86,16 @@ type session struct {
 	// bw coalesces outbound packets: the writer goroutine stages a whole
 	// burst through it and flushes once. Direct (handshake-phase) sends
 	// share it under sendMu and flush per packet.
-	bw   *bufio.Writer
+	bw *bufio.Writer
+	// box sits between bw and conn: it counts the bytes conn accepted and
+	// the counted flood packets staged since the last clean flush.
+	box  *p2p.Outbox
 	info NodeInfo
 	// isChild marks an accepted USER child (on a SEARCH node).
 	isChild bool
+	// childAnswer carries the parent's CHILD_RESP verdict to
+	// BecomeChildOf.
+	childAnswer chan bool
 	// Outbound packets flow through a bounded queue drained by a writer
 	// goroutine so reader goroutines never block on a peer's inbound
 	// flow (two hubs replying to each other over synchronous pipes would
@@ -100,8 +111,10 @@ type session struct {
 const sessionQueueCap = 512
 
 func newSession(n *Node, c net.Conn, br *bufio.Reader) *session {
-	return &session{node: n, conn: c, br: br, bw: bufio.NewWriterSize(c, 8<<10),
-		out: make(chan *Packet, sessionQueueCap), done: make(chan struct{}), direct: true}
+	box := p2p.NewOutbox(c, n.floods)
+	return &session{node: n, conn: c, br: br, bw: bufio.NewWriterSize(box, 8<<10), box: box,
+		out: make(chan *Packet, sessionQueueCap), done: make(chan struct{}), direct: true,
+		childAnswer: make(chan bool, 1)}
 }
 
 var (
@@ -109,22 +122,50 @@ var (
 	errQueueFull     = errors.New("openft: send queue full, packet dropped")
 )
 
+// floodKey names the flood a packet belongs to and reports whether the
+// flood ledger counts it: search requests and responses (End markers
+// included) share the search ID that opens their payload.
+//
+// lint:hotpath
+func floodKey(p *Packet) (p2p.FloodID, bool) {
+	var id p2p.FloodID
+	if (p.Cmd != CmdSearchReq && p.Cmd != CmdSearchResp) || len(p.Payload) < 4 {
+		return id, false
+	}
+	copy(id[:], p.Payload[:4])
+	return id, true
+}
+
+// SearchFloodID is the flood-ledger name of search id.
+func SearchFloodID(id uint32) p2p.FloodID {
+	var f p2p.FloodID
+	binary.BigEndian.PutUint32(f[:], id)
+	return f
+}
+
 // send hands one packet to the session, consuming one reference on every
 // path: a direct (handshake-phase) write releases after flushing, a
 // queued packet is released by the writer goroutine, and the closed/drop
-// paths release before returning the error.
+// paths release before returning the error. A counted flood packet is
+// added to the ledger first; the closed and drop paths retire it, and so
+// does a failed direct write the peer did not read in full.
 //
 // lint:hotpath
 func (s *session) send(p *Packet) error {
+	if id, counted := floodKey(p); counted {
+		s.node.floods.Sent(id)
+	}
 	s.sendMu.Lock()
 	direct := s.direct
 	if direct {
-		err := p.writeTo(s.bw)
+		err := s.stage(p)
 		if err == nil {
-			err = s.bw.Flush()
+			err = s.flush()
 		}
 		if err == nil {
 			met.tx[cmdIndex(p.Cmd)].Inc()
+		} else {
+			s.box.Failed()
 		}
 		s.sendMu.Unlock()
 		p.Release()
@@ -133,17 +174,68 @@ func (s *session) send(p *Packet) error {
 	s.sendMu.Unlock()
 	select {
 	case <-s.done:
-		p.Release()
+		s.discard(p)
 		return errSessionClosed
 	default:
 	}
 	select {
 	case s.out <- p:
+		// A shutdown between the check above and the enqueue may have
+		// found the queue empty; take back whatever its drain missed.
+		select {
+		case <-s.done:
+			s.drainQueue()
+		default:
+		}
 		return nil
 	default:
 		met.drop[cmdIndex(p.Cmd)].Inc()
-		p.Release()
+		s.discard(p)
 		return errQueueFull
+	}
+}
+
+// stage writes p into the session's buffer and records it with the
+// outbox.
+//
+// lint:hotpath
+func (s *session) stage(p *Packet) error {
+	id, counted := floodKey(p)
+	s.box.Staged(4+len(p.Payload), id, counted)
+	return p.writeTo(s.bw)
+}
+
+// flush pushes the buffered packets onto the wire; a clean flush clears
+// the outbox.
+func (s *session) flush() error {
+	if err := s.bw.Flush(); err != nil {
+		return err
+	}
+	s.box.Flushed()
+	return nil
+}
+
+// discard drops a packet that will never reach the peer: it retires a
+// counted one and releases the reference.
+//
+// lint:hotpath
+func (s *session) discard(p *Packet) {
+	if id, counted := floodKey(p); counted {
+		s.node.floods.Retire(id)
+	}
+	p.Release()
+}
+
+// drainQueue discards everything still queued on a session that has shut
+// down. Concurrent drains are safe: each packet leaves the queue once.
+func (s *session) drainQueue() {
+	for {
+		select {
+		case p := <-s.out:
+			s.discard(p)
+		default:
+			return
+		}
 	}
 }
 
@@ -159,22 +251,24 @@ func (s *session) startWriter() {
 // writeLoop drains the outbound queue, coalescing a burst of packets into
 // the session's write buffer and flushing once when the queue runs dry —
 // one syscall (or simulated link write) per burst instead of one per
-// packet. Packets left in the queue at shutdown are garbage-collected,
-// never double-released.
+// packet. When the loop ends, packets still queued are discarded, and
+// after a failed write the staged flood packets the peer never read in
+// full are retired.
 func (s *session) writeLoop() {
+	defer s.drainQueue()
 	for {
 		select {
 		case <-s.done:
 			return
 		case p := <-s.out:
 			for {
-				err := p.writeTo(s.bw)
+				err := s.stage(p)
 				if err == nil {
 					met.tx[cmdIndex(p.Cmd)].Inc()
 				}
 				p.Release()
 				if err != nil {
-					s.shutdown()
+					s.writeFailed()
 					return
 				}
 				select {
@@ -184,12 +278,19 @@ func (s *session) writeLoop() {
 				}
 				break
 			}
-			if err := s.bw.Flush(); err != nil {
-				s.shutdown()
+			if err := s.flush(); err != nil {
+				s.writeFailed()
 				return
 			}
 		}
 	}
+}
+
+// writeFailed shuts the session down after a failed write and retires the
+// staged flood packets the peer never read in full.
+func (s *session) writeFailed() {
+	s.shutdown()
+	s.box.Failed()
 }
 
 // shutdown marks the session dead and closes the connection; idempotent.
@@ -222,6 +323,7 @@ func NewNode(cfg Config) *Node {
 		respRoutes:  make(map[uint32]*session),
 		myShares:    make(map[string]*p2p.SharedFile),
 		mySearches:  make(map[uint32]bool),
+		floods:      p2p.Floods(cfg.Transport),
 	}
 }
 
@@ -406,19 +508,20 @@ func (n *Node) BecomeChildOf(addr string) error {
 	if err := s.send(&Packet{Cmd: CmdChildReq}); err != nil {
 		return err
 	}
-	// The accept/deny answer arrives on the reader loop; wait for it.
-	// This polls real goroutine progress, so it runs on wall time.
-	deadline := ioClock.Now().Add(5 * time.Second)
-	for ioClock.Now().Before(deadline) {
-		n.mu.Lock()
-		accepted := s.isChild
-		n.mu.Unlock()
-		if accepted {
-			return n.shareAll(s)
+	// The accept/deny answer arrives on the reader loop, which hands it
+	// over on childAnswer. The bound waits on real goroutine progress, so
+	// it runs on wall time.
+	select {
+	case accepted := <-s.childAnswer:
+		if !accepted {
+			return fmt.Errorf("openft: %s refused the child request", addr)
 		}
-		simclock.Sleep(ioClock, 5*time.Millisecond)
+		return n.shareAll(s)
+	case <-s.done:
+		return fmt.Errorf("openft: %s closed before answering the child request", addr)
+	case <-simclock.After(ioClock, 5*time.Second):
+		return errors.New("openft: parent did not accept child request")
 	}
-	return errors.New("openft: parent did not accept child request")
 }
 
 // shareAll pushes ADDSHARE for every library file to the parent session.
@@ -522,21 +625,51 @@ func (n *Node) removeSession(s *session) {
 }
 
 func (n *Node) runSession(s *session) {
-	defer n.removeSession(s)
+	defer func() {
+		n.removeSession(s)
+		s.drainInbound()
+	}()
 	for {
 		p, err := ReadPacket(s.br)
 		if err != nil {
 			return
 		}
 		met.rx[cmdIndex(p.Cmd)].Inc()
+		// The session loop owns the read reference; handlers that need the
+		// packet past this point (the search-response relay) retain it. A
+		// counted flood packet is retired once its handler returns: every
+		// send it caused has been added to the ledger by then.
+		id, counted := floodKey(p)
 		err = n.handle(s, p)
+		if counted {
+			n.floods.Retire(id)
+		}
 		if err != nil {
 			n.logf("handle %s from %s: %v", p.Cmd, s.conn.RemoteAddr(), err)
 			p.Release()
 			return
 		}
-		// The session loop owns the read reference; handlers that need the
-		// packet past this point (the search-response relay) retain it.
+		p.Release()
+	}
+}
+
+// drainInbound retires the flood packets the peer delivered in full but
+// the session loop never handled. The connection is closed by now, so
+// ReadPacket returns only what is already buffered; a packet cut off
+// mid-frame is its sender's to retire.
+func (s *session) drainInbound() {
+	led := s.node.floods
+	if led == nil {
+		return
+	}
+	for {
+		p, err := ReadPacket(s.br)
+		if err != nil {
+			return
+		}
+		if id, counted := floodKey(p); counted {
+			led.Retire(id)
+		}
 		p.Release()
 	}
 }
@@ -557,6 +690,10 @@ func (n *Node) handle(s *session, p *Packet) error {
 		n.mu.Lock()
 		s.isChild = cr.Accepted
 		n.mu.Unlock()
+		select {
+		case s.childAnswer <- cr.Accepted:
+		default: // an unsolicited or repeated answer
+		}
 		return nil
 	case CmdAddShare:
 		return n.handleAddShare(s, p)

@@ -159,6 +159,9 @@ func buildTier(t *testing.T, mem *p2p.Mem, nUsers int, files map[string][]byte) 
 		}
 		users = append(users, u)
 	}
+	// BecomeChildOf returns once the hub accepts; the hub applies the
+	// ADDSHARE stream on its own reader afterwards.
+	waitFor(t, func() bool { return hub.ChildShareCount() == nUsers*len(files) })
 	return hub, users
 }
 
@@ -251,6 +254,7 @@ func TestSearchForwardsBetweenSearchNodes(t *testing.T) {
 	if err := u.BecomeChildOf("hub2:1215"); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, func() bool { return hub2.ChildShareCount() == 1 })
 
 	var mu sync.Mutex
 	var results []SearchResp
@@ -406,6 +410,7 @@ func TestSearchDedupAcrossHubs(t *testing.T) {
 	if err := u.BecomeChildOf("h2:1"); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, func() bool { return hubs[2].ChildShareCount() == 1 })
 
 	var mu sync.Mutex
 	var results []SearchResp

@@ -32,10 +32,13 @@ func (TCP) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
 // Mem is an in-memory Transport: listeners register under their address
 // string and dials hand the listener one end of a synchronous pipe. A
-// single Mem value is one isolated network universe.
+// single Mem value is one isolated network universe, with one flood
+// ledger that the nodes on it reach through their transport.
 type Mem struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener // guarded by mu
+
+	floods FloodLedger
 }
 
 // NewMem returns an empty in-memory network.
@@ -73,6 +76,9 @@ func (m *Mem) Dial(addr string) (net.Conn, error) {
 		return nil, &net.OpError{Op: "dial", Net: "mem", Err: fmt.Errorf("connection refused: %s (closed)", addr)}
 	}
 }
+
+// Floods returns the universe's flood ledger.
+func (m *Mem) Floods() *FloodLedger { return &m.floods }
 
 func (m *Mem) remove(addr string) {
 	m.mu.Lock()
