@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,78 +35,94 @@ func goldenRetry() p2p.RetryPolicy {
 	}
 }
 
-// goldenEvents runs a small single-network study and serializes its
-// event trace.
-func goldenEvents(t *testing.T, network string, faults *faultsim.FaultPlan) []byte {
-	t.Helper()
-	cfg := StudyConfig{
-		Seed: 42, Days: 2, QueriesPerDay: 3,
-		Workers:    4,
-		Faults:     faults,
-		FetchRetry: goldenRetry(),
-	}
-	switch network {
-	case "limewire":
-		cfg.LimeWire = &netsim.LimeWireConfig{Seed: 42, HonestLeaves: 12, EchoHosts: 5}
-	case "openft":
-		cfg.OpenFT = &netsim.OpenFTConfig{Seed: 42, HonestUsers: 12}
-	default:
-		t.Fatalf("unknown network %q", network)
-	}
-	st, err := NewStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := st.WriteEvents(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// goldenCase is one small study whose three deterministic streams are
+// pinned byte for byte: events as testdata/golden/<name>.jsonl, spans as
+// <name>_spans.jsonl and records as <name>_records.jsonl.
+type goldenCase struct {
+	name    string
+	lw, ft  bool
+	profile string // faultsim profile; "" runs clean
+	days    int
+	perDay  int
+	churn   float64 // StudyConfig.ChurnPerDay
 }
 
-// goldenSpans runs the same study as goldenEvents and serializes its
-// span stream instead; with wall annotations off (the default) the
-// stream is deterministic and golden-able exactly like the event trace.
-func goldenSpans(t *testing.T, network string, faults *faultsim.FaultPlan) []byte {
-	t.Helper()
-	cfg := StudyConfig{
-		Seed: 42, Days: 2, QueriesPerDay: 3,
-		Workers:    4,
-		Faults:     faults,
-		FetchRetry: goldenRetry(),
-	}
-	switch network {
-	case "limewire":
-		cfg.LimeWire = &netsim.LimeWireConfig{Seed: 42, HonestLeaves: 12, EchoHosts: 5}
-	case "openft":
-		cfg.OpenFT = &netsim.OpenFTConfig{Seed: 42, HonestUsers: 12}
-	default:
-		t.Fatalf("unknown network %q", network)
-	}
-	st, err := NewStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := st.WriteSpans(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+var goldenCases = []goldenCase{
+	{name: "limewire_clean", lw: true, days: 2, perDay: 3},
+	{name: "limewire_canonical", lw: true, profile: "canonical", days: 2, perDay: 3},
+	{name: "openft_clean", ft: true, days: 2, perDay: 3},
+	{name: "openft_canonical", ft: true, profile: "canonical", days: 2, perDay: 3},
+	// The only goldens with alternate-source downloads, a circuit event and
+	// push downloads under an active plan (push hits bypass the injector).
+	{name: "limewire_truncating", lw: true, profile: "truncating", days: 2, perDay: 3},
+	// The only golden with error verdicts; also opens a circuit.
+	{name: "openft_lossy", ft: true, profile: "lossy", days: 3, perDay: 6},
+	// ChurnPerDay replaces LimeWire leaves only; OpenFT churns from a
+	// fault plan alone, so this clean run has no openft churn events.
+	{name: "both_churned", lw: true, ft: true, days: 2, perDay: 3, churn: 0.4},
 }
 
-// checkGolden diffs a regenerated trace byte-for-byte against its
+func (c goldenCase) config() StudyConfig {
+	cfg := StudyConfig{
+		Seed: 42, Days: c.days, QueriesPerDay: c.perDay,
+		ChurnPerDay: c.churn,
+		Workers:     4,
+		FetchRetry:  goldenRetry(),
+	}
+	if c.profile != "" {
+		plan := faultsim.Profiles[c.profile]
+		cfg.Faults = &plan
+	}
+	if c.lw {
+		cfg.LimeWire = &netsim.LimeWireConfig{Seed: 42, HonestLeaves: 12, EchoHosts: 5}
+	}
+	if c.ft {
+		cfg.OpenFT = &netsim.OpenFTConfig{Seed: 42, HonestUsers: 12}
+	}
+	return cfg
+}
+
+// TestGoldenTrace runs every golden case once and diffs its event, span
+// and record streams against the committed files. Refresh after an
+// intentional trace change with:
+//
+//	go test ./internal/core/ -run TestGoldenTrace -update
+func TestGoldenTrace(t *testing.T) {
+	for _, c := range goldenCases {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := NewStudy(c.config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := st.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams := []struct {
+				suffix string
+				write  func(io.Writer) error
+			}{
+				{"", st.WriteEvents},
+				{"_spans", st.WriteSpans},
+				{"_records", tr.WriteJSONL},
+			}
+			for _, s := range streams {
+				var buf bytes.Buffer
+				if err := s.write(&buf); err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, c.name+s.suffix+".jsonl", buf.Bytes())
+			}
+		})
+	}
+}
+
+// checkGolden diffs a regenerated stream byte-for-byte against its
 // committed golden. -update rewrites the file instead.
-func checkGolden(t *testing.T, name string, gen func() []byte) {
+func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", "golden", name)
 	if *update {
-		got := gen()
 		if len(got) == 0 {
 			t.Fatal("refusing to write an empty golden trace")
 		}
@@ -120,44 +137,9 @@ func checkGolden(t *testing.T, name string, gen func() []byte) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden trace (regenerate with: go test ./internal/core/ -run GoldenTrace -update): %v", err)
+		t.Fatalf("missing golden trace (regenerate with: go test ./internal/core/ -run TestGoldenTrace -update): %v", err)
 	}
-	if got := gen(); !bytes.Equal(got, want) {
-		t.Fatalf("trace differs from %s (A=golden, B=regenerated):\n%s", path, firstDiffContext(string(want), string(got)))
+	if !bytes.Equal(got, want) {
+		t.Errorf("trace differs from %s (A=golden, B=regenerated):\n%s", path, firstDiffContext(string(want), string(got)))
 	}
-}
-
-func TestGoldenTraceLimeWireClean(t *testing.T) {
-	checkGolden(t, "limewire_clean.jsonl", func() []byte { return goldenEvents(t, "limewire", nil) })
-}
-
-func TestGoldenTraceLimeWireCanonical(t *testing.T) {
-	checkGolden(t, "limewire_canonical.jsonl", func() []byte { return goldenEvents(t, "limewire", canonicalPlan()) })
-}
-
-func TestGoldenTraceOpenFTClean(t *testing.T) {
-	checkGolden(t, "openft_clean.jsonl", func() []byte { return goldenEvents(t, "openft", nil) })
-}
-
-func TestGoldenTraceOpenFTCanonical(t *testing.T) {
-	checkGolden(t, "openft_canonical.jsonl", func() []byte { return goldenEvents(t, "openft", canonicalPlan()) })
-}
-
-// The span goldens gate the deterministic span stream the same way the
-// event goldens gate the event trace: same seed, same bytes.
-
-func TestGoldenTraceLimeWireCleanSpans(t *testing.T) {
-	checkGolden(t, "limewire_clean_spans.jsonl", func() []byte { return goldenSpans(t, "limewire", nil) })
-}
-
-func TestGoldenTraceLimeWireCanonicalSpans(t *testing.T) {
-	checkGolden(t, "limewire_canonical_spans.jsonl", func() []byte { return goldenSpans(t, "limewire", canonicalPlan()) })
-}
-
-func TestGoldenTraceOpenFTCleanSpans(t *testing.T) {
-	checkGolden(t, "openft_clean_spans.jsonl", func() []byte { return goldenSpans(t, "openft", nil) })
-}
-
-func TestGoldenTraceOpenFTCanonicalSpans(t *testing.T) {
-	checkGolden(t, "openft_canonical_spans.jsonl", func() []byte { return goldenSpans(t, "openft", canonicalPlan()) })
 }
