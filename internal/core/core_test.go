@@ -11,29 +11,16 @@ import (
 	"p2pmalware/internal/netsim"
 )
 
-// runLW executes a scaled-down LimeWire-only study.
-func runLW(t *testing.T, seed uint64, queries int) *dataset.Trace {
+// runOne executes a scaled-down one-day study of one network.
+func runOne(t *testing.T, nw dataset.Network, seed uint64, queries int) *dataset.Trace {
 	t.Helper()
-	st, err := NewStudy(StudyConfig{
-		Seed: seed, Days: 1, QueriesPerDay: queries,
-		LimeWire: &netsim.LimeWireConfig{Seed: seed},
-	})
-	if err != nil {
-		t.Fatal(err)
+	cfg := StudyConfig{Seed: seed, Days: 1, QueriesPerDay: queries}
+	if nw == dataset.LimeWire {
+		cfg.LimeWire = &netsim.LimeWireConfig{Seed: seed}
+	} else {
+		cfg.OpenFT = &netsim.OpenFTConfig{Seed: seed}
 	}
-	tr, err := st.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
-func runFT(t *testing.T, seed uint64, queries int) *dataset.Trace {
-	t.Helper()
-	st, err := NewStudy(StudyConfig{
-		Seed: seed, Days: 1, QueriesPerDay: queries,
-		OpenFT: &netsim.OpenFTConfig{Seed: seed},
-	})
+	st, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +39,7 @@ func TestStudyNeedsANetwork(t *testing.T) {
 
 func TestLimeWireStudyShape(t *testing.T) {
 	t.Parallel()
-	tr := runLW(t, 11, 160)
+	tr := runOne(t, dataset.LimeWire, 11, 160)
 
 	if tr.QueriesSent[dataset.LimeWire] != 160 {
 		t.Fatalf("queries sent = %d", tr.QueriesSent[dataset.LimeWire])
@@ -95,7 +82,7 @@ func TestLimeWireStudyShape(t *testing.T) {
 
 func TestLimeWireFiltering(t *testing.T) {
 	t.Parallel()
-	tr := runLW(t, 13, 160)
+	tr := runOne(t, dataset.LimeWire, 13, 160)
 	train, eval := filter.SplitTrace(tr, 0.3)
 
 	// The paper: size filter detects >99% of malware responses; the
@@ -121,7 +108,7 @@ func TestLimeWireFiltering(t *testing.T) {
 
 func TestOpenFTStudyShape(t *testing.T) {
 	t.Parallel()
-	tr := runFT(t, 17, 300)
+	tr := runOne(t, dataset.OpenFT, 17, 300)
 
 	prev := analysis.MalwarePrevalence(tr)[dataset.OpenFT]
 	if prev.Labelled < 1000 {
@@ -155,7 +142,7 @@ func TestOpenFTStudyShape(t *testing.T) {
 
 func TestStudyTraceSerializes(t *testing.T) {
 	t.Parallel()
-	tr := runLW(t, 19, 40)
+	tr := runOne(t, dataset.LimeWire, 19, 40)
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -174,8 +161,8 @@ func TestStudyDeterministicPopulationStats(t *testing.T) {
 	// Two runs with the same seed build identical populations and query
 	// streams, and every flood is collected to completion, so the
 	// measured prevalence agrees exactly.
-	a := runLW(t, 23, 60)
-	b := runLW(t, 23, 60)
+	a := runOne(t, dataset.LimeWire, 23, 60)
+	b := runOne(t, dataset.LimeWire, 23, 60)
 	pa := analysis.MalwarePrevalence(a)[dataset.LimeWire]
 	pb := analysis.MalwarePrevalence(b)[dataset.LimeWire]
 	if pa != pb {

@@ -11,13 +11,7 @@ import (
 // event timestamps.
 var wallClock simclock.Clock = simclock.Real{}
 
-// lwMet and ftMet hold the study-level metric handles for the two
-// instrumented clients.
-var (
-	lwMet = newNetMetrics("limewire")
-	ftMet = newNetMetrics("openft")
-)
-
+// netMetrics holds one instrumented client's study-level metric handles.
 type netMetrics struct {
 	queries      *obs.Counter
 	responses    *obs.Counter
@@ -83,13 +77,4 @@ func newNetMetrics(network string) *netMetrics {
 		stageFetchWait:   obs.H("p2p_study_stage_us", obs.LatencyBuckets, "network", network, "stage", "fetch_wait"),
 		stageCommitHold:  obs.H("p2p_study_stage_us", obs.LatencyBuckets, "network", network, "stage", "commit_hold"),
 	}
-}
-
-// tally tracks one network's running totals for progress reporting. It is
-// written only by that network's committer goroutine and read by progress
-// callbacks behind a pipeline barrier, which orders the accesses.
-type tally struct {
-	queries   int
-	responses int
-	malware   int
 }

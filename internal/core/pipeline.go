@@ -51,15 +51,11 @@ type pipeTask struct {
 	run func()
 	// commit executes stage 4 on the committer goroutine.
 	commit func()
-	// post runs on the committer right after the task's stage spans are
-	// emitted; network runners use it to emit per-attempt spans in commit
-	// order. Optional.
-	post func()
 	// ready closes when run has finished.
 	ready chan struct{}
 
 	// Span identity: the query's sequence number and virtual timestamp,
-	// plus the recorder stage spans go to (nil disables span emission).
+	// plus the recorder stage spans go to.
 	seq   int64
 	at    time.Time
 	spans *obs.SpanRecorder
@@ -76,16 +72,18 @@ type pipeTask struct {
 	wRunEnd       time.Time // run() returned
 	wCommitStart  time.Time // committer reaches the task
 
-	// downloads and scanNS are filled by run(): how many downloadable
-	// records the query produced (deterministic — it gates the scan span)
-	// and the accumulated wall time this query's worker spent inside the
-	// scanner (wall-only data).
+	// downloads, scanNS and trails are filled by run(): how many
+	// downloadable records the query produced (deterministic — it gates
+	// the scan span), the accumulated wall time this query's worker spent
+	// inside the scanner (wall-only data), and per downloadable record the
+	// fetch-cache entries it touched, for attempt spans.
 	downloads int
 	scanNS    int64
+	trails    [][]*fetchEntry
 }
 
 // pipeline is the bounded worker pool plus in-order committer shared by
-// both network runners.
+// every network runner.
 type pipeline struct {
 	collect chan *pipeTask
 	work    chan *pipeTask
@@ -154,9 +152,7 @@ func newPipeline(workers int, met *netMetrics) *pipeline {
 			t.commit()
 			commitEnd := wallClock.Now()
 			emitQuerySpans(t, commitEnd)
-			if t.post != nil {
-				t.post()
-			}
+			emitAttemptSpans(t.spans, t.seq, t.at, t.trails)
 			met.inflight.Add(-1)
 			p.mu.Lock()
 			p.committed++
@@ -176,9 +172,6 @@ func newPipeline(workers int, met *netMetrics) *pipeline {
 // therefore the serialized stream) deterministic at any worker count.
 func emitQuerySpans(t *pipeTask, commitEnd time.Time) {
 	r := t.spans
-	if r == nil {
-		return
-	}
 	scope := r.Scope()
 	rootID := obs.DeriveSpanID(scope, t.seq, obs.StageQuery, 0)
 	fetchID := obs.DeriveSpanID(scope, t.seq, obs.StageFetch, 0)
@@ -247,21 +240,24 @@ type floodSink[R any] struct {
 	got  []R         // guarded by mu
 }
 
-// collect runs one query's flood to completion: it opens flood id on led
-// holding the issuer's count, sends, releases the hold, and waits until
-// no message of the flood is outstanding — every response has then been
-// added, so take returns the complete set.
-func (s *floodSink[R]) collect(led *p2p.FloodLedger, id p2p.FloodID, send func() error) error {
+// collect runs one query's flood to completion and returns its
+// responses: it opens flood id on led holding the issuer's count, sends,
+// releases the hold, and waits until no message of the flood is
+// outstanding — every response has then been added.
+func (s *floodSink[R]) collect(led *p2p.FloodLedger, id p2p.FloodID, send func() error) ([]R, error) {
 	s.mu.Lock()
 	s.id, s.open, s.got = id, true, nil
 	s.mu.Unlock()
 	f := led.Open(id)
 	err := send()
 	f.Release()
-	if err != nil {
-		return err
+	if err == nil {
+		err = f.Wait()
 	}
-	return f.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.open = false
+	return s.got, err
 }
 
 // add accepts responses to flood id.
@@ -271,16 +267,6 @@ func (s *floodSink[R]) add(id p2p.FloodID, rs ...R) {
 		s.got = append(s.got, rs...)
 	}
 	s.mu.Unlock()
-}
-
-// take ends collection and returns the responses.
-func (s *floodSink[R]) take() []R {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.open = false
-	out := s.got
-	s.got = nil
-	return out
 }
 
 // errCircuitOpen is the fast-fail verdict for fetches addressed to hosts
@@ -494,9 +480,6 @@ func (c *fetchCache) do(key, src string, fetch func() fetchResult) *fetchEntry {
 // alternate-source hop is visible as Retry resetting to 1 while Attempt
 // keeps climbing. Must run on the committer goroutine.
 func emitAttemptSpans(r *obs.SpanRecorder, seq int64, at time.Time, trails [][]*fetchEntry) {
-	if r == nil {
-		return
-	}
 	fetchID := obs.DeriveSpanID(r.Scope(), seq, obs.StageFetch, 0)
 	var k int32
 	for _, trail := range trails {

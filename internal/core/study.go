@@ -21,8 +21,6 @@ import (
 	"p2pmalware/internal/p2p"
 	"p2pmalware/internal/scanner"
 	"p2pmalware/internal/simclock"
-	"p2pmalware/internal/stats"
-	"p2pmalware/internal/workload"
 )
 
 // StudyConfig configures a full measurement run.
@@ -190,13 +188,6 @@ func (s *Study) Run() (*dataset.Trace, error) {
 // Trace returns the (possibly partial) trace.
 func (s *Study) Trace() *dataset.Trace { return s.trace }
 
-// addTracer registers a per-network tracer for later merging.
-func (s *Study) addTracer(t *obs.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracers = append(s.tracers, t)
-}
-
 // Events returns the merged virtual-time event stream from every network
 // measured so far, ordered deterministically by (time, scope, seq). Two
 // same-seed runs of the same configuration produce identical streams.
@@ -216,21 +207,20 @@ func (s *Study) WriteEvents(w io.Writer) error {
 	return obs.WriteEventsJSONL(w, s.Events())
 }
 
-// addSpans registers a per-network span recorder for later merging.
-func (s *Study) addSpans(r *obs.SpanRecorder) {
+// newStreams builds a network's event tracer and span recorder and
+// registers both for later merging. Events take their stamps from the
+// network's virtual clock; span stamps come from the caller (the
+// committer reuses each query's scheduled instant), and wall measurement
+// uses the sanctioned wall clock and is kept only when SpanWallLatency is
+// set.
+func (s *Study) newStreams(clock *simclock.Virtual, scope string) (*obs.Tracer, *obs.SpanRecorder) {
+	t := obs.NewTracer(clock, scope)
+	r := obs.NewSpanRecorder(scope, wallClock, s.cfg.SpanWallLatency)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.tracers = append(s.tracers, t)
 	s.spanRecs = append(s.spanRecs, r)
-}
-
-// newSpanRecorder builds a network's span recorder: virtual-time span
-// stamps come from the caller (the committer reuses each query's
-// scheduled instant), wall measurement uses the sanctioned wall clock and
-// is kept only when SpanWallLatency is set.
-func (s *Study) newSpanRecorder(scope string) *obs.SpanRecorder {
-	r := obs.NewSpanRecorder(scope, wallClock, s.cfg.SpanWallLatency)
-	s.addSpans(r)
-	return r
+	return t, r
 }
 
 // Spans returns the merged span stream from every network measured so
@@ -262,31 +252,6 @@ func (s *Study) progress(format string, args ...any) {
 	}
 }
 
-// scheduleProgress emits periodic progress lines and trace events on the
-// network's virtual clock. Call it after the query events are scheduled so
-// that at a shared timestamp the queries fire first and are counted;
-// barrier drains the pipeline so the tally reflects every earlier query.
-func (s *Study) scheduleProgress(clock *simclock.Virtual, trace *obs.Tracer, network string, tl *tally, barrier func()) {
-	if s.cfg.ProgressEvery <= 0 {
-		return
-	}
-	span := time.Duration(s.cfg.Days) * 24 * time.Hour
-	for at := s.cfg.ProgressEvery; at <= span; at += s.cfg.ProgressEvery {
-		at := at
-		clock.Schedule(at, func(now time.Time) {
-			barrier()
-			day := float64(at) / float64(24*time.Hour)
-			trace.Emit("progress",
-				obs.Float("day", day),
-				obs.Int("queries", int64(tl.queries)),
-				obs.Int("responses", int64(tl.responses)),
-				obs.Int("malware", int64(tl.malware)))
-			s.progress("%s: day %.1f: %d queries, %d responses, %d malware hits",
-				network, day, tl.queries, tl.responses, tl.malware)
-		})
-	}
-}
-
 // downloadVerdict condenses a labelled record into the trace-event verdict:
 // the malware family, "clean", or "error".
 func downloadVerdict(rec *dataset.ResponseRecord) string {
@@ -315,10 +280,4 @@ func (s *Study) fetchRetryPolicy() p2p.RetryPolicy {
 		p.Seed = s.cfg.Seed
 	}
 	return p
-}
-
-// newWorkload builds the query generator; both networks draw from the same
-// corpus with the same skew, as the instrumented clients did.
-func (s *Study) newWorkload(streamSeed uint64) (*workload.Generator, error) {
-	return workload.NewGenerator(stats.NewRNG(s.cfg.Seed, streamSeed), workload.DefaultCorpus(), s.cfg.ZipfExponent)
 }
