@@ -1,6 +1,6 @@
 # Developer entry points; CI (.github/workflows/ci.yml) runs the same gates.
 
-.PHONY: build test race lint fuzz-smoke chaos golden bench bench-diff ci
+.PHONY: build test race lint fuzz-smoke chaos golden perfbench-smoke bench bench-diff ci
 
 build:
 	go build ./...
@@ -39,11 +39,18 @@ fuzz-smoke:
 chaos:
 	go test ./internal/core/ -race -count=2 -run 'TestStudySurvivesFaultMatrix|EmitIdentical'
 
-# Golden-trace gate: regenerated event traces must match testdata/golden/
-# byte for byte. Refresh after an intentional trace change with:
+# Golden-trace gate: every TestGoldenTrace case runs one study, and its
+# event, span and record streams must match testdata/golden/ byte for
+# byte. Refresh after an intentional trace change with:
 #   go test ./internal/core/ -run TestGoldenTrace -update
 golden:
 	go test ./internal/core/ -count=1 -run TestGoldenTrace
+
+# The benchmark (perfbench/) is a nested module that imports the internal
+# packages, so ./... above never builds it; vet and test it here so an
+# internal API change breaks now, not at benchmark time.
+perfbench-smoke:
+	cd perfbench && go vet ./... && go test ./...
 
 # Benchmarks: the obs/archive/scanner/filtersvc hot paths run 6 times
 # each so the output feeds benchstat; the table/figure pipeline and
@@ -64,4 +71,4 @@ bench:
 bench-diff:
 	go run ./cmd/benchdiff
 
-ci: build lint race golden chaos fuzz-smoke bench-diff
+ci: build lint race golden chaos perfbench-smoke fuzz-smoke bench-diff

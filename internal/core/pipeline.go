@@ -207,8 +207,8 @@ func (p *pipeline) submit(t *pipeTask) {
 
 // barrier blocks until every submitted task has committed. Called from the
 // virtual-clock goroutine before churn mutates the network and before
-// progress events read the tally, preserving the sequential engine's
-// ordering at those points.
+// progress events read the running totals, preserving the sequential
+// engine's ordering at those points.
 //
 // lint:hotpath
 func (p *pipeline) barrier() {
