@@ -39,9 +39,9 @@ fuzz-smoke:
 chaos:
 	go test ./internal/core/ -race -count=2 -run 'TestStudySurvivesFaultMatrix|EmitIdentical'
 
-# Golden-trace gate: every TestGoldenTrace case runs one study, and its
-# event, span and record streams must match testdata/golden/ byte for
-# byte. Refresh after an intentional trace change with:
+# Golden-trace gate: each TestGoldenTrace* test runs one study, and
+# every case's event, span and record streams must match testdata/golden/
+# byte for byte. Refresh after an intentional trace change with:
 #   go test ./internal/core/ -run TestGoldenTrace -update
 golden:
 	go test ./internal/core/ -count=1 -run TestGoldenTrace

@@ -47,11 +47,18 @@ type goldenCase struct {
 	churn   float64 // StudyConfig.ChurnPerDay
 }
 
+// The clean and canonical runs of each network have named tests below:
+// one checks events and records, its Spans twin checks spans.
+var (
+	lwClean     = goldenCase{name: "limewire_clean", lw: true, days: 2, perDay: 3}
+	lwCanonical = goldenCase{name: "limewire_canonical", lw: true, profile: "canonical", days: 2, perDay: 3}
+	ftClean     = goldenCase{name: "openft_clean", ft: true, days: 2, perDay: 3}
+	ftCanonical = goldenCase{name: "openft_canonical", ft: true, profile: "canonical", days: 2, perDay: 3}
+)
+
+// goldenCases are the remaining cases, each checked on all three streams
+// by TestGoldenTrace.
 var goldenCases = []goldenCase{
-	{name: "limewire_clean", lw: true, days: 2, perDay: 3},
-	{name: "limewire_canonical", lw: true, profile: "canonical", days: 2, perDay: 3},
-	{name: "openft_clean", ft: true, days: 2, perDay: 3},
-	{name: "openft_canonical", ft: true, profile: "canonical", days: 2, perDay: 3},
 	// The only goldens with alternate-source downloads, a circuit event and
 	// push downloads under an active plan (push hits bypass the injector).
 	{name: "limewire_truncating", lw: true, profile: "truncating", days: 2, perDay: 3},
@@ -82,38 +89,70 @@ func (c goldenCase) config() StudyConfig {
 	return cfg
 }
 
-// TestGoldenTrace runs every golden case once and diffs its event, span
-// and record streams against the committed files. Refresh after an
-// intentional trace change with:
+// checkGoldenCase runs the case's study once and diffs the streams named
+// by their golden file suffix ("" events, "_spans", "_records") against
+// the committed files. Refresh after an intentional trace change with:
 //
 //	go test ./internal/core/ -run TestGoldenTrace -update
+func checkGoldenCase(t *testing.T, c goldenCase, suffixes ...string) {
+	t.Helper()
+	st, err := NewStudy(c.config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := st.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writers := map[string]func(io.Writer) error{
+		"":         st.WriteEvents,
+		"_spans":   st.WriteSpans,
+		"_records": tr.WriteJSONL,
+	}
+	for _, s := range suffixes {
+		var buf bytes.Buffer
+		if err := writers[s](&buf); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, c.name+s+".jsonl", buf.Bytes())
+	}
+}
+
+func TestGoldenTraceLimeWireClean(t *testing.T) {
+	checkGoldenCase(t, lwClean, "", "_records")
+}
+
+func TestGoldenTraceLimeWireCleanSpans(t *testing.T) {
+	checkGoldenCase(t, lwClean, "_spans")
+}
+
+func TestGoldenTraceLimeWireCanonical(t *testing.T) {
+	checkGoldenCase(t, lwCanonical, "", "_records")
+}
+
+func TestGoldenTraceLimeWireCanonicalSpans(t *testing.T) {
+	checkGoldenCase(t, lwCanonical, "_spans")
+}
+
+func TestGoldenTraceOpenFTClean(t *testing.T) {
+	checkGoldenCase(t, ftClean, "", "_records")
+}
+
+func TestGoldenTraceOpenFTCleanSpans(t *testing.T) {
+	checkGoldenCase(t, ftClean, "_spans")
+}
+
+func TestGoldenTraceOpenFTCanonical(t *testing.T) {
+	checkGoldenCase(t, ftCanonical, "", "_records")
+}
+
+func TestGoldenTraceOpenFTCanonicalSpans(t *testing.T) {
+	checkGoldenCase(t, ftCanonical, "_spans")
+}
+
 func TestGoldenTrace(t *testing.T) {
 	for _, c := range goldenCases {
-		t.Run(c.name, func(t *testing.T) {
-			st, err := NewStudy(c.config())
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := st.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			streams := []struct {
-				suffix string
-				write  func(io.Writer) error
-			}{
-				{"", st.WriteEvents},
-				{"_spans", st.WriteSpans},
-				{"_records", tr.WriteJSONL},
-			}
-			for _, s := range streams {
-				var buf bytes.Buffer
-				if err := s.write(&buf); err != nil {
-					t.Fatal(err)
-				}
-				checkGolden(t, c.name+s.suffix+".jsonl", buf.Bytes())
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { checkGoldenCase(t, c, "", "_spans", "_records") })
 	}
 }
 
