@@ -32,7 +32,7 @@ fuzz-smoke:
 
 # Chaos gate: the fault-profile × worker-count survival matrix plus every
 # identity test (*EmitIdentical*: same-seed and worker-count byte equality
-# of events, records, spans, and churned runs, faulted or clean), under
+# of records and spans, churned runs included, faulted or clean), under
 # the race detector, twice. The race detector's scheduling is the
 # perturbation that would expose a leaked flood count or a flood that
 # ends early.
@@ -40,8 +40,8 @@ chaos:
 	go test ./internal/core/ -race -count=2 -run 'TestStudySurvivesFaultMatrix|EmitIdentical'
 
 # Golden-trace gate: each TestGoldenTrace* test runs one study, and
-# every case's event, span and record streams must match testdata/golden/
-# byte for byte. Refresh after an intentional trace change with:
+# every case's span and record streams must match testdata/golden/ byte
+# for byte. Refresh after an intentional trace change with:
 #   go test ./internal/core/ -run TestGoldenTrace -update
 golden:
 	go test ./internal/core/ -count=1 -run TestGoldenTrace

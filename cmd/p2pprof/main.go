@@ -49,7 +49,7 @@ type span struct {
 
 // stageOrder is the canonical rendering order: the root, then its
 // partition children as the query experiences them, with scan and
-// attempts nested under fetch.
+// attempts nested under fetch, then the day-boundary spans.
 var stageOrder = map[string]int{
 	"query":        0,
 	"collect_wait": 1,
@@ -61,6 +61,7 @@ var stageOrder = map[string]int{
 	"commit_hold":  7,
 	"commit":       8,
 	"circuit":      9,
+	"churn":        10,
 }
 
 // queueStages are the stages that measure waiting for a pipeline resource

@@ -9,8 +9,9 @@ import (
 	"p2pmalware/internal/simclock"
 )
 
-// sampleSpans builds a two-query span stream through the real recorder so
-// the test exercises the same bytes p2pstudy emits.
+// sampleSpans builds a two-query span stream, with one day boundary's
+// circuit and churn spans between the queries, through the real recorder
+// so the test exercises the same bytes p2pstudy emits.
 func sampleSpans(t *testing.T, wallMode bool) []span {
 	t.Helper()
 	clock := simclock.NewVirtual(time.Date(2006, 3, 1, 0, 0, 0, 0, time.UTC))
@@ -18,6 +19,10 @@ func sampleSpans(t *testing.T, wallMode bool) []span {
 	base := clock.Now()
 	for seq := int64(0); seq < 2; seq++ {
 		at := base.Add(time.Duration(seq) * time.Minute)
+		if seq == 1 {
+			rec.AddWallUS(obs.Span{Time: at, Seq: 1, Stage: obs.StageCircuit, Detail: "opened=1 closed=0"}, 0)
+			rec.AddWallUS(obs.Span{Time: at, Seq: 1, Stage: obs.StageChurn, Detail: "replaced=3"}, 0)
+		}
 		root := obs.Span{Time: at, Seq: seq, Stage: obs.StageQuery}
 		rec.AddWallUS(root, 1000)
 		rootID := obs.DeriveSpanID("limewire", seq, obs.StageQuery, 0)
@@ -48,14 +53,30 @@ func sampleSpans(t *testing.T, wallMode bool) []span {
 	return spans
 }
 
+// checkDayBoundaryRows checks that the circuit and churn spans get their
+// own stage-table rows after the query stages, and that the query count
+// counts query roots only.
+func checkDayBoundaryRows(t *testing.T, out string) {
+	t.Helper()
+	if !strings.Contains(out, "2 queries, 20 spans") {
+		t.Errorf("day-boundary spans changed the query count:\n%s", out)
+	}
+	commit := strings.Index(out, "\ncommit ")
+	circuit := strings.Index(out, "\ncircuit ")
+	churn := strings.Index(out, "\nchurn ")
+	if commit < 0 || circuit < commit || churn < circuit {
+		t.Errorf("stage table wants rows commit, circuit, churn in that order (at %d, %d, %d):\n%s", commit, circuit, churn, out)
+	}
+}
+
 func TestReportWallMode(t *testing.T) {
 	spans := sampleSpans(t, true)
 	var buf strings.Builder
 	report(&buf, spans, 5)
 	out := buf.String()
+	checkDayBoundaryRows(t, out)
 	for _, want := range []string{
 		"== limewire ==",
-		"2 queries",
 		"collect_wait",
 		"queue wait vs service:",
 		"stage coverage:",
@@ -84,6 +105,7 @@ func TestReportDeterministicMode(t *testing.T) {
 	var buf strings.Builder
 	report(&buf, spans, 5)
 	out := buf.String()
+	checkDayBoundaryRows(t, out)
 	for _, want := range []string{
 		"no wall_us data",
 		"attempt fates: ok=2 refused=2",

@@ -128,8 +128,6 @@ func main() {
 		faults  = flag.String("faults", "", "fault-injection profile ("+strings.Join(faultsim.ProfileNames(), ", ")+") or a FaultPlan JSON file; empty or \"off\" disables")
 
 		progress    = flag.Duration("progress", 24*time.Hour, "virtual interval between progress reports (0 disables)")
-		events      = flag.String("events", "", "optional event-trace output path (JSONL, virtual timestamps)")
-		wallLatency = flag.Bool("events-wall-latency", false, "add wall_us download latency to trace events (breaks trace determinism)")
 		spans       = flag.String("spans", "", "optional span-stream output path (JSONL, for cmd/p2pprof)")
 		spansWall   = flag.Bool("spans-wall-latency", false, "add measured wall_us durations to spans (breaks span determinism)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /varz, and /debug/pprof on this address during the run")
@@ -163,9 +161,8 @@ func main() {
 	cfg := core.StudyConfig{
 		Seed: *seed, Days: *days, QueriesPerDay: *perDay,
 		ChurnPerDay: *churn, Workers: *workers,
-		ProgressEvery: *progress, TraceWallLatency: *wallLatency,
-		SpanWallLatency: *spansWall,
-		Faults:          plan,
+		ProgressEvery: *progress, SpanWallLatency: *spansWall,
+		Faults: plan,
 	}
 	switch *network {
 	case "both":
@@ -210,20 +207,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%d records)\n", *out, len(trace.Records))
-
-	if *events != "" {
-		ef, err := os.Create(*events)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := study.WriteEvents(ef); err != nil {
-			log.Fatal(err)
-		}
-		if err := ef.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s (%d events)\n", *events, len(study.Events()))
-	}
 
 	if *spans != "" {
 		sf, err := os.Create(*spans)

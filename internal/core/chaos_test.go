@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"p2pmalware/internal/dataset"
 	"p2pmalware/internal/faultsim"
 	"p2pmalware/internal/netsim"
+	"p2pmalware/internal/obs"
 	"p2pmalware/internal/p2p"
 )
 
@@ -59,14 +59,14 @@ func TestStudySurvivesFaultMatrix(t *testing.T) {
 						t.Errorf("%s: %d queries sent, want %d", nw, got, wantQueries)
 					}
 				}
-				queryEvents := 0
-				for _, e := range st.Events() {
-					if e.Name == "query" {
-						queryEvents++
+				querySpans := 0
+				for _, sp := range st.Spans() {
+					if sp.Stage == obs.StageQuery {
+						querySpans++
 					}
 				}
-				if queryEvents != 2*wantQueries {
-					t.Errorf("query events = %d, want %d (a lost query means a lost trace slot)", queryEvents, 2*wantQueries)
+				if querySpans != 2*wantQueries {
+					t.Errorf("query spans = %d, want %d (a lost query means a lost trace slot)", querySpans, 2*wantQueries)
 				}
 				for i := range tr.Records {
 					r := &tr.Records[i]
@@ -84,9 +84,9 @@ func TestStudySurvivesFaultMatrix(t *testing.T) {
 
 // faultedWorkerStudy mirrors workerStudy under the canonical fault
 // profile: two virtual days so churn and breaker epochs fire mid-study.
-func faultedWorkerStudy(t *testing.T, seed uint64, workers int) (events, records []byte) {
+func faultedWorkerStudy(t *testing.T, seed uint64, workers int) (spans, records []byte) {
 	t.Helper()
-	st, err := NewStudy(StudyConfig{
+	return studyStreams(t, StudyConfig{
 		Seed: seed, Days: 2, QueriesPerDay: 3,
 		Workers:    workers,
 		Faults:     canonicalPlan(),
@@ -94,42 +94,19 @@ func faultedWorkerStudy(t *testing.T, seed uint64, workers int) (events, records
 		LimeWire:   &netsim.LimeWireConfig{Seed: seed, HonestLeaves: 12, EchoHosts: 5},
 		OpenFT:     &netsim.OpenFTConfig{Seed: seed, HonestUsers: 12},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := st.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ev, rec bytes.Buffer
-	if err := st.WriteEvents(&ev); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteJSONL(&rec); err != nil {
-		t.Fatal(err)
-	}
-	return ev.Bytes(), rec.Bytes()
 }
 
 // TestFaultedWorkerCountsEmitIdenticalTraces is the acceptance pin: with
 // the canonical fault profile enabled, same-seed runs must produce
-// byte-identical event and record traces for any worker count — fault
+// byte-identical span and record streams for any worker count — fault
 // decisions are PRF-keyed, retries are schedule-independent, and breaker
 // state only moves behind barriers, so parallelism must not leak into
 // the trace.
 func TestFaultedWorkerCountsEmitIdenticalTraces(t *testing.T) {
-	ev1, rec1 := faultedWorkerStudy(t, 71, 1)
-	if len(ev1) == 0 || len(rec1) == 0 {
-		t.Fatal("empty trace from Workers:1 faulted study")
-	}
+	sp1, rec1 := faultedWorkerStudy(t, 71, 1)
 	for _, workers := range []int{4, 8} {
-		ev, rec := faultedWorkerStudy(t, 71, workers)
-		if !bytes.Equal(ev1, ev) {
-			t.Fatalf("events (workers 1 vs %d):\n%s", workers, firstDiffContext(string(ev1), string(ev)))
-		}
-		if !bytes.Equal(rec1, rec) {
-			t.Fatalf("records (workers 1 vs %d):\n%s", workers, firstDiffContext(string(rec1), string(rec)))
-		}
+		sp, rec := faultedWorkerStudy(t, 71, workers)
+		checkSameStreams(t, fmt.Sprintf("faulted, workers 1 vs %d", workers), sp1, rec1, sp, rec)
 	}
 }
 

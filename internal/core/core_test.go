@@ -218,7 +218,7 @@ func TestStudyWithChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	if churnLines != 2 {
-		t.Fatalf("churn events = %d, want 2 (day boundaries in a 3-day trace)", churnLines)
+		t.Fatalf("churn progress lines = %d, want 2 (day boundaries in a 3-day trace)", churnLines)
 	}
 	// The study still produces a coherent labelled trace.
 	prev := analysis.MalwarePrevalence(tr)[dataset.LimeWire]

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,9 +37,9 @@ func goldenRetry() p2p.RetryPolicy {
 	}
 }
 
-// goldenCase is one small study whose three deterministic streams are
-// pinned byte for byte: events as testdata/golden/<name>.jsonl, spans as
-// <name>_spans.jsonl and records as <name>_records.jsonl.
+// goldenCase is one small study whose two deterministic streams are
+// pinned byte for byte: spans as testdata/golden/<name>_spans.jsonl and
+// records as <name>_records.jsonl.
 type goldenCase struct {
 	name    string
 	lw, ft  bool
@@ -48,7 +50,7 @@ type goldenCase struct {
 }
 
 // The clean and canonical runs of each network have named tests below:
-// one checks events and records, its Spans twin checks spans.
+// one checks records, its Spans twin checks spans.
 var (
 	lwClean     = goldenCase{name: "limewire_clean", lw: true, days: 2, perDay: 3}
 	lwCanonical = goldenCase{name: "limewire_canonical", lw: true, profile: "canonical", days: 2, perDay: 3}
@@ -56,16 +58,16 @@ var (
 	ftCanonical = goldenCase{name: "openft_canonical", ft: true, profile: "canonical", days: 2, perDay: 3}
 )
 
-// goldenCases are the remaining cases, each checked on all three streams
-// by TestGoldenTrace.
+// goldenCases are the remaining cases, each checked on both streams by
+// TestGoldenTrace.
 var goldenCases = []goldenCase{
-	// The only goldens with alternate-source downloads, a circuit event and
+	// The only goldens with alternate-source downloads, a circuit span and
 	// push downloads under an active plan (push hits bypass the injector).
 	{name: "limewire_truncating", lw: true, profile: "truncating", days: 2, perDay: 3},
 	// The only golden with error verdicts; also opens a circuit.
 	{name: "openft_lossy", ft: true, profile: "lossy", days: 3, perDay: 6},
 	// ChurnPerDay replaces LimeWire leaves only; OpenFT churns from a
-	// fault plan alone, so this clean run has no openft churn events.
+	// fault plan alone, so this clean run has no openft churn span.
 	{name: "both_churned", lw: true, ft: true, days: 2, perDay: 3, churn: 0.4},
 }
 
@@ -90,8 +92,8 @@ func (c goldenCase) config() StudyConfig {
 }
 
 // checkGoldenCase runs the case's study once and diffs the streams named
-// by their golden file suffix ("" events, "_spans", "_records") against
-// the committed files. Refresh after an intentional trace change with:
+// by their golden file suffix ("_spans", "_records") against the
+// committed files. Refresh after an intentional trace change with:
 //
 //	go test ./internal/core/ -run TestGoldenTrace -update
 func checkGoldenCase(t *testing.T, c goldenCase, suffixes ...string) {
@@ -105,7 +107,6 @@ func checkGoldenCase(t *testing.T, c goldenCase, suffixes ...string) {
 		t.Fatal(err)
 	}
 	writers := map[string]func(io.Writer) error{
-		"":         st.WriteEvents,
 		"_spans":   st.WriteSpans,
 		"_records": tr.WriteJSONL,
 	}
@@ -119,7 +120,7 @@ func checkGoldenCase(t *testing.T, c goldenCase, suffixes ...string) {
 }
 
 func TestGoldenTraceLimeWireClean(t *testing.T) {
-	checkGoldenCase(t, lwClean, "", "_records")
+	checkGoldenCase(t, lwClean, "_records")
 }
 
 func TestGoldenTraceLimeWireCleanSpans(t *testing.T) {
@@ -127,7 +128,7 @@ func TestGoldenTraceLimeWireCleanSpans(t *testing.T) {
 }
 
 func TestGoldenTraceLimeWireCanonical(t *testing.T) {
-	checkGoldenCase(t, lwCanonical, "", "_records")
+	checkGoldenCase(t, lwCanonical, "_records")
 }
 
 func TestGoldenTraceLimeWireCanonicalSpans(t *testing.T) {
@@ -135,7 +136,7 @@ func TestGoldenTraceLimeWireCanonicalSpans(t *testing.T) {
 }
 
 func TestGoldenTraceOpenFTClean(t *testing.T) {
-	checkGoldenCase(t, ftClean, "", "_records")
+	checkGoldenCase(t, ftClean, "_records")
 }
 
 func TestGoldenTraceOpenFTCleanSpans(t *testing.T) {
@@ -143,7 +144,7 @@ func TestGoldenTraceOpenFTCleanSpans(t *testing.T) {
 }
 
 func TestGoldenTraceOpenFTCanonical(t *testing.T) {
-	checkGoldenCase(t, ftCanonical, "", "_records")
+	checkGoldenCase(t, ftCanonical, "_records")
 }
 
 func TestGoldenTraceOpenFTCanonicalSpans(t *testing.T) {
@@ -152,7 +153,7 @@ func TestGoldenTraceOpenFTCanonicalSpans(t *testing.T) {
 
 func TestGoldenTrace(t *testing.T) {
 	for _, c := range goldenCases {
-		t.Run(c.name, func(t *testing.T) { checkGoldenCase(t, c, "", "_spans", "_records") })
+		t.Run(c.name, func(t *testing.T) { checkGoldenCase(t, c, "_spans", "_records") })
 	}
 }
 
@@ -181,4 +182,20 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("trace differs from %s (A=golden, B=regenerated):\n%s", path, firstDiffContext(string(want), string(got)))
 	}
+}
+
+// firstDiffContext returns the first differing lines of two JSONL blobs,
+// for a readable failure message.
+func firstDiffContext(a, b string) string {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	n := len(la)
+	if len(lb) < n {
+		n = len(lb)
+	}
+	for i := 0; i < n; i++ {
+		if la[i] != lb[i] {
+			return "line " + strconv.Itoa(i) + ":\nA: " + la[i] + "\nB: " + lb[i]
+		}
+	}
+	return "traces differ in length only"
 }

@@ -7,8 +7,8 @@ import (
 
 // wallClock is the sanctioned wall-time source for the measurement layer
 // (clockcheck bans direct time.Now calls here). It only feeds latency
-// metrics and the optional wall_us event attribute — never virtual-time
-// event timestamps.
+// metrics and the optional wall_us span durations — never virtual-time
+// record or span timestamps.
 var wallClock simclock.Clock = simclock.Real{}
 
 // netMetrics holds one instrumented client's study-level metric handles.

@@ -18,7 +18,7 @@ import (
 // pieces of measuring it, over hits of type H. runNetwork owns the rest —
 // issue order, the pipeline and commit order, the day-boundary barrier,
 // breaker and churn schedule, alternate-source fallback, and every record,
-// event, span and metric — so a network implements only these methods.
+// span and metric — so a network implements only these methods.
 type adapter[H any] interface {
 	// flood returns a fresh flood ID and the call that sends a query for
 	// term under it.
@@ -52,7 +52,7 @@ type adapter[H any] interface {
 // netInfo is what runNetwork needs to know about a network besides its
 // adapter.
 type netInfo struct {
-	name    string // tracer, span and metric scope; progress-line prefix
+	name    string // span and metric scope; progress-line prefix
 	network dataset.Network
 	stream  uint64   // workload RNG stream
 	mem     *p2p.Mem // the universe: flood ledger and the injector's inner transport
@@ -72,7 +72,6 @@ type runner[H any] struct {
 	fx    *netFaults
 	cache *fetchCache
 	met   *netMetrics
-	trace *obs.Tracer
 	spans *obs.SpanRecorder
 	pl    *pipeline
 	errs  errBox
@@ -84,16 +83,10 @@ type runner[H any] struct {
 	malware int
 }
 
-// done is one finished (downloaded, scanned) response awaiting commit.
-type done struct {
-	rec    dataset.ResponseRecord
-	wallUS int64
-}
-
 // runNetwork measures one network through its instrumented client, whose
 // hits arrive in sink, appending records to tr. Per-query work is
 // pipelined (see pipeline.go); the committer reproduces the sequential
-// engine's exact record and event order.
+// engine's exact record and span order.
 func runNetwork[H any](s *Study, tr *dataset.Trace, info netInfo, sink *floodSink[H], a adapter[H]) error {
 	// Every network draws its queries from the same corpus with the same
 	// skew, as the instrumented clients did, on its own RNG stream.
@@ -101,18 +94,18 @@ func runNetwork[H any](s *Study, tr *dataset.Trace, info netInfo, sink *floodSin
 	if err != nil {
 		return err
 	}
-	// The trace is event-driven: query events (and day-boundary churn
-	// events) are scheduled on a virtual clock and fired in timestamp
-	// order, so a month of trace time elapses in however long the
-	// in-memory network takes to answer.
+	// The trace is event-driven: queries (and day-boundary churn) are
+	// scheduled on a virtual clock and fired in timestamp order, so a
+	// month of trace time elapses in however long the in-memory network
+	// takes to answer.
 	clock := simclock.NewVirtual(s.cfg.Epoch)
 	r := &runner[H]{
 		s: s, info: info, a: a, sink: sink, tr: tr,
 		fx:    s.newNetFaults(info.name, info.mem),
 		cache: newFetchCache(),
 		met:   newNetMetrics(info.name),
+		spans: s.newSpanRecorder(info.name),
 	}
-	r.trace, r.spans = s.newStreams(clock, info.name)
 	r.pl = newPipeline(s.cfg.Workers, r.met)
 	defer r.pl.stop()
 	if r.fx != nil {
@@ -141,10 +134,10 @@ func runNetwork[H any](s *Study, tr *dataset.Trace, info netInfo, sink *floodSin
 	return r.errs.get()
 }
 
-// scheduleProgress emits periodic progress lines and trace events on the
-// network's virtual clock. Call it after the query events are scheduled so
-// that at a shared timestamp the queries fire first and are counted; the
-// barrier drains the pipeline so the totals reflect every earlier query.
+// scheduleProgress emits periodic progress lines on the network's virtual
+// clock. Call it after the queries are scheduled so that at a shared
+// timestamp the queries fire first and are counted; the barrier drains the
+// pipeline so the totals reflect every earlier query.
 func (r *runner[H]) scheduleProgress(clock *simclock.Virtual) {
 	every := r.s.cfg.ProgressEvery
 	if every <= 0 {
@@ -154,14 +147,8 @@ func (r *runner[H]) scheduleProgress(clock *simclock.Virtual) {
 		clock.Schedule(at, func(now time.Time) {
 			r.pl.barrier()
 			day := float64(at) / float64(24*time.Hour)
-			queries, responses := r.tr.QueriesSent[r.info.network], len(r.tr.Records)
-			r.trace.Emit("progress",
-				obs.Float("day", day),
-				obs.Int("queries", int64(queries)),
-				obs.Int("responses", int64(responses)),
-				obs.Int("malware", int64(r.malware)))
 			r.s.progress("%s: day %.1f: %d queries, %d responses, %d malware hits",
-				r.info.name, day, queries, responses, r.malware)
+				r.info.name, day, r.tr.QueriesSent[r.info.network], len(r.tr.Records), r.malware)
 		})
 	}
 }
@@ -170,7 +157,9 @@ func (r *runner[H]) scheduleProgress(clock *simclock.Virtual) {
 // the breaker, then churn. Breaker epochs and churn mutate shared state,
 // so every in-flight download must first finish against the pre-boundary
 // population and breaker state, as it did when queries were processed
-// synchronously.
+// synchronously. The drained pipeline has also emitted every earlier
+// query's spans, so the circuit and churn spans emitted here from the
+// clock goroutine land at a deterministic point in the stream.
 func (r *runner[H]) dayBoundary(day int, now time.Time) {
 	if r.errs.get() != nil {
 		return
@@ -179,9 +168,6 @@ func (r *runner[H]) dayBoundary(day int, now time.Time) {
 	if r.fx != nil {
 		if opened, closed := r.fx.br.advance(); opened+closed > 0 {
 			r.met.circuitOpen.Add(int64(opened))
-			r.trace.Emit("circuit", obs.Int("day", int64(day)), obs.Int("opened", int64(opened)), obs.Int("closed", int64(closed)))
-			// The barrier drained the pipeline, so emitting from the clock
-			// goroutine keeps span order deterministic.
 			r.spans.AddWallUS(obs.Span{Time: now, Seq: int64(day), Stage: obs.StageCircuit,
 				Detail: fmt.Sprintf("opened=%d closed=%d", opened, closed)}, 0)
 		}
@@ -194,7 +180,8 @@ func (r *runner[H]) dayBoundary(day int, now time.Time) {
 		r.errs.set(fmt.Errorf("churn on day %d: %w", day, err))
 		return
 	}
-	r.trace.Emit("churn", obs.Int("day", int64(day)), obs.Int("replaced", int64(replaced)))
+	r.spans.AddWallUS(obs.Span{Time: now, Seq: int64(day), Stage: obs.StageChurn,
+		Detail: fmt.Sprintf("replaced=%d", replaced)}, 0)
 	r.s.progress("%s: day %d churned %d %s", r.info.name, day, replaced, r.info.churned)
 }
 
@@ -203,7 +190,7 @@ func (r *runner[H]) dayBoundary(day int, now time.Time) {
 func (r *runner[H]) task(i int, now time.Time, term workload.Term) *pipeTask {
 	t := &pipeTask{seq: int64(i), at: now, spans: r.spans}
 	var hits []H
-	var out []done
+	var recs []dataset.ResponseRecord
 	var floodErr error
 	t.collect = func() {
 		id, send := r.a.flood(term.Text)
@@ -217,19 +204,19 @@ func (r *runner[H]) task(i int, now time.Time, term workload.Term) *pipeTask {
 	}
 	t.run = func() {
 		if floodErr == nil {
-			out = r.fetchAll(t, now, term, hits)
+			recs = r.fetchAll(t, now, term, hits)
 		}
 	}
-	t.commit = func() { r.commit(i, now, term, out, floodErr) }
+	t.commit = func() { r.commit(i, recs, floodErr) }
 	return t
 }
 
 // fetchAll builds one record per hit and downloads and scans the
 // downloadable ones, logging each one's cache trail on t for attempt
 // spans.
-func (r *runner[H]) fetchAll(t *pipeTask, now time.Time, term workload.Term, hits []H) []done {
+func (r *runner[H]) fetchAll(t *pipeTask, now time.Time, term workload.Term, hits []H) []dataset.ResponseRecord {
 	start := wallClock.Now()
-	out := make([]done, len(hits))
+	recs := make([]dataset.ResponseRecord, len(hits))
 	for k, h := range hits {
 		rec := r.a.response(h)
 		rec.Time = now
@@ -237,22 +224,19 @@ func (r *runner[H]) fetchAll(t *pipeTask, now time.Time, term workload.Term, hit
 		rec.Query = term.Text
 		rec.QueryCategory = string(term.Category)
 		rec.Downloadable = archive.IsDownloadable(rec.Filename)
-		out[k].rec = rec
+		recs[k] = rec
 	}
-	for k := range out {
-		d := &out[k]
-		if !d.rec.Downloadable {
+	for k := range recs {
+		if !recs[k].Downloadable {
 			continue
 		}
 		t.downloads++
-		wallStart := wallClock.Now()
-		res, trail := r.fetch(hits, out, k, &t.scanNS)
-		applyResult(&d.rec, res)
+		res, trail := r.fetch(hits, recs, k, &t.scanNS)
+		applyResult(&recs[k], res)
 		t.trails = append(t.trails, trail)
-		d.wallUS = int64(simclock.Since(wallClock, wallStart) / time.Microsecond)
 	}
 	r.met.stageFetch.ObserveDuration(simclock.Since(wallClock, start))
-	return out
+	return recs
 }
 
 // fetch fetches hits[k] and returns its labelled verdict plus the trail of
@@ -260,9 +244,9 @@ func (r *runner[H]) fetchAll(t *pipeTask, now time.Time, term workload.Term, hit
 // Under an active fault plan a retryably-failed fetch falls back to
 // alternate sources: other hits of the same query with the same altKey
 // and another endpoint, tried in sorted-hit order so the choice is
-// deterministic. out holds the query's records, index-aligned with hits.
-func (r *runner[H]) fetch(hits []H, out []done, k int, scanNS *int64) (fetchResult, []*fetchEntry) {
-	rec := &out[k].rec
+// deterministic. recs holds the query's records, index-aligned with hits.
+func (r *runner[H]) fetch(hits []H, recs []dataset.ResponseRecord, k int, scanNS *int64) (fetchResult, []*fetchEntry) {
+	rec := &recs[k]
 	e := r.fetchOnce(hits[k], rec, scanNS)
 	trail := []*fetchEntry{e}
 	want := r.a.altKey(hits[k])
@@ -271,7 +255,7 @@ func (r *runner[H]) fetch(hits []H, out []done, k int, scanNS *int64) (fetchResu
 	}
 	failed := source(rec)
 	for j, h := range hits {
-		alt := &out[j].rec
+		alt := &recs[j]
 		if r.a.altKey(h) != want || source(alt) == failed {
 			continue
 		}
@@ -306,36 +290,19 @@ func (r *runner[H]) fetchOnce(h H, rec *dataset.ResponseRecord, scanNS *int64) *
 	})
 }
 
-// commit appends query i's records and emits its events. It runs on the
-// committer goroutine in issue order.
-func (r *runner[H]) commit(i int, now time.Time, term workload.Term, out []done, floodErr error) {
-	// The sequential engine emitted the query event before flooding, so a
-	// failed flood still gets its event.
-	r.trace.EmitAt(now, "query", obs.Int("n", int64(i)), obs.String("q", term.Text), obs.String("category", string(term.Category)))
+// commit appends query i's records and updates the running totals. It
+// runs on the committer goroutine in issue order.
+func (r *runner[H]) commit(i int, recs []dataset.ResponseRecord, floodErr error) {
 	if floodErr != nil {
 		r.errs.set(floodErr)
 		return
 	}
 	r.tr.QueriesSent[r.info.network]++
 	r.met.queries.Inc()
-	r.met.responses.Add(int64(len(out)))
-	r.trace.EmitAt(now, "responses", obs.Int("n", int64(i)), obs.Int("count", int64(len(out))))
-	for _, d := range out {
-		rec := d.rec
+	r.met.responses.Add(int64(len(recs)))
+	for k := range recs {
+		rec := &recs[k]
 		if rec.Downloadable {
-			attrs := []obs.Attr{
-				obs.String("source", source(&rec)),
-				obs.String("file", rec.Filename),
-				obs.Int("size", rec.BodySize),
-				obs.String("verdict", downloadVerdict(&rec)),
-			}
-			if rec.AltSource != "" {
-				attrs = append(attrs, obs.String("alt", rec.AltSource))
-			}
-			if r.s.cfg.TraceWallLatency {
-				attrs = append(attrs, obs.Int("wall_us", d.wallUS))
-			}
-			r.trace.EmitAt(now, "download", attrs...)
 			if rec.DownloadError != "" {
 				r.met.downloadsErr.Inc()
 				r.met.fetchFailed.Inc()
@@ -356,7 +323,7 @@ func (r *runner[H]) commit(i int, now time.Time, term workload.Term, out []done,
 				r.met.malware.Inc()
 			}
 		}
-		r.tr.Add(rec)
+		r.tr.Add(*rec)
 	}
 	if (i+1)%500 == 0 {
 		r.s.progress("%s: %d/%d queries, %d records", r.info.name, i+1, r.s.totalQueries(), len(r.tr.Records))

@@ -183,15 +183,15 @@ func TestAlternateSources(t *testing.T) {
 				}
 				r.fx.br.advance()
 			}
-			out := make([]done, len(c.hits))
+			recs := make([]dataset.ResponseRecord, len(c.hits))
 			for k, h := range c.hits {
-				out[k].rec = fake.response(h)
+				recs[k] = fake.response(h)
 			}
 			for _, k := range c.prefetch {
-				r.fetchOnce(c.hits[k], &out[k].rec, nil)
+				r.fetchOnce(c.hits[k], &recs[k], nil)
 			}
 			fake.fetched = nil
-			res, trail := r.fetch(c.hits, out, 0, nil)
+			res, trail := r.fetch(c.hits, recs, 0, nil)
 			if !errors.Is(res.err, c.wantErr) {
 				t.Errorf("err = %v, want %v", res.err, c.wantErr)
 			}

@@ -34,14 +34,14 @@ import (
 //     flood overlaps query N's downloads and scans —
 //     downloads only read per-file static content, so they cannot
 //     perturb later queries' responses.
-//  4. Commit (single committer goroutine): in submission order, stamp
-//     the deferred trace events with the query's virtual timestamp and
-//     append records — so the trace is byte-identical to the sequential
-//     engine's regardless of worker count.
+//  4. Commit (single committer goroutine): in submission order, append
+//     the query's records and emit its spans, stamped with the query's
+//     virtual timestamp — so records and spans are byte-identical to the
+//     sequential engine's regardless of worker count.
 //
 // Day-boundary churn and periodic progress callbacks call barrier() first,
-// which drains the pipeline: they observe (and are ordered in the trace
-// after) every earlier query, exactly as in the sequential engine.
+// which drains the pipeline: they observe (and are ordered in the span
+// stream after) every earlier query, exactly as in the sequential engine.
 
 // pipeTask is one query's deferred work.
 type pipeTask struct {
@@ -89,11 +89,10 @@ type pipeline struct {
 	work    chan *pipeTask
 	commitq chan *pipeTask // tasks in submission (= commit) order
 	met     *netMetrics
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	submitted int // guarded by mu
-	committed int // guarded by mu
+	// pending counts submitted tasks not yet committed. Add and Wait both
+	// run on the virtual-clock goroutine, so no Add can race a Wait that
+	// is about to return: WaitGroup's reuse rule holds.
+	pending sync.WaitGroup
 
 	workers  sync.WaitGroup
 	done     chan struct{}
@@ -110,7 +109,6 @@ func newPipeline(workers int, met *netMetrics) *pipeline {
 		met:     met,
 		done:    make(chan struct{}),
 	}
-	p.cond = sync.NewCond(&p.mu)
 	go func() {
 		defer close(p.work)
 		for t := range p.collect {
@@ -154,10 +152,7 @@ func newPipeline(workers int, met *netMetrics) *pipeline {
 			emitQuerySpans(t, commitEnd)
 			emitAttemptSpans(t.spans, t.seq, t.at, t.trails)
 			met.inflight.Add(-1)
-			p.mu.Lock()
-			p.committed++
-			p.cond.Broadcast()
-			p.mu.Unlock()
+			p.pending.Done()
 		}
 	}()
 	return p
@@ -195,9 +190,7 @@ func emitQuerySpans(t *pipeTask, commitEnd time.Time) {
 func (p *pipeline) submit(t *pipeTask) {
 	t.ready = make(chan struct{})
 	t.wSubmit = wallClock.Now()
-	p.mu.Lock()
-	p.submitted++
-	p.mu.Unlock()
+	p.pending.Add(1)
 	p.met.inflight.Inc()
 	p.met.queueCommit.Inc()
 	p.met.queueCollect.Inc()
@@ -207,16 +200,12 @@ func (p *pipeline) submit(t *pipeTask) {
 
 // barrier blocks until every submitted task has committed. Called from the
 // virtual-clock goroutine before churn mutates the network and before
-// progress events read the running totals, preserving the sequential
+// progress lines read the running totals, preserving the sequential
 // engine's ordering at those points.
 //
 // lint:hotpath
 func (p *pipeline) barrier() {
-	p.mu.Lock()
-	for p.committed < p.submitted {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
+	p.pending.Wait()
 }
 
 // stop drains the pipeline and joins its goroutines. Idempotent; safe

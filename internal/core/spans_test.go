@@ -4,22 +4,19 @@ import (
 	"bytes"
 	"testing"
 
-	"p2pmalware/internal/netsim"
 	"p2pmalware/internal/obs"
 )
 
-// spanStudy runs the workerStudy configuration and returns the serialized
-// span stream (plus the merged spans when the caller wants to inspect
-// them structurally).
+// spanStudy runs smallStudy without progress reports — so no barrier
+// drains the pipeline mid-day — and returns the serialized span stream
+// (plus the merged spans when the caller wants to inspect them
+// structurally).
 func spanStudy(t *testing.T, seed uint64, workers int, wall bool) ([]byte, []obs.Span) {
 	t.Helper()
-	st, err := NewStudy(StudyConfig{
-		Seed: seed, Days: 1, QueriesPerDay: 5,
-		Workers:         workers,
-		SpanWallLatency: wall,
-		LimeWire:        &netsim.LimeWireConfig{Seed: seed, HonestLeaves: 14, EchoHosts: 6},
-		OpenFT:          &netsim.OpenFTConfig{Seed: seed, HonestUsers: 14},
-	})
+	cfg := smallStudy(seed, workers)
+	cfg.ProgressEvery = 0
+	cfg.SpanWallLatency = wall
+	st, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +30,8 @@ func spanStudy(t *testing.T, seed uint64, workers int, wall bool) ([]byte, []obs
 	return buf.Bytes(), st.Spans()
 }
 
-// TestWorkerCountsEmitIdenticalSpans is the span-stream counterpart of
-// TestWorkerCountsEmitIdenticalTraces: with wall annotations off, the
+// TestWorkerCountsEmitIdenticalSpans is TestWorkerCountsEmitIdenticalTraces
+// with the pipeline never drained mid-day: with wall annotations off, the
 // serialized span stream must be byte-identical at any worker count —
 // span identity is derived from (scope, seq, stage, attempt), timestamps
 // are virtual, and emission happens in commit order. Run under -race (as

@@ -38,26 +38,21 @@ type StudyConfig struct {
 	// each virtual day boundary (0 = static population). Malware hosts
 	// persist, matching the paper's stable malicious sources.
 	ChurnPerDay float64
-	// ProgressEvery, when positive, emits a progress line (and trace
-	// event) per network at that virtual interval: virtual day, queries,
-	// responses, and malware hits so far.
+	// ProgressEvery, when positive, emits a progress line per network at
+	// that virtual interval: virtual day, queries, responses, and malware
+	// hits so far.
 	ProgressEvery time.Duration
-	// TraceWallLatency adds a wall_us attribute (real download duration in
-	// microseconds) to download trace events. Off by default: wall time is
-	// nondeterministic, and enabling it breaks byte-identical traces
-	// across same-seed runs.
-	TraceWallLatency bool
 	// SpanWallLatency annotates pipeline spans with measured wall
 	// durations (wall_us), turning the span stream into critical-path
-	// profiling data for cmd/p2pprof. Off by default for the same reason
-	// as TraceWallLatency: wall time is nondeterministic, and the
-	// deterministic span stream is what the golden gate diffs. Span
-	// identity, hierarchy, fates, and backoffs are unaffected either way.
+	// profiling data for cmd/p2pprof. Off by default: wall time is
+	// nondeterministic, and the deterministic span stream is what the
+	// golden gate diffs. Span identity, hierarchy, fates, and backoffs are
+	// unaffected either way.
 	SpanWallLatency bool
 	// Workers sizes each network's download/scan worker pool (default
-	// GOMAXPROCS). The trace is byte-identical for any worker count: the
-	// committer re-serializes results into issue order before any record
-	// or event is appended.
+	// GOMAXPROCS). Records and spans are byte-identical for any worker
+	// count: the committer re-serializes results into issue order before
+	// any record is appended or span emitted.
 	Workers int
 	// Faults, when non-nil and active, injects deterministic transport
 	// faults (latency, refusals, resets, truncation, corruption,
@@ -106,7 +101,6 @@ type Study struct {
 	Progress func(format string, args ...any)
 
 	mu       sync.Mutex
-	tracers  []*obs.Tracer       // guarded by mu
 	spanRecs []*obs.SpanRecorder // guarded by mu
 }
 
@@ -188,39 +182,17 @@ func (s *Study) Run() (*dataset.Trace, error) {
 // Trace returns the (possibly partial) trace.
 func (s *Study) Trace() *dataset.Trace { return s.trace }
 
-// Events returns the merged virtual-time event stream from every network
-// measured so far, ordered deterministically by (time, scope, seq). Two
-// same-seed runs of the same configuration produce identical streams.
-func (s *Study) Events() []obs.Event {
-	s.mu.Lock()
-	tracers := append([]*obs.Tracer(nil), s.tracers...)
-	s.mu.Unlock()
-	streams := make([][]obs.Event, len(tracers))
-	for i, t := range tracers {
-		streams[i] = t.Events()
-	}
-	return obs.MergeEvents(streams...)
-}
-
-// WriteEvents writes the merged event stream as JSONL.
-func (s *Study) WriteEvents(w io.Writer) error {
-	return obs.WriteEventsJSONL(w, s.Events())
-}
-
-// newStreams builds a network's event tracer and span recorder and
-// registers both for later merging. Events take their stamps from the
-// network's virtual clock; span stamps come from the caller (the
-// committer reuses each query's scheduled instant), and wall measurement
-// uses the sanctioned wall clock and is kept only when SpanWallLatency is
-// set.
-func (s *Study) newStreams(clock *simclock.Virtual, scope string) (*obs.Tracer, *obs.SpanRecorder) {
-	t := obs.NewTracer(clock, scope)
+// newSpanRecorder builds a network's span recorder and registers it for
+// later merging. Span stamps come from the caller (the committer reuses
+// each query's scheduled instant, day-boundary spans the boundary's), and
+// wall measurement uses the sanctioned wall clock and is kept only when
+// SpanWallLatency is set.
+func (s *Study) newSpanRecorder(scope string) *obs.SpanRecorder {
 	r := obs.NewSpanRecorder(scope, wallClock, s.cfg.SpanWallLatency)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tracers = append(s.tracers, t)
 	s.spanRecs = append(s.spanRecs, r)
-	return t, r
+	return r
 }
 
 // Spans returns the merged span stream from every network measured so
@@ -249,19 +221,6 @@ func (s *Study) Engine() *scanner.Engine { return s.engine }
 func (s *Study) progress(format string, args ...any) {
 	if s.Progress != nil {
 		s.Progress(format, args...)
-	}
-}
-
-// downloadVerdict condenses a labelled record into the trace-event verdict:
-// the malware family, "clean", or "error".
-func downloadVerdict(rec *dataset.ResponseRecord) string {
-	switch {
-	case rec.DownloadError != "":
-		return "error"
-	case rec.Malware != "":
-		return rec.Malware
-	default:
-		return "clean"
 	}
 }
 

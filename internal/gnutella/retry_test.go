@@ -38,9 +38,12 @@ func retryPolicy() p2p.RetryPolicy {
 func TestDownloadWithRetryRecoversFromDialFailures(t *testing.T) {
 	mem, f, content := rangeServer(t)
 	flaky := &flakyTransport{inner: mem, fail: 2}
-	got, err := DownloadWithRetry(flaky, "srv:1", f.Index, f.Name, retryPolicy())
+	got, attempts, err := DownloadAttempts(flaky, "srv:1", f.Index, f.Name, retryPolicy())
 	if err != nil {
 		t.Fatalf("retry download failed: %v", err)
+	}
+	if len(attempts) != 3 || attempts[2].Fate != p2p.FateOK {
+		t.Fatalf("attempt log = %+v, want two failures then ok", attempts)
 	}
 	if !bytes.Equal(got, content) {
 		t.Fatalf("retry download returned %d bytes, want %d", len(got), len(content))
@@ -53,9 +56,12 @@ func TestDownloadWithRetryRecoversFromDialFailures(t *testing.T) {
 func TestDownloadWithRetryStopsOnTerminalError(t *testing.T) {
 	mem, _, _ := rangeServer(t)
 	flaky := &flakyTransport{inner: mem}
-	_, err := DownloadWithRetry(flaky, "srv:1", 9999, "missing.exe", retryPolicy())
+	_, attempts, err := DownloadAttempts(flaky, "srv:1", 9999, "missing.exe", retryPolicy())
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
+	}
+	if len(attempts) != 1 || attempts[0].Fate != "not_found" {
+		t.Fatalf("attempt log = %+v, want one not_found attempt", attempts)
 	}
 	if d := flaky.dials.Load(); d != 1 {
 		t.Fatalf("dial count = %d after terminal error, want 1", d)

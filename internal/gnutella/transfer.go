@@ -274,20 +274,15 @@ func Fate(err error) string {
 	}
 }
 
-// DownloadWithRetry fetches like Download but survives a hostile path:
+// DownloadAttempts fetches like Download but survives a hostile path:
 // each attempt runs under policy.AttemptTimeout, retryable failures back
 // off exponentially (capped, with deterministic per-key jitter — the
 // backoff runs on the wall clock and never touches trace time), and
-// terminal conditions (not found, firewalled) abort immediately.
-func DownloadWithRetry(tr p2p.Transport, addr string, index uint32, name string, policy p2p.RetryPolicy) ([]byte, error) {
-	body, _, err := DownloadAttempts(tr, addr, index, name, policy)
-	return body, err
-}
-
-// DownloadAttempts is DownloadWithRetry with an attempt log: one
-// p2p.Attempt per try, recording the fate token, the deterministic backoff
-// slept after it (zero on the final try), and the measured wall duration.
-// The study engine turns the log into per-attempt spans.
+// terminal conditions (not found, firewalled) abort immediately. It also
+// returns an attempt log: one p2p.Attempt per try, recording the fate
+// token, the deterministic backoff slept after it (zero on the final
+// try), and the measured wall duration. The study engine turns the log
+// into per-attempt spans.
 func DownloadAttempts(tr p2p.Transport, addr string, index uint32, name string, policy p2p.RetryPolicy) ([]byte, []p2p.Attempt, error) {
 	policy = policy.WithDefaults()
 	key := fmt.Sprintf("%s/%d", addr, index)

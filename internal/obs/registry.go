@@ -1,10 +1,10 @@
 // Package obs is the repository's deterministic telemetry layer: a
 // lock-free metrics registry (atomic counters, gauges and fixed-bucket
-// histograms addressable by name plus a small label set), a structured
-// event tracer whose timestamps come from the simclock trace clock so
-// same-seed runs emit byte-identical event streams, a small leveled
-// logger, and HTTP introspection endpoints (Prometheus text and
-// expvar-style JSON).
+// histograms addressable by name plus a small label set), span tracing
+// whose identities are derived and whose timestamps are virtual trace
+// time, so same-seed runs emit byte-identical span streams, a structured
+// event tracer for the benchmark's replay, a small leveled logger, and
+// HTTP introspection endpoints (Prometheus text and expvar-style JSON).
 //
 // Handles returned by the registry are resolved once at construction time
 // (the cold path takes a registration mutex); increments and observations

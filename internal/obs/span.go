@@ -22,30 +22,33 @@ import (
 // every span identically and the serialized span stream diffs byte for
 // byte in the golden-trace gate.
 //
-// Timestamps on a span are virtual trace time (the owning query's
-// scheduled instant, stamped by the committer exactly like deferred trace
-// events). Wall-clock durations are real measurements and therefore
-// nondeterministic; they are recorded only when the recorder is built with
-// wall timing enabled, and the deterministic stream omits them entirely.
+// Timestamps on a span are virtual trace time: the owning query's
+// scheduled instant, stamped by the committer, or the boundary's instant
+// for day-boundary spans. Wall-clock durations are real measurements and
+// therefore nondeterministic; they are recorded only when the recorder is
+// built with wall timing enabled, and the deterministic stream omits them
+// entirely.
 // BackoffUS is the exception: retry backoff comes from a PRF keyed by
 // (seed, fetch key, attempt), so it is reproducible and always kept.
 
 // Canonical stage names shared by the study engine and the critical-path
 // analyzer (cmd/p2pprof). The six partition stages (everything except
-// StageQuery, StageScan, StageAttempt and StageCircuit) tile a query's
-// end-to-end wall time exactly: their durations are cut from the same
-// clock stamps, so they sum to the root span.
+// StageQuery, StageScan, StageAttempt and the day-boundary StageCircuit
+// and StageChurn) tile a query's end-to-end wall time exactly: their
+// durations are cut from the same clock stamps, so they sum to the root
+// span.
 const (
 	StageQuery       = "query"        // root: submit -> commit finished
 	StageCollectWait = "collect_wait" // submit -> collector pickup
-	StageCollect     = "collect"      // flood + settler wait + drain/sort
+	StageCollect     = "collect"      // flood to completion + sort
 	StageFetchWait   = "fetch_wait"   // collect done -> fetch worker pickup
 	StageFetch       = "fetch"        // download + scan service time
 	StageScan        = "scan"         // scanner time within fetch (child of fetch)
 	StageCommitHold  = "commit_hold"  // fetch done -> committer reaches the task
-	StageCommit      = "commit"       // record/event append in commit order
+	StageCommit      = "commit"       // record append in commit order
 	StageAttempt     = "attempt"      // one transfer attempt (child of fetch)
 	StageCircuit     = "circuit"      // circuit-breaker epoch transition
+	StageChurn       = "churn"        // day-boundary churn: hosts replaced
 )
 
 // SpanID names one span. It is derived, never drawn: see DeriveSpanID.
@@ -95,8 +98,8 @@ type Span struct {
 	Time time.Time
 	// Scope is the emitting network ("limewire", "openft").
 	Scope string
-	// Seq is the query sequence number (or the virtual day for
-	// day-boundary spans such as StageCircuit).
+	// Seq is the query sequence number (or the virtual day for the
+	// day-boundary spans StageCircuit and StageChurn).
 	Seq int64
 	// Stage names the unit of work; see the Stage* constants.
 	Stage string
@@ -120,7 +123,8 @@ type Span struct {
 	// see p2p.FateOf.
 	Fate string
 	// Detail is a short deterministic annotation (e.g. the source
-	// endpoint of a transfer attempt, "alt=" prefixed for alternates).
+	// endpoint of a transfer attempt, or a day-boundary span's counts such
+	// as "replaced=3").
 	Detail string
 
 	// emit orders spans emitted by one recorder; the per-scope emission
@@ -291,12 +295,12 @@ func spanLess(a, b *Span) bool {
 }
 
 // MergeSpans interleaves per-scope span streams into one chronological
-// stream ordered by (time, scope, emission order) — the same discipline as
-// MergeEvents, and deterministic for the same reason: each input stream's
-// emission order is itself deterministic. Like MergeEvents it runs an
-// O(n log k) k-way merge over already-sorted streams (the committer stamps
-// spans in commit order, so recorder streams normally are) and falls back
-// to the stable sort when a stream arrives out of order.
+// stream ordered by (time, scope, emission order). The merge is
+// deterministic because each input stream's emission order is itself
+// deterministic. It runs an O(n log k) k-way merge over already-sorted
+// streams (the committer stamps spans in commit order, so recorder streams
+// normally are) and falls back to the stable sort when a stream arrives
+// out of order.
 func MergeSpans(streams ...[]Span) []Span {
 	var n int
 	sorted := true
@@ -322,6 +326,81 @@ func MergeSpans(streams ...[]Span) []Span {
 		out = append(out, *h.pop())
 	}
 	return out
+}
+
+// mergeHeap is a minimal binary heap over the head elements of k sorted
+// streams, for MergeSpans. pos[i] is the next unread index in streams[i];
+// idx holds the stream indices currently in the heap.
+type mergeHeap[T any] struct {
+	streams [][]T
+	pos     []int
+	idx     []int
+	len     int
+	less    func(a, b *T) bool
+}
+
+func (h *mergeHeap[T]) init() {
+	h.idx = make([]int, 0, len(h.streams))
+	for i, s := range h.streams {
+		if len(s) > 0 {
+			h.idx = append(h.idx, i)
+		}
+	}
+	h.len = len(h.idx)
+	for i := h.len/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// head returns the current head element of the stream at heap slot i.
+func (h *mergeHeap[T]) head(i int) *T {
+	s := h.idx[i]
+	return &h.streams[s][h.pos[s]]
+}
+
+// heapLess orders heap slots by element, then by stream index for
+// stability.
+func (h *mergeHeap[T]) heapLess(i, j int) bool {
+	a, b := h.head(i), h.head(j)
+	if h.less(a, b) {
+		return true
+	}
+	if h.less(b, a) {
+		return false
+	}
+	return h.idx[i] < h.idx[j]
+}
+
+func (h *mergeHeap[T]) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= h.len {
+			return
+		}
+		m := l
+		if r := l + 1; r < h.len && h.heapLess(r, l) {
+			m = r
+		}
+		if !h.heapLess(m, i) {
+			return
+		}
+		h.idx[i], h.idx[m] = h.idx[m], h.idx[i]
+		i = m
+	}
+}
+
+// pop returns the overall minimum head and advances its stream, removing
+// the stream from the heap when exhausted.
+func (h *mergeHeap[T]) pop() *T {
+	s := h.idx[0]
+	e := &h.streams[s][h.pos[s]]
+	h.pos[s]++
+	if h.pos[s] >= len(h.streams[s]) {
+		h.idx[0] = h.idx[h.len-1]
+		h.len--
+	}
+	h.down(0)
+	return e
 }
 
 // AppendSpan renders one span as a single JSON line (no trailing newline)

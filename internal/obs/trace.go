@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -71,6 +70,10 @@ type Event struct {
 // Tracer records structured events stamped with virtual trace time. A nil
 // tracer is valid and drops every event, so instrumentation can emit
 // unconditionally. Tracer is safe for concurrent use.
+//
+// Tracer, Event, Attr, AppendEvent and WriteEventsJSONL serve the
+// benchmark's replay (perfbench/), which emits and encodes an event stream
+// with them; the study engine writes records and spans instead.
 type Tracer struct {
 	clock simclock.Clock
 	scope string
@@ -128,11 +131,11 @@ func panicReservedKey(name, key string) {
 	panic(fmt.Sprintf("obs: event %q uses reserved attribute key %q", name, key))
 }
 
-// EmitAt records one event at an explicit trace timestamp. The pipelined
-// study committer uses it to stamp deferred events with the originating
-// query's virtual time after the clock has already advanced. Seq still
-// reflects emission order within the tracer, so callers that need a
-// deterministic stream must emit in the intended stream order.
+// EmitAt records one event at an explicit trace timestamp, for callers
+// that stamp deferred work with the virtual instant it belongs to after
+// the clock has already advanced. Seq still reflects emission order within
+// the tracer, so callers that need a deterministic stream must emit in the
+// intended stream order.
 //
 // The attrs are copied into the tracer's arena: callers keep ownership of
 // the slice they passed and may reuse it immediately.
@@ -193,133 +196,6 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.events)
-}
-
-// eventLess is the canonical (time, scope, seq) stream order shared by the
-// merge paths.
-func eventLess(a, b *Event) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
-	}
-	if a.Scope != b.Scope {
-		return a.Scope < b.Scope
-	}
-	return a.Seq < b.Seq
-}
-
-// MergeEvents interleaves per-scope event streams into one chronological
-// stream, ordered by (time, scope, seq). Each input stream must itself be
-// in emission order (as Tracer.Events returns); the merge is then fully
-// deterministic even when the streams were produced concurrently.
-//
-// Streams already sorted by (time, scope, seq) — the common case, since a
-// tracer's emission order normally follows its virtual clock — take an
-// O(n log k) k-way heap merge instead of re-sorting the concatenation.
-// EmitAt permits out-of-order timestamps, so an unsorted stream falls back
-// to the stable sort with identical results.
-func MergeEvents(streams ...[]Event) []Event {
-	var n int
-	sorted := true
-	for _, s := range streams {
-		n += len(s)
-		for i := 1; sorted && i < len(s); i++ {
-			if eventLess(&s[i], &s[i-1]) {
-				sorted = false
-			}
-		}
-	}
-	out := make([]Event, 0, n)
-	if !sorted {
-		for _, s := range streams {
-			out = append(out, s...)
-		}
-		sort.SliceStable(out, func(i, j int) bool { return eventLess(&out[i], &out[j]) })
-		return out
-	}
-	// K-way merge: a small index heap keyed by each stream's head, with
-	// the stream index as the final tie-break so equal keys preserve
-	// argument order exactly like the stable sort.
-	h := mergeHeap[Event]{streams: streams, pos: make([]int, len(streams)), less: eventLess}
-	h.init()
-	for h.len > 0 {
-		out = append(out, *h.pop())
-	}
-	return out
-}
-
-// mergeHeap is a minimal binary heap over the head elements of k sorted
-// streams, shared by MergeEvents and MergeSpans. pos[i] is the next unread
-// index in streams[i]; idx holds the stream indices currently in the heap.
-type mergeHeap[T any] struct {
-	streams [][]T
-	pos     []int
-	idx     []int
-	len     int
-	less    func(a, b *T) bool
-}
-
-func (h *mergeHeap[T]) init() {
-	h.idx = make([]int, 0, len(h.streams))
-	for i, s := range h.streams {
-		if len(s) > 0 {
-			h.idx = append(h.idx, i)
-		}
-	}
-	h.len = len(h.idx)
-	for i := h.len/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-// head returns the current head element of the stream at heap slot i.
-func (h *mergeHeap[T]) head(i int) *T {
-	s := h.idx[i]
-	return &h.streams[s][h.pos[s]]
-}
-
-// heapLess orders heap slots by element, then by stream index for
-// stability.
-func (h *mergeHeap[T]) heapLess(i, j int) bool {
-	a, b := h.head(i), h.head(j)
-	if h.less(a, b) {
-		return true
-	}
-	if h.less(b, a) {
-		return false
-	}
-	return h.idx[i] < h.idx[j]
-}
-
-func (h *mergeHeap[T]) down(i int) {
-	for {
-		l := 2*i + 1
-		if l >= h.len {
-			return
-		}
-		m := l
-		if r := l + 1; r < h.len && h.heapLess(r, l) {
-			m = r
-		}
-		if !h.heapLess(m, i) {
-			return
-		}
-		h.idx[i], h.idx[m] = h.idx[m], h.idx[i]
-		i = m
-	}
-}
-
-// pop returns the overall minimum head and advances its stream, removing
-// the stream from the heap when exhausted.
-func (h *mergeHeap[T]) pop() *T {
-	s := h.idx[0]
-	e := &h.streams[s][h.pos[s]]
-	h.pos[s]++
-	if h.pos[s] >= len(h.streams[s]) {
-		h.idx[0] = h.idx[h.len-1]
-		h.len--
-	}
-	h.down(0)
-	return e
 }
 
 // AppendEvent renders one event as a single JSON line (without trailing

@@ -128,79 +128,9 @@ func TestEmitCopiesAttrsIntoArena(t *testing.T) {
 	}
 }
 
-// TestMergeEventsKWayMatchesStableSort cross-checks the k-way merge
-// against the reference stable-sort implementation on randomized sorted
-// streams with heavy timestamp ties.
-func TestMergeEventsKWayMatchesStableSort(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(42))
-	epoch := simclock.DefaultEpoch
-	for trial := 0; trial < 50; trial++ {
-		k := 1 + rng.Intn(5)
-		streams := make([][]Event, k)
-		for s := range streams {
-			n := rng.Intn(40)
-			evs := make([]Event, n)
-			at := epoch
-			for i := range evs {
-				// Small random steps with frequent zero increments so
-				// cross-stream ties are common.
-				at = at.Add(time.Duration(rng.Intn(3)) * time.Second)
-				evs[i] = Event{Time: at, Scope: string(rune('a' + s%2)), Seq: uint64(i + 1), Name: "e"}
-			}
-			streams[s] = evs
-		}
-		want := referenceMergeEvents(streams)
-		got := MergeEvents(streams...)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: length %d != %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if !got[i].Time.Equal(want[i].Time) || got[i].Scope != want[i].Scope || got[i].Seq != want[i].Seq {
-				t.Fatalf("trial %d: k-way merge diverges from stable sort at %d: %+v vs %+v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestMergeEventsUnsortedFallback feeds a deliberately out-of-order stream
-// (legal: EmitAt accepts arbitrary timestamps) and checks the fallback
-// still yields the reference order.
-func TestMergeEventsUnsortedFallback(t *testing.T) {
-	t.Parallel()
-	epoch := simclock.DefaultEpoch
-	unsorted := []Event{
-		{Time: epoch.Add(3 * time.Second), Scope: "a", Seq: 1, Name: "late-first"},
-		{Time: epoch.Add(1 * time.Second), Scope: "a", Seq: 2, Name: "early-second"},
-	}
-	other := []Event{
-		{Time: epoch.Add(2 * time.Second), Scope: "b", Seq: 1, Name: "middle"},
-	}
-	got := MergeEvents(unsorted, other)
-	want := referenceMergeEvents([][]Event{unsorted, other})
-	for i := range want {
-		if got[i].Name != want[i].Name {
-			t.Fatalf("fallback order wrong at %d: got %q want %q", i, got[i].Name, want[i].Name)
-		}
-	}
-	if got[0].Name != "early-second" || got[1].Name != "middle" || got[2].Name != "late-first" {
-		t.Fatalf("unexpected order: %+v", got)
-	}
-}
-
-// referenceMergeEvents is the pre-k-way implementation, kept as the
-// semantic oracle.
-func referenceMergeEvents(streams [][]Event) []Event {
-	var out []Event
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return eventLess(&out[i], &out[j]) })
-	return out
-}
-
-// TestMergeSpansKWayMatchesStableSort mirrors the event cross-check for
-// the span merge, including its emit-order tie-break.
+// TestMergeSpansKWayMatchesStableSort cross-checks the k-way span merge
+// against a stable sort on randomized sorted streams with heavy timestamp
+// ties, including its emit-order tie-break.
 func TestMergeSpansKWayMatchesStableSort(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))

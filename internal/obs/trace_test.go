@@ -65,33 +65,6 @@ func TestAppendEventFixedEncoding(t *testing.T) {
 	}
 }
 
-func TestMergeEventsDeterministic(t *testing.T) {
-	t.Parallel()
-	epoch := simclock.DefaultEpoch
-	a := []Event{
-		{Time: epoch.Add(time.Minute), Scope: "a", Seq: 1, Name: "x"},
-		{Time: epoch.Add(3 * time.Minute), Scope: "a", Seq: 2, Name: "y"},
-	}
-	b := []Event{
-		{Time: epoch.Add(time.Minute), Scope: "b", Seq: 1, Name: "x"},
-		{Time: epoch.Add(2 * time.Minute), Scope: "b", Seq: 2, Name: "y"},
-	}
-	m1 := MergeEvents(a, b)
-	m2 := MergeEvents(b, a)
-	if len(m1) != 4 || len(m2) != 4 {
-		t.Fatalf("merge lost events: %d, %d", len(m1), len(m2))
-	}
-	for i := range m1 {
-		if m1[i].Scope != m2[i].Scope || m1[i].Seq != m2[i].Seq {
-			t.Fatalf("merge order depends on input order at %d: %+v vs %+v", i, m1[i], m2[i])
-		}
-	}
-	// Ties on time break by scope, then order within a scope by seq.
-	if m1[0].Scope != "a" || m1[1].Scope != "b" || m1[2].Scope != "b" || m1[3].Scope != "a" {
-		t.Fatalf("unexpected merge order: %+v", m1)
-	}
-}
-
 func TestWriteEventsJSONL(t *testing.T) {
 	t.Parallel()
 	events := []Event{

@@ -64,9 +64,12 @@ func TestDownloadWithRetryRecoversFromDialFailures(t *testing.T) {
 	flaky := &flakyTransport{inner: mem, fail: 2}
 	policy := p2p.RetryPolicy{Attempts: 3, AttemptTimeout: 5 * time.Second,
 		BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond}
-	got, err := DownloadWithRetry(flaky, addr, sum, policy)
+	got, attempts, err := DownloadAttempts(flaky, addr, sum, policy)
 	if err != nil {
 		t.Fatalf("retry download failed: %v", err)
+	}
+	if len(attempts) != 3 || attempts[2].Fate != p2p.FateOK {
+		t.Fatalf("attempt log = %+v, want two failures then ok", attempts)
 	}
 	if !bytes.Equal(got, content) {
 		t.Fatalf("retry download returned %d bytes, want %d", len(got), len(content))
@@ -82,9 +85,12 @@ func TestDownloadWithRetryStopsOnNotFound(t *testing.T) {
 	flaky := &flakyTransport{inner: mem}
 	policy := p2p.RetryPolicy{Attempts: 3, AttemptTimeout: 5 * time.Second,
 		BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond}
-	_, err := DownloadWithRetry(flaky, addr, "00000000000000000000000000000000", policy)
+	_, attempts, err := DownloadAttempts(flaky, addr, "00000000000000000000000000000000", policy)
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
+	}
+	if len(attempts) != 1 || attempts[0].Fate != "not_found" {
+		t.Fatalf("attempt log = %+v, want one not_found attempt", attempts)
 	}
 	if d := flaky.dials.Load(); d != 1 {
 		t.Fatalf("dial count = %d after terminal error, want 1", d)

@@ -141,19 +141,14 @@ func Fate(err error) string {
 	}
 }
 
-// DownloadWithRetry fetches like Download but survives a hostile path:
+// DownloadAttempts fetches like Download but survives a hostile path:
 // per-attempt timeouts, capped exponential backoff with deterministic
 // per-key jitter between retryable failures (wall clock only, never trace
-// time), and immediate abort on terminal conditions.
-func DownloadWithRetry(tr p2p.Transport, addr, md5sum string, policy p2p.RetryPolicy) ([]byte, error) {
-	body, _, err := DownloadAttempts(tr, addr, md5sum, policy)
-	return body, err
-}
-
-// DownloadAttempts is DownloadWithRetry with an attempt log: one
-// p2p.Attempt per try, recording the fate token, the deterministic backoff
-// slept after it (zero on the final try), and the measured wall duration.
-// The study engine turns the log into per-attempt spans.
+// time), and immediate abort on terminal conditions. It also returns an
+// attempt log: one p2p.Attempt per try, recording the fate token, the
+// deterministic backoff slept after it (zero on the final try), and the
+// measured wall duration. The study engine turns the log into per-attempt
+// spans.
 func DownloadAttempts(tr p2p.Transport, addr, md5sum string, policy p2p.RetryPolicy) ([]byte, []p2p.Attempt, error) {
 	policy = policy.WithDefaults()
 	key := addr + "/" + md5sum
