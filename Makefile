@@ -18,9 +18,11 @@ lint:
 	go run ./cmd/p2plint ./...
 
 # Short fuzz runs over the wire decoders and the two transfer-response
-# parsers (seeded with faultsim.Mangle damage shapes); CI uses the same
-# budget so a regression that crashes on near-valid input is caught
-# before merge.
+# parsers (seeded with faultsim.Mangle damage shapes), plus the
+# hand-written kernels that must match a reference byte for byte (the
+# scanner automaton against bytes.Contains, the JSON encoders against
+# encoding/json); CI uses the same budget so a regression that crashes on
+# near-valid input is caught before merge.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzParsePong -fuzztime=10s ./internal/gnutella
 	go test -run='^$$' -fuzz=FuzzReadPacket -fuzztime=10s ./internal/openft
@@ -29,6 +31,8 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDownloadResponse -fuzztime=10s ./internal/gnutella
 	go test -run='^$$' -fuzz=FuzzDownloadResponse -fuzztime=10s ./internal/openft
 	go test -run='^$$' -fuzz=FuzzCheckLine -fuzztime=10s ./internal/filtersvc
+	go test -run='^$$' -fuzz=FuzzACMatch -fuzztime=10s ./internal/scanner
+	go test -run='^$$' -fuzz=FuzzAppendRecord -fuzztime=10s ./internal/dataset
 
 # Chaos gate: the fault-profile × worker-count survival matrix plus every
 # identity test (*EmitIdentical*: same-seed and worker-count byte equality
@@ -52,14 +56,15 @@ golden:
 perfbench-smoke:
 	cd perfbench && go vet ./... && go test ./...
 
-# Benchmarks: the obs/archive/scanner/filtersvc hot paths run 6 times
-# each so the output feeds benchstat; the table/figure pipeline and
-# study-engine benchmarks are heavyweight (each iteration runs a
-# scaled-down study) and run once. benchjson folds everything into
-# BENCH_7.json (mean across runs), which CI uploads as an artifact.
-# Non-gating in CI.
+# Benchmarks: the obs/archive/scanner/filtersvc/stats/dataset hot paths
+# (among them the per-layer kernels: automaton, MD5, body fill, record
+# encoding) run 6 times each so the output feeds benchstat; the
+# table/figure pipeline and study-engine benchmarks are heavyweight (each
+# iteration runs a scaled-down study) and run once. benchjson folds
+# everything into BENCH_7.json (mean across runs), which CI uploads as an
+# artifact. Non-gating in CI.
 bench:
-	go test -run='^$$' -bench=. -benchmem -count=6 ./internal/obs ./internal/archive ./internal/scanner ./internal/filtersvc | tee bench.out
+	go test -run='^$$' -bench=. -benchmem -count=6 ./internal/obs ./internal/archive ./internal/scanner ./internal/filtersvc ./internal/stats ./internal/dataset | tee bench.out
 	go test -run='^$$' -bench=. -benchmem -count=1 . | tee -a bench.out
 	go run ./cmd/benchjson -o BENCH_7.json < bench.out >/dev/null
 	rm -f bench.out

@@ -50,8 +50,11 @@ type Summary struct {
 }
 
 // defaultHeadline names the benchmarks that gate merges: the scanner hot
-// loop, the clean-payload throughput floor, the end-to-end study engine,
-// and the zero-allocation telemetry primitives every simulation tick goes
+// loop, the memo-hit rescan of a clean MiB (ScanCleanMB: after its first
+// iteration every scan is an MD5 plus a map lookup, so it floors MD5
+// throughput and never times the automaton; ScanCleanMBCold does, but no
+// BENCH artifact records it yet), the end-to-end study engine, and the
+// zero-allocation telemetry primitives every simulation tick goes
 // through — including the trace encoder and tracer emit paths, which are
 // pinned at zero allocs/op — plus the filter daemon's parallel lookup
 // path (FilterLookup), which must hold millions of checks per second at

@@ -36,6 +36,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"p2pmalware/internal/filtersvc"
 	"p2pmalware/internal/obs"
@@ -81,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hsrv := &http.Server{Handler: svc.Handler()}
+	hsrv := newHTTPServer(svc.Handler())
 	go hsrv.Serve(ln)
 	log.Printf("check API on http://%s/check", ln.Addr())
 
@@ -106,6 +107,30 @@ func main() {
 	st := svc.Stats()
 	fmt.Printf("served %d checks (%d blocked, %d allowed) over %d snapshot versions\n",
 		st.Checks, st.Blocked, st.Allowed, st.Version)
+}
+
+// Timeouts of the HTTP API. Without them a client that never finishes its
+// request headers, or stalls a body or a response, holds a goroutine and a
+// socket forever. Read and write allow a full 4 MiB /update on a slow
+// link; the idle timeout is far above the sub-second update cadence of a
+// streaming client, so its keep-alive connection is reused, not redialled.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the HTTP API server around h with every timeout
+// set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // loadBlocklist reads one decimal size per line; blank lines and lines

@@ -8,10 +8,14 @@ import (
 	"bufio"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"time"
+
+	"p2pmalware/internal/obs"
 )
 
 // Network identifies which instrumented client produced a record.
@@ -102,8 +106,9 @@ func (t *Trace) Add(r ResponseRecord) {
 
 // Merge appends every record and query count of other into t.
 func (t *Trace) Merge(other *Trace) {
-	for _, r := range other.Records {
-		t.Add(r)
+	t.Records = slices.Grow(t.Records, len(other.Records))
+	for i := range other.Records {
+		t.Add(other.Records[i])
 	}
 	for nw, n := range other.QueriesSent {
 		t.QueriesSent[nw] += n
@@ -135,22 +140,116 @@ func (t *Trace) Days() int {
 // header object carrying trace metadata.
 func (t *Trace) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
 	header := struct {
 		Kind        string          `json:"kind"`
 		QueriesSent map[Network]int `json:"queries_sent"`
 		Start       time.Time       `json:"start"`
 		End         time.Time       `json:"end"`
 	}{"p2pmalware-trace-v1", t.QueriesSent, t.Start, t.End}
-	if err := enc.Encode(header); err != nil {
+	if err := json.NewEncoder(bw).Encode(header); err != nil {
 		return fmt.Errorf("dataset: write header: %w", err)
 	}
+	var line []byte
 	for i := range t.Records {
-		if err := enc.Encode(&t.Records[i]); err != nil {
+		var err error
+		if line, err = AppendRecord(line[:0], &t.Records[i]); err == nil {
+			line = append(line, '\n')
+			_, err = bw.Write(line)
+		}
+		if err != nil {
 			return fmt.Errorf("dataset: write record %d: %w", i, err)
 		}
 	}
 	return bw.Flush()
+}
+
+// Errors AppendRecord returns for a Time that RFC 3339 cannot carry,
+// where encoding/json's Time.MarshalJSON fails too.
+var (
+	errTimeYear = errors.New("dataset: record time year outside of range [0,9999]")
+	errTimeZone = errors.New("dataset: record time zone hour outside of range [0,23]")
+)
+
+// AppendRecord appends r as one JSON object (no trailing newline) to dst,
+// byte-identical to encoding/json's encoding of r: the struct tags' field
+// order and omitempty rules, strings escaped by obs.AppendJSONString, and
+// the time in its own location as RFC 3339 with nanoseconds. Where
+// encoding/json fails — a time RFC 3339 cannot carry — it returns dst
+// unchanged and an error. The golden-record, omitempty and time-error
+// tests and FuzzAppendRecord hold the two encoders equal.
+//
+// lint:hotpath
+func AppendRecord(dst []byte, r *ResponseRecord) ([]byte, error) {
+	n0 := len(dst)
+	dst = append(dst, `{"time":"`...)
+	t0 := len(dst)
+	dst = r.Time.AppendFormat(dst, time.RFC3339Nano)
+	if err := checkRFC3339(dst[t0:]); err != nil {
+		return dst[:n0], err
+	}
+	dst = append(dst, `","network":`...)
+	dst = obs.AppendJSONString(dst, string(r.Network))
+	dst = append(dst, `,"query":`...)
+	dst = obs.AppendJSONString(dst, r.Query)
+	dst = append(dst, `,"query_category":`...)
+	dst = obs.AppendJSONString(dst, r.QueryCategory)
+	dst = append(dst, `,"filename":`...)
+	dst = obs.AppendJSONString(dst, r.Filename)
+	dst = append(dst, `,"size":`...)
+	dst = strconv.AppendInt(dst, r.Size, 10)
+	dst = append(dst, `,"source_ip":`...)
+	dst = obs.AppendJSONString(dst, r.SourceIP)
+	dst = append(dst, `,"source_port":`...)
+	dst = strconv.AppendUint(dst, uint64(r.SourcePort), 10)
+	dst = append(dst, `,"source_class":`...)
+	dst = obs.AppendJSONString(dst, r.SourceClass)
+	dst = appendOmitEmpty(dst, `,"servent_id":`, r.ServentID)
+	dst = appendOmitEmpty(dst, `,"content_id":`, r.ContentID)
+	dst = appendOmitEmpty(dst, `,"vendor":`, r.Vendor)
+	if r.PushFlagged {
+		dst = append(dst, `,"push_flagged":true`...)
+	}
+	dst = append(dst, `,"downloadable":`...)
+	dst = strconv.AppendBool(dst, r.Downloadable)
+	dst = append(dst, `,"downloaded":`...)
+	dst = strconv.AppendBool(dst, r.Downloaded)
+	dst = appendOmitEmpty(dst, `,"download_error":`, r.DownloadError)
+	dst = appendOmitEmpty(dst, `,"alt_source":`, r.AltSource)
+	dst = appendOmitEmpty(dst, `,"body_hash":`, r.BodyHash)
+	if r.BodySize != 0 {
+		dst = append(dst, `,"body_size":`...)
+		dst = strconv.AppendInt(dst, r.BodySize, 10)
+	}
+	dst = appendOmitEmpty(dst, `,"malware":`, r.Malware)
+	return append(dst, '}'), nil
+}
+
+// appendOmitEmpty appends key and the escaped s unless s is empty.
+//
+// lint:hotpath
+func appendOmitEmpty(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	dst = append(dst, key...)
+	return obs.AppendJSONString(dst, s)
+}
+
+// checkRFC3339 applies the checks Time.MarshalJSON makes on the
+// RFC3339Nano bytes b: a year exactly four digits wide, and a zone hour
+// within [0,23].
+func checkRFC3339(b []byte) error {
+	if b[len("9999")] != '-' {
+		return errTimeYear
+	}
+	if b[len(b)-1] != 'Z' {
+		c := b[len(b)-len("Z07:00")]
+		h := b[len(b)-len("07:00"):]
+		if ('0' <= c && c <= '9') || 10*(h[0]-'0')+(h[1]-'0') >= 24 {
+			return errTimeZone
+		}
+	}
+	return nil
 }
 
 // ReadJSONL loads a trace written by WriteJSONL.

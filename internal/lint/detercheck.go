@@ -39,7 +39,7 @@ var DeterCheck = &Analyzer{
 // gets when attempts share a counter).
 var deterSinks = map[string]bool{
 	"Emit": true, "EmitAt": true, "AppendEvent": true,
-	"WriteEventsJSONL": true, "WriteJSONL": true, "WriteCSV": true,
+	"WriteEventsJSONL": true, "WriteJSONL": true, "AppendRecord": true, "WriteCSV": true,
 	"prf": true,
 }
 

@@ -1,5 +1,7 @@
 package scanner
 
+import "bytes"
+
 // acMatcher is a byte-level Aho–Corasick automaton over the engine's
 // pattern signatures, compiled once in New. A single left-to-right pass
 // over the input reports every pattern that occurs as a substring
@@ -10,6 +12,12 @@ package scanner
 // edges are collapsed during construction, so the scan loop is one table
 // load per input byte with no failure chasing. States are immutable after
 // construction and safe for concurrent use.
+//
+// While the automaton sits at the root, every byte that cannot start a
+// pattern leaves it there. When exactly one byte can leave the root — the
+// engine's patterns all begin with the same marker — match jumps to that
+// byte's next occurrence with bytes.IndexByte instead of stepping through
+// the bytes in between one table load at a time.
 type acMatcher struct {
 	// next[s][c] is the state reached from s on byte c, failures already
 	// applied.
@@ -19,6 +27,9 @@ type acMatcher struct {
 	out [][]int32
 	// numPatterns is the total pattern count, sizing per-scan seen sets.
 	numPatterns int
+	// rootByte is the only byte with an edge out of the root state, or -1
+	// when several bytes have one and the root skip is off.
+	rootByte int
 }
 
 // newACMatcher compiles the automaton from the pattern byte strings.
@@ -71,6 +82,17 @@ func newACMatcher(patterns [][]byte) *acMatcher {
 			queue = append(queue, t)
 		}
 	}
+	m.rootByte = -1
+	for c := 0; c < 256; c++ {
+		if m.next[0][c] == 0 {
+			continue
+		}
+		if m.rootByte >= 0 {
+			m.rootByte = -1
+			break
+		}
+		m.rootByte = c
+	}
 	return m
 }
 
@@ -94,8 +116,17 @@ func (m *acMatcher) match(data []byte, found func(pattern int32)) {
 	var seen []bool
 	remaining := m.numPatterns
 	s := int32(0)
-	for _, c := range data {
-		s = m.next[s][c]
+	for i := 0; i < len(data); i++ {
+		if s == 0 && m.rootByte >= 0 {
+			// Every byte before the next rootByte maps the root to itself
+			// and the root has no outputs, so skipping them is exact.
+			j := bytes.IndexByte(data[i:], byte(m.rootByte))
+			if j < 0 {
+				return
+			}
+			i += j
+		}
+		s = m.next[s][data[i]]
 		if hits := m.out[s]; len(hits) > 0 {
 			if seen == nil {
 				seen = make([]bool, m.numPatterns)

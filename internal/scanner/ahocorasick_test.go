@@ -10,43 +10,146 @@ import (
 	"p2pmalware/internal/stats"
 )
 
+// acPatternSet is one automaton shape the reference tests and the fuzz
+// target check against bytes.Contains.
+type acPatternSet struct {
+	name     string
+	patterns [][]byte
+	// rootByte is the root-skip byte newACMatcher must choose, or -1
+	// when several bytes leave the root and the skip must stay off.
+	rootByte int
+}
+
+var acPatternSets = []acPatternSet{
+	{
+		// Overlap, shared prefixes and failure transitions, with several
+		// start bytes.
+		name: "mixed",
+		patterns: [][]byte{
+			[]byte("abcd"),
+			[]byte("abce"),             // shared prefix with abcd
+			[]byte("bcda"),             // overlaps a match of abcd
+			[]byte("cdab"),             // forces failure-link traversal
+			[]byte("aaaa"),             // self-overlapping
+			[]byte("aaaaa"),            // superstring of aaaa
+			[]byte("\x00\x01\x02\x03"), // binary
+		},
+		rootByte: -1,
+	},
+	{
+		// The engine's shape: every pattern begins with the same byte, so
+		// match skips from one X to the next.
+		name: "one-start-byte",
+		patterns: [][]byte{
+			[]byte("X-MW-MARKER[alpha]"),
+			[]byte("X-MW-MARKER[alphabet]"), // shares all of alpha but the ']'
+			[]byte("X-MW-MARKER[beta]"),
+			[]byte("XXXX"),   // a run of the start byte
+			[]byte("X-MW-X"), // fails over to a non-root state on X
+		},
+		rootByte: 'X',
+	},
+	{
+		// The same markers plus patterns that leave the root on other
+		// bytes, including one inside the marker, so the skip stays off.
+		name: "several-start-bytes",
+		patterns: [][]byte{
+			[]byte("X-MW-MARKER[alpha]"),
+			[]byte("Y-MW-MARKER[alpha]"),
+			[]byte("-MW-MARKER"),
+			[]byte("XXXX"),
+		},
+		rootByte: -1,
+	},
+}
+
+// acInputs exercises every pattern set: overlaps and shared prefixes for
+// the mixed set; for the marker sets, input that ends on the start byte,
+// runs of it, and false starts that fail partway through a marker.
+var acInputs = [][]byte{
+	nil,
+	[]byte("abcd"),
+	[]byte("abcdabce"),
+	[]byte("xxabcdayy"), // abcd then bcda overlapping
+	[]byte("aaaaaa"),
+	[]byte("aaa"),
+	[]byte("cdabcd"),
+	bytes.Repeat([]byte("abc"), 100),
+	append(bytes.Repeat([]byte{0}, 50), 1, 2, 3),
+	[]byte("X"),
+	[]byte("clean bytes then X"),
+	[]byte("XXX"),
+	[]byte("XXXXXXXXX"),
+	[]byte("X-MW-MARKEX"),
+	[]byte("X-MW-MARKEX-MW-MARKER[alpha]"),
+	[]byte("X-MW-MARKER[alph"),
+	[]byte("X-MW-X-MW-MARKER[beta]X"),
+	[]byte("..XX-MW-MARKER[alphabet]..Y-MW-MARKER[alpha]"),
+	[]byte("-MW-MARKER[beta]"),
+}
+
 // TestAutomatonMatchesContainsReference cross-checks the Aho–Corasick
-// automaton against the bytes.Contains semantics it replaced, over inputs
-// chosen to exercise overlap, shared prefixes, and failure transitions.
+// automaton against the bytes.Contains semantics it replaced, for every
+// pattern set over every input, and pins where the root skip runs.
 func TestAutomatonMatchesContainsReference(t *testing.T) {
 	t.Parallel()
-	patterns := [][]byte{
-		[]byte("abcd"),
-		[]byte("abce"),             // shared prefix with abcd
-		[]byte("bcda"),             // overlaps a match of abcd
-		[]byte("cdab"),             // forces failure-link traversal
-		[]byte("aaaa"),             // self-overlapping
-		[]byte("aaaaa"),            // superstring of aaaa
-		[]byte("\x00\x01\x02\x03"), // binary
-	}
-	inputs := [][]byte{
-		nil,
-		[]byte("abcd"),
-		[]byte("abcdabce"),
-		[]byte("xxabcdayy"), // abcd then bcda overlapping
-		[]byte("aaaaaa"),
-		[]byte("aaa"),
-		[]byte("cdabcd"),
-		bytes.Repeat([]byte("abc"), 100),
-		append(bytes.Repeat([]byte{0}, 50), 1, 2, 3),
-	}
-	m := newACMatcher(patterns)
-	for _, in := range inputs {
-		got := make(map[int32]bool)
-		m.match(in, func(p int32) { got[p] = true })
-		for pi, p := range patterns {
-			want := bytes.Contains(in, p)
-			if got[int32(pi)] != want {
-				t.Errorf("input %q pattern %q: automaton=%v contains=%v",
-					in, p, got[int32(pi)], want)
-			}
+	for _, set := range acPatternSets {
+		m := newACMatcher(set.patterns)
+		if m.rootByte != set.rootByte {
+			t.Errorf("%s: rootByte = %d, want %d", set.name, m.rootByte, set.rootByte)
+		}
+		for _, in := range acInputs {
+			checkACMatch(t, set.name, m, set.patterns, in)
 		}
 	}
+}
+
+// checkACMatch reports every pattern on which the automaton and
+// bytes.Contains disagree for in, and any pattern reported twice.
+func checkACMatch(t *testing.T, set string, m *acMatcher, patterns [][]byte, in []byte) {
+	t.Helper()
+	got := make(map[int32]int)
+	m.match(in, func(p int32) { got[p]++ })
+	for pi, p := range patterns {
+		n := got[int32(pi)]
+		if n > 1 {
+			t.Errorf("%s: input %q pattern %q reported %d times", set, in, p, n)
+		}
+		if want := bytes.Contains(in, p); (n > 0) != want {
+			t.Errorf("%s: input %q pattern %q: automaton=%v contains=%v", set, in, p, n > 0, want)
+		}
+	}
+}
+
+// FuzzACMatch holds the automaton to bytes.Contains on arbitrary input,
+// for the fixed pattern sets and for a set the fuzzer chooses: pats split
+// on newlines, empty patterns dropped, capped at 64 bytes so each build
+// stays small.
+func FuzzACMatch(f *testing.F) {
+	for i, in := range acInputs {
+		f.Add([]byte(nil), in)
+		f.Add(bytes.Join(acPatternSets[i%len(acPatternSets)].patterns, []byte("\n")), in)
+	}
+	f.Add([]byte("Q\nQQ\nQR"), []byte("QQQRQ"))
+	fixed := make([]*acMatcher, len(acPatternSets))
+	for i, set := range acPatternSets {
+		fixed[i] = newACMatcher(set.patterns)
+	}
+	f.Fuzz(func(t *testing.T, pats, data []byte) {
+		for i, set := range acPatternSets {
+			checkACMatch(t, set.name, fixed[i], set.patterns, data)
+		}
+		if len(pats) > 64 {
+			pats = pats[:64]
+		}
+		var own [][]byte
+		for _, p := range bytes.Split(pats, []byte("\n")) {
+			if len(p) > 0 {
+				own = append(own, p)
+			}
+		}
+		checkACMatch(t, "fuzzed", newACMatcher(own), own, data)
+	})
 }
 
 // TestAutomatonAgainstCatalogCorpus fuzzes the full catalog-built automaton

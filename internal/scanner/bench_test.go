@@ -20,16 +20,104 @@ func benchEngine(b *testing.B) *Engine {
 	return e
 }
 
-func BenchmarkScanCleanMB(b *testing.B) {
-	e := benchEngine(b)
+// cleanMB is the clean payload of the throughput benchmarks: 1 MiB of
+// seeded random bytes.
+func cleanMB() []byte {
 	data := make([]byte, 1<<20)
 	stats.NewRNG(1, 1).Fill(data)
+	return data
+}
+
+// coldCopy returns an engine that shares proto's compiled database but has
+// an empty memo, so its first scan of any payload takes the cold path.
+func coldCopy(proto *Engine) *Engine {
+	return &Engine{
+		patterns: proto.patterns,
+		ac:       proto.ac,
+		hashes:   proto.hashes,
+		maxDepth: proto.maxDepth,
+		memo:     make(map[memoKey][]Detection),
+	}
+}
+
+// BenchmarkScanCleanMB rescans one clean MiB through one engine. After the
+// first iteration every scan is a memo hit, so this times MD5 plus a map
+// lookup, not the automaton; BenchmarkScanCleanMBCold times the full
+// clean-payload scan.
+func BenchmarkScanCleanMB(b *testing.B) {
+	e := benchEngine(b)
+	data := cleanMB()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, bad := e.Infected(data); bad {
 			b.Fatal("clean data detected")
 		}
+	}
+}
+
+// BenchmarkScanCleanMBCold scans the clean MiB through a fresh memo every
+// iteration: MD5, one automaton pass, and the memo store.
+func BenchmarkScanCleanMBCold(b *testing.B) {
+	proto := benchEngine(b)
+	data := cleanMB()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := coldCopy(proto)
+		b.StartTimer()
+		if _, bad := e.Infected(data); bad {
+			b.Fatal("clean data detected")
+		}
+	}
+}
+
+// BenchmarkACMatch times the automaton alone over the engine's patterns:
+// on clean random bytes, where the root skip carries the pass from one
+// marker start byte to the next, and on one specimen.
+func BenchmarkACMatch(b *testing.B) {
+	e := benchEngine(b)
+	spec, err := malware.LimeWireCatalog().Families[0].Specimen(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		data []byte
+		hit  bool
+	}{
+		{"random-1MiB", cleanMB(), false},
+		{"specimen", spec, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var hits int
+			found := func(int32) { hits++ }
+			b.SetBytes(int64(len(bc.data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hits = 0
+				e.ac.match(bc.data, found)
+				if (hits > 0) != bc.hit {
+					b.Fatalf("%d pattern hits, want hit=%v", hits, bc.hit)
+				}
+			}
+		})
+	}
+}
+
+// mdSum keeps BenchmarkMD5's result live.
+var mdSum [md5.Size]byte
+
+// BenchmarkMD5 times the other half of a cold scan: the content digest
+// every scan computes for its memo key and the record's body hash.
+func BenchmarkMD5(b *testing.B) {
+	data := cleanMB()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mdSum = md5.Sum(data)
 	}
 }
 
@@ -153,13 +241,7 @@ func BenchmarkScanMultiSigEngineCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := &Engine{
-			patterns: proto.patterns,
-			ac:       proto.ac,
-			hashes:   proto.hashes,
-			maxDepth: proto.maxDepth,
-			memo:     make(map[memoKey][]Detection),
-		}
+		e := coldCopy(proto)
 		b.StartTimer()
 		if ds := e.Scan(z); len(ds) < 4 {
 			b.Fatalf("cold engine scan found %d detections, want >= 4", len(ds))

@@ -40,10 +40,15 @@ func BenchmarkCDFPercentile(b *testing.B) {
 	}
 }
 
+// BenchmarkRNGFill fills one honest-body-sized buffer: netsim builds
+// every downloadable honest file, 40–245 KiB, this way each time it is
+// served.
 func BenchmarkRNGFill(b *testing.B) {
 	g := NewRNG(4, 4)
-	buf := make([]byte, 4096)
+	buf := make([]byte, 160<<10)
 	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Fill(buf)
 	}

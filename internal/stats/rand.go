@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 )
@@ -10,13 +11,17 @@ import (
 // experiment is exactly reproducible.
 type RNG struct {
 	r *rand.Rand
+	// pcg is r's source, kept concrete so Fill draws words without an
+	// interface call; both advance the one stream.
+	pcg *rand.PCG
 }
 
 // NewRNG returns a deterministic RNG seeded from the two words. Distinct
 // simulation components should use distinct second words so their streams
 // are independent.
 func NewRNG(seed1, seed2 uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(seed1, seed2))}
+	pcg := rand.NewPCG(seed1, seed2)
+	return &RNG{r: rand.New(pcg), pcg: pcg}
 }
 
 // Float64 returns a uniform value in [0,1).
@@ -48,15 +53,21 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Fill fills p with pseudo-random bytes (for deterministic GUIDs and file
 // content) and reports (len(p), nil) so it can serve as an io.Reader-style
-// read function.
+// read function. Each 8-byte word is one Uint64 draw stored little-endian;
+// a short tail takes the low bytes of one more draw.
 func (g *RNG) Fill(p []byte) (int, error) {
-	for i := 0; i < len(p); i += 8 {
-		v := g.r.Uint64()
-		for j := 0; j < 8 && i+j < len(p); j++ {
-			p[i+j] = byte(v >> (8 * j))
+	n := len(p)
+	for len(p) >= 8 {
+		binary.LittleEndian.PutUint64(p, g.pcg.Uint64())
+		p = p[8:]
+	}
+	if len(p) > 0 {
+		v := g.pcg.Uint64()
+		for i := range p {
+			p[i] = byte(v >> (8 * i))
 		}
 	}
-	return len(p), nil
+	return n, nil
 }
 
 // Zipf draws ranks in [0, n) with probability proportional to

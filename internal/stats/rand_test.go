@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"bytes"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -60,6 +62,42 @@ func TestRNGFillDeterministic(t *testing.T) {
 	}
 	if zeros > 10 {
 		t.Fatal("Fill output suspiciously zero-heavy")
+	}
+}
+
+// fillPerByte is Fill as it was before it stored whole words: one
+// interface draw per 8 bytes, each byte stored on its own.
+func fillPerByte(r *rand.Rand, p []byte) {
+	for i := 0; i < len(p); i += 8 {
+		v := r.Uint64()
+		for j := 0; j < 8 && i+j < len(p); j++ {
+			p[i+j] = byte(v >> (8 * j))
+		}
+	}
+}
+
+// TestRNGFillMatchesPerByteLoop holds Fill to the bytes and the stream
+// position of the per-byte loop it replaced, for every length up to 300
+// (every tail length, many times over). Draws between fills check that
+// Fill consumes exactly the words the old loop did.
+func TestRNGFillMatchesPerByteLoop(t *testing.T) {
+	got := NewRNG(21, 34)
+	want := rand.New(rand.NewPCG(21, 34))
+	for n := 0; n <= 300; n++ {
+		pg, pw := make([]byte, n), make([]byte, n)
+		if m, err := got.Fill(pg); m != n || err != nil {
+			t.Fatalf("Fill(%d bytes) = %d, %v", n, m, err)
+		}
+		fillPerByte(want, pw)
+		if !bytes.Equal(pg, pw) {
+			t.Fatalf("length %d: Fill = %x, per-byte loop = %x", n, pg, pw)
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("after a %d-byte fill: Uint64 = %d, want %d", n, g, w)
+		}
+		if g, w := got.IntN(n+1), want.IntN(n+1); g != w {
+			t.Fatalf("after a %d-byte fill: IntN = %d, want %d", n, g, w)
+		}
 	}
 }
 
