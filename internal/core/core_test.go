@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"p2pmalware/internal/dataset"
 	"p2pmalware/internal/filter"
 	"p2pmalware/internal/netsim"
+	"p2pmalware/internal/obs"
 )
 
 // runOne executes a scaled-down one-day study of one network.
@@ -263,5 +265,53 @@ func TestCombinedStudyMergesBothNetworks(t *testing.T) {
 	}
 	if !foundLW || !foundFT {
 		t.Fatalf("cross-network labelling incomplete: lw=%v ft=%v", foundLW, foundFT)
+	}
+}
+
+// dropTotals sums p2p_messages_drop_total per network, over every message
+// type, from the default registry.
+func dropTotals(t *testing.T) map[string]int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Default.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	totals := make(map[string]int64)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(series, "p2p_messages_drop_total{") {
+			continue
+		}
+		n, err := strconv.ParseInt(value, 10, 64)
+		if err != nil {
+			t.Fatalf("drop series %q: %v", line, err)
+		}
+		for _, network := range []string{"gnutella", "openft"} {
+			if strings.Contains(series, `network="`+network+`"`) {
+				totals[network] += n
+			}
+		}
+	}
+	return totals
+}
+
+// TestCleanStudyDropsNoFloodMessage pins that no link queue overflows in a
+// clean study: a full queue drops a message silently, and the flood then
+// completes with fewer hits than the population holds. The drop counters
+// are process-wide, so this test must not run in parallel with others.
+func TestCleanStudyDropsNoFloodMessage(t *testing.T) {
+	full := func(seed uint64) StudyConfig {
+		return StudyConfig{Seed: seed, Days: 3, QueriesPerDay: 80,
+			LimeWire: &netsim.LimeWireConfig{Seed: seed}, OpenFT: &netsim.OpenFTConfig{Seed: seed}}
+	}
+	for name, cfg := range map[string]StudyConfig{"small": smallStudy(5, 8), "seed 3": full(3)} {
+		before := dropTotals(t)
+		studyStreams(t, cfg)
+		after := dropTotals(t)
+		for _, network := range []string{"gnutella", "openft"} {
+			if d := after[network] - before[network]; d != 0 {
+				t.Errorf("%s: %s dropped %d messages on full send queues", name, network, d)
+			}
+		}
 	}
 }

@@ -128,20 +128,12 @@ func (a *limeWire) cacheKey(h lwHit) string {
 	return fmt.Sprintf("%s:%d/%d/%d", h.qh.IP, h.qh.Port, h.hit.Index, h.hit.Size)
 }
 
-func (a *limeWire) fetch(h lwHit, addr, key string, fx *netFaults) ([]byte, []p2p.Attempt, error) {
-	switch {
-	case h.push():
+func (a *limeWire) fetch(h lwHit, addr string, tr p2p.Transport, policy p2p.RetryPolicy) ([]byte, []p2p.Attempt, error) {
+	if h.push() {
 		defer a.pushLocks.lock(fmt.Sprintf("%s/%d", h.qh.ServentID, h.hit.Index))()
-		return oneAttempt(gnutella.Fate, func() ([]byte, error) {
-			return a.client.DownloadViaPush(h.qh.ServentID, h.hit.Index, h.hit.Name, 5*time.Second)
-		})
-	case fx != nil:
-		return gnutella.DownloadAttempts(fx.inj.Transport(key), addr, h.hit.Index, h.hit.Name, fx.policy)
-	default:
-		return oneAttempt(gnutella.Fate, func() ([]byte, error) {
-			return gnutella.Download(a.u.Mem, addr, h.hit.Index, h.hit.Name)
-		})
+		return a.client.PushAttempts(h.qh.ServentID, h.hit.Index, h.hit.Name, 5*time.Second)
 	}
+	return gnutella.DownloadAttempts(tr, addr, h.hit.Index, h.hit.Name, policy)
 }
 
 func (a *limeWire) retryable(err error) bool { return gnutella.Retryable(err) }

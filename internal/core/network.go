@@ -35,12 +35,10 @@ type adapter[H any] interface {
 	altKey(h H) string
 	// cacheKey identifies h's transfer in the fetch cache.
 	cacheKey(h H) string
-	// fetch transfers h's body from addr and logs its attempts. With fx
-	// nil it downloads once over the clean universe; otherwise a direct
-	// transfer dials through fx's injector for key and retries under fx's
-	// policy. Push transfers ride the overlay, which the injector does not
-	// wrap, and keep the clean path either way.
-	fetch(h H, addr, key string, fx *netFaults) ([]byte, []p2p.Attempt, error)
+	// fetch transfers h's body from addr over tr under policy and logs
+	// its attempts. Push transfers ride the overlay, which the injector
+	// does not wrap, and take neither.
+	fetch(h H, addr string, tr p2p.Transport, policy p2p.RetryPolicy) ([]byte, []p2p.Attempt, error)
 	// retryable reports whether a failed fetch may succeed from another
 	// source.
 	retryable(err error) bool
@@ -283,7 +281,14 @@ func (r *runner[H]) fetchOnce(h H, rec *dataset.ResponseRecord, scanNS *int64) *
 		if r.fx != nil && !rec.PushFlagged && !r.fx.br.allowed(rec.SourceIP) {
 			return fetchResult{err: errCircuitOpen, attempts: []p2p.Attempt{{Fate: fateCircuitOpen}}}
 		}
-		body, attempts, err := r.a.fetch(h, addr, key, r.fx)
+		// A clean run downloads once over the universe; under a fault plan
+		// a direct transfer dials through the injector for key and retries
+		// under the plan's policy.
+		tr, policy := p2p.Transport(r.info.mem), p2p.RetryPolicy{Attempts: 1}
+		if r.fx != nil {
+			tr, policy = r.fx.inj.Transport(key), r.fx.policy
+		}
+		body, attempts, err := r.a.fetch(h, addr, tr, policy)
 		res := r.s.labelFetch(body, err, scanNS)
 		res.attempts = attempts
 		return res
@@ -333,11 +338,4 @@ func (r *runner[H]) commit(i int, recs []dataset.ResponseRecord, floodErr error)
 // source is a record's advertised transfer endpoint.
 func source(rec *dataset.ResponseRecord) string {
 	return fmt.Sprintf("%s:%d", rec.SourceIP, rec.SourcePort)
-}
-
-// oneAttempt runs an unretried transfer and logs it as a single attempt.
-func oneAttempt(fate func(error) string, get func() ([]byte, error)) ([]byte, []p2p.Attempt, error) {
-	start := wallClock.Now()
-	body, err := get()
-	return body, []p2p.Attempt{{Fate: fate(err), Wall: simclock.Since(wallClock, start)}}, err
 }

@@ -66,7 +66,7 @@ func (f *fakeNet) altKey(h fakeHit) string {
 
 func (f *fakeNet) cacheKey(h fakeHit) string { return h.src() + "/" + h.key }
 
-func (f *fakeNet) fetch(h fakeHit, addr, key string, fx *netFaults) ([]byte, []p2p.Attempt, error) {
+func (f *fakeNet) fetch(h fakeHit, addr string, _ p2p.Transport, _ p2p.RetryPolicy) ([]byte, []p2p.Attempt, error) {
 	f.fetched = append(f.fetched, addr)
 	return []byte("MZ" + addr), []p2p.Attempt{{Fate: p2p.FateOf(h.err)}}, h.err
 }

@@ -93,11 +93,8 @@ func (a *openFT) altKey(r openft.SearchResp) string { return r.MD5 }
 
 func (a *openFT) cacheKey(r openft.SearchResp) string { return "md5/" + r.MD5 + "@" + r.IP.String() }
 
-func (a *openFT) fetch(r openft.SearchResp, addr, key string, fx *netFaults) ([]byte, []p2p.Attempt, error) {
-	if fx != nil {
-		return openft.DownloadAttempts(fx.inj.Transport(key), addr, r.MD5, fx.policy)
-	}
-	return oneAttempt(openft.Fate, func() ([]byte, error) { return openft.Download(a.u.Mem, addr, r.MD5) })
+func (a *openFT) fetch(r openft.SearchResp, addr string, tr p2p.Transport, policy p2p.RetryPolicy) ([]byte, []p2p.Attempt, error) {
+	return openft.DownloadAttempts(tr, addr, r.MD5, policy)
 }
 
 func (a *openFT) retryable(err error) bool { return openft.Retryable(err) }

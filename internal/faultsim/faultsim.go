@@ -5,8 +5,8 @@
 // responders, and population churn.
 //
 // Determinism is the organizing constraint. The study's headline guarantee
-// — same seed, same configuration, byte-identical event traces for any
-// worker count — must survive fault injection, so no fault decision may
+// — same seed, same configuration, byte-identical records and spans for
+// any worker count — must survive fault injection, so no fault decision may
 // depend on goroutine scheduling. Two rules follow:
 //
 //   - Data plane only. Faults apply to the measurement client's transfer

@@ -85,7 +85,7 @@ func BenchmarkConnWriteRead(b *testing.B) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	w, r := NewConn(c1), NewConn(c2)
+	w, r := newWireConn(c1), newWireConn(c2)
 	m := &Message{GUID: guid.New(), Type: MsgQuery, TTL: 4, Payload: Query{Criteria: "benchmark query"}.Encode()}
 	done := make(chan struct{})
 	go func() {

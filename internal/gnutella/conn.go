@@ -211,77 +211,49 @@ func infoFromHeaders(h map[string]string) *HandshakeInfo {
 	return info
 }
 
-// Conn is a framed descriptor connection over an established (handshaken)
-// transport connection. Reads and writes are not internally synchronized:
-// the node runs one reader goroutine and serializes writes.
-type Conn struct {
-	c  net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
-	// box sits between bw and c: it counts the bytes c accepted and the
-	// counted flood descriptors staged since the last clean flush.
-	box *p2p.Outbox
-	// rhdr and whdr are reader-/writer-owned header scratch space: io
-	// calls take them through interfaces, and a per-call stack array would
-	// escape into a fresh heap allocation per descriptor.
-	rhdr [HeaderSize]byte
-	whdr [HeaderSize]byte
+// codec frames descriptors (see p2p.Codec). rhdr and whdr are reader- and
+// writer-owned header scratch space: io calls take them through
+// interfaces, and a per-call stack array would escape into a fresh heap
+// allocation per descriptor.
+type codec struct {
+	rhdr, whdr [HeaderSize]byte
 }
 
-// NewConn wraps an established connection with a fresh buffered reader.
-// Use NewConnFrom when handshake bytes were already read through an
-// existing reader.
-func NewConn(c net.Conn) *Conn {
-	return NewConnFrom(c, bufio.NewReaderSize(c, 32<<10))
-}
-
-// NewConnFrom wraps an established connection, continuing to read through
-// br so no bytes buffered during the handshake are lost.
-func NewConnFrom(c net.Conn, br *bufio.Reader) *Conn {
-	return newFloodConn(c, br, nil)
-}
-
-// newFloodConn is NewConnFrom for a node whose universe keeps a flood
-// ledger (nil for none).
-func newFloodConn(c net.Conn, br *bufio.Reader, led *p2p.FloodLedger) *Conn {
-	box := p2p.NewOutbox(c, led)
-	return &Conn{c: c, br: br, bw: bufio.NewWriterSize(box, 32<<10), box: box}
-}
-
-// errPayloadSize lives off the hot path so Read/WriteBuffered stay free of
-// fmt boxing under the hotpath allocation contract.
+// errPayloadSize lives off the hot path so the codec stays free of fmt
+// boxing under the hotpath allocation contract.
 func errPayloadSize(n int) error {
 	return fmt.Errorf("%w: %d bytes", ErrPayloadSize, n)
 }
 
-// Read returns the next descriptor. It enforces MaxPayload and clamps TTL.
-//
-// The returned message is pool-managed: its payload lives in a bufpool
-// slab and the caller holds the one reference. The node's read loop
-// releases it after dispatch, so anything that must outlive the handler —
-// a forward target, a collector — either takes its own reference (Retain)
-// or copies what it needs; the parsed forms (ParseQuery, ParseQueryHit,
-// ...) already copy every string out of the payload. Conn itself never
-// retains or releases references. Read is not safe for concurrent use
-// (one reader goroutine per connection, as runPeer guarantees).
+// FloodKey names the flood a descriptor belongs to and reports whether
+// the flood ledger counts it: queries and their hits share the query's
+// GUID.
 //
 // lint:hotpath
-func (fc *Conn) Read() (*Message, error) {
-	if _, err := io.ReadFull(fc.br, fc.rhdr[:]); err != nil {
+func (m *Message) FloodKey() (p2p.FloodID, bool) {
+	return p2p.FloodID(m.GUID), m.Type == MsgQuery || m.Type == MsgQueryHit
+}
+
+// ReadFrame reads one descriptor from br, enforcing MaxPayload and
+// clamping TTL.
+//
+// lint:hotpath
+func (cd *codec) ReadFrame(br *bufio.Reader) (*Message, error) {
+	if _, err := io.ReadFull(br, cd.rhdr[:]); err != nil {
 		return nil, err
 	}
-	g, _ := guid.FromBytes(fc.rhdr[0:16])
-	plen := binary.LittleEndian.Uint32(fc.rhdr[19:])
+	g, _ := guid.FromBytes(cd.rhdr[0:16])
+	plen := binary.LittleEndian.Uint32(cd.rhdr[19:])
 	if plen > MaxPayload {
 		return nil, errPayloadSize(int(plen))
 	}
-	m := NewMessage(g, MsgType(fc.rhdr[16]), fc.rhdr[17], fc.rhdr[18], int(plen))
+	m := NewMessage(g, MsgType(cd.rhdr[16]), cd.rhdr[17], cd.rhdr[18], int(plen))
 	if m.TTL > MaxTTL {
 		m.TTL = MaxTTL
 	}
 	if plen > 0 {
 		m.Payload = m.slab[:plen]
-		if _, err := io.ReadFull(fc.br, m.Payload); err != nil {
+		if _, err := io.ReadFull(br, m.Payload); err != nil {
 			m.Release()
 			return nil, err
 		}
@@ -289,65 +261,31 @@ func (fc *Conn) Read() (*Message, error) {
 	return m, nil
 }
 
-// WriteBuffered stages a descriptor in the connection's write buffer
-// without flushing, so a burst of outbound descriptors coalesces into one
-// wire write. Callers must pair it with Flush; reference accounting stays
-// with the caller.
+// WriteFrame stages a descriptor in bw without flushing and returns its
+// size on the wire.
 //
 // lint:hotpath
-func (fc *Conn) WriteBuffered(m *Message) error {
+func (cd *codec) WriteFrame(bw *bufio.Writer, m *Message) (int, error) {
 	if len(m.Payload) > MaxPayload {
-		return errPayloadSize(len(m.Payload))
+		return 0, errPayloadSize(len(m.Payload))
 	}
-	copy(fc.whdr[0:16], m.GUID[:])
-	fc.whdr[16] = byte(m.Type)
-	fc.whdr[17] = m.TTL
-	fc.whdr[18] = m.Hops
-	binary.LittleEndian.PutUint32(fc.whdr[19:], uint32(len(m.Payload)))
-	if _, err := fc.bw.Write(fc.whdr[:]); err != nil {
-		return err
+	copy(cd.whdr[0:16], m.GUID[:])
+	cd.whdr[16] = byte(m.Type)
+	cd.whdr[17] = m.TTL
+	cd.whdr[18] = m.Hops
+	binary.LittleEndian.PutUint32(cd.whdr[19:], uint32(len(m.Payload)))
+	if _, err := bw.Write(cd.whdr[:]); err != nil {
+		return 0, err
 	}
 	if len(m.Payload) > 0 {
-		if _, err := fc.bw.Write(m.Payload); err != nil {
-			return err
+		if _, err := bw.Write(m.Payload); err != nil {
+			return 0, err
 		}
 	}
-	return nil
+	return HeaderSize + len(m.Payload), nil
 }
 
-// stage is WriteBuffered for the node's writer: it also records the
-// descriptor with the outbox, so a failed write retires it unless the
-// receiver read it in full.
+// Counters returns the descriptor type's message counters.
 //
 // lint:hotpath
-func (fc *Conn) stage(m *Message) error {
-	id, counted := floodKey(m)
-	fc.box.Staged(HeaderSize+len(m.Payload), id, counted)
-	return fc.WriteBuffered(m)
-}
-
-// Flush pushes buffered descriptors onto the wire.
-func (fc *Conn) Flush() error {
-	if err := fc.bw.Flush(); err != nil {
-		return err
-	}
-	fc.box.Flushed()
-	return nil
-}
-
-// Write sends a descriptor and flushes.
-func (fc *Conn) Write(m *Message) error {
-	if err := fc.WriteBuffered(m); err != nil {
-		return err
-	}
-	return fc.Flush()
-}
-
-// Close closes the underlying connection.
-func (fc *Conn) Close() error { return fc.c.Close() }
-
-// SetReadDeadline forwards to the underlying connection.
-func (fc *Conn) SetReadDeadline(t time.Time) error { return fc.c.SetReadDeadline(t) }
-
-// RemoteAddr returns the underlying remote address.
-func (fc *Conn) RemoteAddr() net.Addr { return fc.c.RemoteAddr() }
+func (*codec) Counters(m *Message) *p2p.MessageCounters { return &met.msg[m.Type] }

@@ -12,6 +12,40 @@ import (
 	"p2pmalware/internal/guid"
 )
 
+// wireConn speaks raw Gnutella over an established connection with the
+// node's codec, for tests that play a peer by hand. It never retains or
+// releases references; read from one goroutine and serialize writes.
+type wireConn struct {
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	wire codec
+}
+
+func newWireConn(c net.Conn) *wireConn { return newWireConnFrom(c, bufio.NewReader(c)) }
+
+// newWireConnFrom keeps reading through br, so no bytes the handshake
+// buffered are lost.
+func newWireConnFrom(c net.Conn, br *bufio.Reader) *wireConn {
+	return &wireConn{br: br, bw: bufio.NewWriter(c)}
+}
+
+func (fc *wireConn) Read() (*Message, error) { return fc.wire.ReadFrame(fc.br) }
+
+// WriteBuffered stages m without flushing.
+func (fc *wireConn) WriteBuffered(m *Message) error {
+	_, err := fc.wire.WriteFrame(fc.bw, m)
+	return err
+}
+
+func (fc *wireConn) Flush() error { return fc.bw.Flush() }
+
+func (fc *wireConn) Write(m *Message) error {
+	if err := fc.WriteBuffered(m); err != nil {
+		return err
+	}
+	return fc.Flush()
+}
+
 // handshakePair runs client+server handshakes over a pipe and returns both
 // results.
 func handshakePair(t *testing.T, clientOpts, serverOpts HandshakeOptions, accept func(*HandshakeInfo) bool) (clientInfo, serverInfo *HandshakeInfo, clientErr, serverErr error) {
@@ -118,7 +152,7 @@ func TestConnFraming(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	a, b := NewConn(c1), NewConn(c2)
+	a, b := newWireConn(c1), newWireConn(c2)
 	msgs := []*Message{
 		{GUID: guid.New(), Type: MsgPing, TTL: 1},
 		{GUID: guid.New(), Type: MsgQuery, TTL: 4, Hops: 2, Payload: Query{Criteria: "hello world"}.Encode()},
@@ -145,7 +179,7 @@ func TestConnRejectsOversizedPayload(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	a := NewConn(c1)
+	a := newWireConn(c1)
 	if err := a.Write(&Message{GUID: guid.New(), Type: MsgQuery, Payload: make([]byte, MaxPayload+1)}); err == nil {
 		t.Fatal("oversized write accepted")
 	}
@@ -159,7 +193,7 @@ func TestConnRejectsOversizedPayload(t *testing.T) {
 		hdr[22] = 0x00 // ~16MB
 		c1.Write(hdr)
 	}()
-	b := NewConn(c2)
+	b := newWireConn(c2)
 	if _, err := b.Read(); err == nil {
 		t.Fatal("oversized read accepted")
 	}
@@ -169,8 +203,8 @@ func TestConnClampsTTL(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	go NewConn(c1).Write(&Message{GUID: guid.New(), Type: MsgPing, TTL: 50})
-	got, err := NewConn(c2).Read()
+	go newWireConn(c1).Write(&Message{GUID: guid.New(), Type: MsgPing, TTL: 50})
+	got, err := newWireConn(c2).Read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +222,8 @@ func TestQuickConnRoundTrip(t *testing.T) {
 		defer c1.Close()
 		defer c2.Close()
 		m := &Message{GUID: guid.New(), Type: MsgQueryHit, TTL: ttl, Hops: hops, Payload: payload}
-		go NewConn(c1).Write(m)
-		got, err := NewConn(c2).Read()
+		go newWireConn(c1).Write(m)
+		got, err := newWireConn(c2).Read()
 		if err != nil {
 			return false
 		}

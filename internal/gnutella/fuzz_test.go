@@ -3,7 +3,10 @@ package gnutella
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"net"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,8 +43,9 @@ func FuzzParsePong(f *testing.F) {
 // FuzzDownloadResponse feeds the transfer client's HTTP response parser
 // raw wire bytes — including the truncated and bit-flipped shapes the
 // fault injector produces — through a real connection. It must never
-// panic or hang, never hand back a body past MaxTransferSize, and never
-// accept a body that contradicts an advertised content URN.
+// panic or hang, never hand back a body past MaxTransferSize, never
+// accept a body that contradicts an advertised content URN, and never
+// accept one under a malformed Content-Length.
 func FuzzDownloadResponse(f *testing.F) {
 	body := []byte("malware sample body bytes")
 	urn := p2p.URNSHA1(body)
@@ -58,26 +62,19 @@ func FuzzDownloadResponse(f *testing.F) {
 	for _, m := range faultsim.Mangle(withURN, 0x7A58) {
 		f.Add(m)
 	}
+	for _, length := range malformedLengths {
+		f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: " + length + "\r\n\r\n" + string(body)))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		cli, srv := net.Pipe()
-		go func() {
-			br := bufio.NewReader(srv)
-			for {
-				line, err := br.ReadString('\n')
-				if err != nil || line == "\r\n" {
-					break
-				}
-			}
-			srv.Write(b)
-			srv.Close()
-		}()
-		cli.SetDeadline(ioDeadline(5 * time.Second))
-		got, err := httpGetBody(cli, bufio.NewReader(cli), 3, "sample.exe")
-		cli.Close()
+		got, _, err := DownloadAttempts(&rawRespTransport{resp: b}, "peer:6346", 3, "sample.exe",
+			p2p.RetryPolicy{Attempts: 1, AttemptTimeout: 5 * time.Second})
 		if err != nil {
 			return
 		}
-		if len(got) > MaxTransferSize {
+		if malformedLength(b) {
+			t.Fatalf("accepted a %d-byte body under a malformed Content-Length", len(got))
+		}
+		if len(got) > p2p.MaxTransferSize {
 			t.Fatalf("accepted %d-byte body past MaxTransferSize", len(got))
 		}
 		head, _, ok := bytes.Cut(b, []byte("\r\n\r\n"))
@@ -85,4 +82,52 @@ func FuzzDownloadResponse(f *testing.F) {
 			t.Fatalf("accepted a body that contradicts its advertised URN")
 		}
 	})
+}
+
+// rawRespTransport serves a canned byte blob as the HTTP response to any
+// dial, after draining the request — a hostile servent for the transfer
+// client to chew on.
+type rawRespTransport struct{ resp []byte }
+
+func (r *rawRespTransport) Listen(addr string) (net.Listener, error) {
+	return nil, errors.New("rawRespTransport does not listen")
+}
+
+func (r *rawRespTransport) Dial(addr string) (net.Conn, error) {
+	cli, srv := net.Pipe()
+	go func() {
+		br := bufio.NewReader(srv)
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil || line == "\r\n" {
+				break
+			}
+		}
+		srv.Write(r.resp)
+		srv.Close()
+	}()
+	return cli, nil
+}
+
+// malformedLengths are Content-Length values that are not non-negative
+// decimal integers.
+var malformedLengths = []string{"25x", "abc", "-7", "+25", "", "0x19", "2 5"}
+
+// malformedLength reports whether response b's head carries a
+// Content-Length that is not a non-negative decimal integer.
+func malformedLength(b []byte) bool {
+	lines := strings.Split(string(b), "\n")
+	for _, line := range lines[1:] {
+		line = strings.TrimSpace(line)
+		if line == "" {
+			return false
+		}
+		name, value, ok := strings.Cut(line, ":")
+		if ok && strings.EqualFold(strings.TrimSpace(name), "Content-Length") {
+			if _, err := strconv.ParseUint(strings.TrimSpace(value), 10, 63); err != nil {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -136,7 +136,7 @@ func TestSurvivesMalformedPayloads(t *testing.T) {
 	if _, err := ClientHandshake(c, br, HandshakeOptions{Ultrapeer: true, UserAgent: "evil", Timeout: 2 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	fc := NewConnFrom(c, br)
+	fc := newWireConnFrom(c, br)
 	// Query with unterminated criteria (no null).
 	fc.Write(&Message{GUID: guid.New(), Type: MsgQuery, TTL: 3, Payload: []byte{0, 0, 'a', 'b', 'c'}})
 	// Push too short.
@@ -159,7 +159,7 @@ func TestSurvivesQueryHitForgery(t *testing.T) {
 	if _, err := ClientHandshake(c, br, HandshakeOptions{Ultrapeer: true, UserAgent: "evil", Timeout: 2 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	fc := NewConnFrom(c, br)
+	fc := newWireConnFrom(c, br)
 	qh := QueryHit{Port: 1, IP: net.IPv4(6, 6, 6, 6), Hits: []Hit{{Index: 1, Size: 666, Name: "forged.exe"}}, ServentID: guid.New()}
 	payload, _ := qh.Encode()
 	for i := 0; i < 50; i++ {

@@ -1,16 +1,19 @@
 package gnutella
 
-import "p2pmalware/internal/obs"
+import (
+	"p2pmalware/internal/obs"
+	"p2pmalware/internal/p2p"
+)
 
 // met holds the package's pre-resolved metric handles, registered once
-// against the default registry. The rx/tx/drop arrays are indexed by the
+// against the default registry. The message counters are indexed by the
 // raw descriptor type byte so the per-message hot path is one array load
 // plus one atomic add — no lookups, no allocations. Unknown descriptor
-// types share a single "other" counter.
+// types share a single "other" set. Transfer metrics live on xfer.
 var met = newMetrics()
 
 type metrics struct {
-	rx, tx, drop [256]*obs.Counter
+	msg [256]p2p.MessageCounters
 
 	handshakeAcceptOK  *obs.Counter
 	handshakeAcceptErr *obs.Counter
@@ -19,13 +22,6 @@ type metrics struct {
 
 	peerGauge *obs.Gauge
 	leafGauge *obs.Gauge
-
-	bytesIn     *obs.Counter
-	bytesOut    *obs.Counter
-	clamped     *obs.Counter
-	corrupt     *obs.Counter
-	retries     *obs.Counter
-	transferDur *obs.Histogram
 }
 
 // knownTypes are the descriptor types given their own labelled series.
@@ -39,25 +35,13 @@ func newMetrics() *metrics {
 		handshakeDialErr:   obs.C("p2p_handshakes_total", "network", "gnutella", "side", "dial", "result", "error"),
 		peerGauge:          obs.G("p2p_connections", "network", "gnutella", "kind", "ultrapeer"),
 		leafGauge:          obs.G("p2p_connections", "network", "gnutella", "kind", "leaf"),
-		bytesIn:            obs.C("p2p_transfer_bytes_total", "network", "gnutella", "dir", "in"),
-		bytesOut:           obs.C("p2p_transfer_bytes_total", "network", "gnutella", "dir", "out"),
-		clamped:            obs.C("p2p_transfer_clamped_total", "network", "gnutella"),
-		corrupt:            obs.C("p2p_transfer_corrupt_total", "network", "gnutella"),
-		retries:            obs.C("p2p_transfer_retries_total", "network", "gnutella"),
-		transferDur:        obs.H("p2p_transfer_duration_us", obs.LatencyBuckets, "network", "gnutella"),
 	}
-	other := func(dir string) *obs.Counter {
-		return obs.C("p2p_messages_"+dir+"_total", "network", "gnutella", "type", "other")
-	}
-	rxOther, txOther, dropOther := other("rx"), other("tx"), other("drop")
-	for i := range m.rx {
-		m.rx[i], m.tx[i], m.drop[i] = rxOther, txOther, dropOther
+	other := p2p.NewMessageCounters("gnutella", "other")
+	for i := range m.msg {
+		m.msg[i] = other
 	}
 	for _, t := range knownTypes {
-		name := t.String()
-		m.rx[byte(t)] = obs.C("p2p_messages_rx_total", "network", "gnutella", "type", name)
-		m.tx[byte(t)] = obs.C("p2p_messages_tx_total", "network", "gnutella", "type", name)
-		m.drop[byte(t)] = obs.C("p2p_messages_drop_total", "network", "gnutella", "type", name)
+		m.msg[byte(t)] = p2p.NewMessageCounters("gnutella", t.String())
 	}
 	return m
 }

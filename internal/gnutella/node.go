@@ -111,20 +111,13 @@ type Node struct {
 	floods *p2p.FloodLedger
 }
 
-// peerConn is one established overlay connection. Outbound descriptors go
-// through a bounded queue drained by a dedicated writer goroutine: a
-// reader goroutine must never block on a peer's inbound flow, or two nodes
-// simultaneously replying to each other over synchronous pipes deadlock.
-// When the queue is full the descriptor is dropped, exactly as real
-// servents shed load on slow peers.
+// peerConn is one established overlay connection: the shared peer link
+// (queue, writer, read loop and flood accounting; see p2p.Link) and the
+// Gnutella state kept per peer.
 type peerConn struct {
-	node   *Node
-	fc     *Conn
+	*p2p.Link[*Message]
 	info   *HandshakeInfo
-	isLeaf bool // remote is our leaf
-	out    chan *Message
-	done   chan struct{}
-	once   sync.Once
+	isLeaf bool      // remote is our leaf
 	qrp    *QRPTable // QRP table received from a leaf; guarded by qrpMu
 	// qrpPatched reports that a patch followed the last reset: a table
 	// that was only reset is empty and routes nothing yet.
@@ -132,163 +125,12 @@ type peerConn struct {
 	qrpMu      sync.Mutex
 }
 
-// sendQueueCap bounds per-peer outbound backlog.
-const sendQueueCap = 512
-
 // byeBound is how long Close lets its writers flush their byes before it
 // cuts off the peers that have not read theirs.
 const byeBound = time.Second
 
-func newPeerConn(n *Node, fc *Conn, info *HandshakeInfo, isLeaf bool) *peerConn {
-	return &peerConn{
-		node: n, fc: fc, info: info, isLeaf: isLeaf,
-		out:  make(chan *Message, sendQueueCap),
-		done: make(chan struct{}),
-	}
-}
-
-// errPeerClosed and errSendQueueFull are preallocated so the send fast
-// path does not build error values per descriptor.
-var (
-	errPeerClosed    = errors.New("gnutella: peer closed")
-	errSendQueueFull = errors.New("gnutella: send queue full, descriptor dropped")
-)
-
-// floodKey names the flood a descriptor belongs to and reports whether
-// the flood ledger counts it: queries and their hits share the query's
-// GUID.
-//
-// lint:hotpath
-func floodKey(m *Message) (p2p.FloodID, bool) {
-	return p2p.FloodID(m.GUID), m.Type == MsgQuery || m.Type == MsgQueryHit
-}
-
-// send enqueues a descriptor for the writer goroutine; it never blocks on
-// the network. A full queue drops the descriptor (flooded descriptors are
-// best-effort), and a closed peer reports an error.
-//
-// send consumes one reference in every outcome: the writer releases it
-// after the wire write, and the drop/closed paths release it here. Callers
-// sending one managed message to several peers retain once per extra
-// target. (Unmanaged messages are unaffected; Release is a no-op.) A
-// counted flood descriptor is added to the ledger first, and the drop and
-// closed paths retire it.
-//
-// lint:hotpath
-func (pc *peerConn) send(m *Message) error {
-	if id, counted := floodKey(m); counted {
-		pc.node.floods.Sent(id)
-	}
-	select {
-	case <-pc.done:
-		pc.discard(m)
-		return errPeerClosed
-	default:
-	}
-	select {
-	case pc.out <- m:
-		// A shutdown between the check above and the enqueue may have
-		// found the queue empty; take back whatever its drain missed.
-		select {
-		case <-pc.done:
-			pc.drainQueue()
-		default:
-		}
-		return nil
-	default:
-		met.drop[byte(m.Type)].Inc()
-		pc.discard(m)
-		return errSendQueueFull
-	}
-}
-
-// discard drops a descriptor that will never reach the peer: it retires
-// a counted one and releases the reference.
-//
-// lint:hotpath
-func (pc *peerConn) discard(m *Message) {
-	if id, counted := floodKey(m); counted {
-		pc.node.floods.Retire(id)
-	}
-	m.Release()
-}
-
-// drainQueue discards everything still queued for a peer that has shut
-// down. Concurrent drains are safe: each descriptor leaves the queue once.
-func (pc *peerConn) drainQueue() {
-	for {
-		select {
-		case m := <-pc.out:
-			pc.discard(m)
-		default:
-			return
-		}
-	}
-}
-
-// writeLoop drains the outbound queue onto the wire. Descriptors are
-// staged into the connection's write buffer and flushed once per burst —
-// the loop only flushes when the queue goes momentarily empty — so a
-// flooded query fan-out or a pong-cache harvest costs one syscall, not
-// one per descriptor. A bye is flushed at once and then shuts the peer
-// down. When the loop ends, descriptors still queued are discarded, and
-// after a failed write the staged flood descriptors the peer never read
-// in full are retired.
-func (pc *peerConn) writeLoop() {
-	defer pc.drainQueue()
-	for {
-		select {
-		case <-pc.done:
-			return
-		case m := <-pc.out:
-			bye := false
-			for {
-				bye = m.Type == MsgBye
-				err := pc.fc.stage(m)
-				if err == nil {
-					met.tx[byte(m.Type)].Inc()
-				}
-				m.Release()
-				if err != nil {
-					pc.writeFailed()
-					return
-				}
-				if bye {
-					break
-				}
-				select {
-				case m = <-pc.out:
-					continue
-				default:
-				}
-				break
-			}
-			if err := pc.fc.Flush(); err != nil {
-				pc.writeFailed()
-				return
-			}
-			if bye {
-				pc.shutdown()
-				return
-			}
-		}
-	}
-}
-
-// writeFailed shuts the peer down after a failed write and retires the
-// staged flood descriptors it never read in full.
-func (pc *peerConn) writeFailed() {
-	pc.shutdown()
-	pc.fc.box.Failed()
-}
-
-// shutdown marks the peer dead and closes the connection, unblocking both
-// loops; safe to call multiple times.
-func (pc *peerConn) shutdown() {
-	pc.once.Do(func() {
-		close(pc.done)
-		pc.fc.Close()
-	})
+func newPeerConn(c net.Conn, br *bufio.Reader, led *p2p.FloodLedger, info *HandshakeInfo, isLeaf bool) *peerConn {
+	return &peerConn{Link: p2p.NewLink[*Message](c, br, led, new(codec)), info: info, isLeaf: isLeaf}
 }
 
 // NewNode creates a node; Start must be called to go live.
@@ -358,28 +200,12 @@ func (n *Node) Start() error {
 		return fmt.Errorf("gnutella: listen %s: %w", n.cfg.ListenAddr, err)
 	}
 	n.listener = l
-	n.wg.Add(1)
-	go n.acceptLoop()
+	p2p.Accept(l, &n.wg, n.dispatch)
 	return nil
 }
 
-func (n *Node) acceptLoop() {
-	defer n.wg.Done()
-	for {
-		c, err := n.listener.Accept()
-		if err != nil {
-			return
-		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.dispatch(c)
-		}()
-	}
-}
-
-// sniffConn lets the dispatcher peek the first line and still hand the
-// complete stream to the protocol handler.
+// sniffConn hands a protocol handler the complete stream: its reads go
+// through the reader that peeked the first bytes.
 type sniffConn struct {
 	net.Conn
 	br *bufio.Reader
@@ -387,22 +213,14 @@ type sniffConn struct {
 
 func (s *sniffConn) Read(p []byte) (int, error) { return s.br.Read(p) }
 
-func (n *Node) dispatch(c net.Conn) {
-	br := bufio.NewReader(c)
-	c.SetReadDeadline(ioDeadline(10 * time.Second))
-	peek, err := br.Peek(4)
-	if err != nil {
-		c.Close()
-		return
-	}
-	c.SetReadDeadline(time.Time{})
+func (n *Node) dispatch(c net.Conn, br *bufio.Reader, sniff string) {
 	sc := &sniffConn{Conn: c, br: br}
-	switch {
-	case string(peek) == "GNUT":
+	switch sniff {
+	case "GNUT":
 		n.acceptOverlay(sc)
-	case string(peek) == "GET " || string(peek) == "HEAD":
+	case "GET ", "HEAD":
 		n.serveHTTP(sc)
-	case string(peek) == "GIV ":
+	case "GIV ":
 		n.handleGIV(sc)
 	default:
 		c.Close()
@@ -429,16 +247,12 @@ func (n *Node) acceptOverlay(sc *sniffConn) {
 		return
 	}
 	met.handshakeAcceptOK.Inc()
-	pc := newPeerConn(n, newFloodConn(sc.Conn, sc.br, n.floods), info, !info.Ultrapeer)
+	pc := newPeerConn(sc.Conn, sc.br, n.floods, info, !info.Ultrapeer)
 	if !n.addPeer(pc) {
 		sc.Close()
 		return
 	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		pc.writeLoop()
-	}()
+	pc.Start(&n.wg)
 	n.runPeer(pc)
 }
 
@@ -469,16 +283,13 @@ func (n *Node) Connect(addr string) error {
 		return err
 	}
 	met.handshakeDialOK.Inc()
-	pc := newPeerConn(n, newFloodConn(c, br, n.floods), info, false)
+	pc := newPeerConn(c, br, n.floods, info, false)
 	if !n.addPeer(pc) {
 		c.Close()
 		return errors.New("gnutella: node closed")
 	}
-	n.wg.Add(2)
-	go func() {
-		defer n.wg.Done()
-		pc.writeLoop()
-	}()
+	pc.Start(&n.wg)
+	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		n.runPeer(pc)
@@ -501,8 +312,8 @@ func (n *Node) sendQRP(pc *peerConn) {
 	}
 	reset := &Message{GUID: guid.New(), Type: MsgRouteTable, TTL: 1, Payload: EncodeQRPReset(QRPTableBits)}
 	patch := &Message{GUID: guid.New(), Type: MsgRouteTable, TTL: 1, Payload: EncodeQRPPatch(t)}
-	pc.send(reset)
-	pc.send(patch)
+	pc.Send(reset)
+	pc.Send(patch)
 }
 
 func (n *Node) addPeer(pc *peerConn) bool {
@@ -533,7 +344,7 @@ func (n *Node) removePeer(pc *peerConn) {
 	n.mu.Unlock()
 	n.routes.dropPeer(pc)
 	n.pushRoutes.dropPeer(pc)
-	pc.shutdown()
+	pc.Close()
 }
 
 func (n *Node) countsLocked() (peers, leaves int) {
@@ -579,56 +390,16 @@ func (n *Node) QRPReadyLeaves() int {
 	return ready
 }
 
+// runPeer serves the peer until its link stops, then forgets it.
 func (n *Node) runPeer(pc *peerConn) {
-	defer func() {
-		n.removePeer(pc)
-		pc.drainInbound()
-	}()
-	for {
-		m, err := pc.fc.Read()
+	pc.Serve(func(m *Message) error {
+		err := n.handle(pc, m)
 		if err != nil {
-			return
+			n.logf("handle %s from %s: %v", m.Type, pc.RemoteAddr(), err)
 		}
-		met.rx[byte(m.Type)].Inc()
-		// The read loop owns the descriptor's original reference; handlers
-		// that forward it retain once per target. Releasing here is what
-		// lets the next Read reuse the slab, so any handler code holding
-		// payload bytes past this point must have retained or copied. A
-		// counted flood descriptor is retired once its handler returns:
-		// every send it caused has been added to the ledger by then.
-		id, counted := floodKey(m)
-		err = n.handle(pc, m)
-		if counted {
-			n.floods.Retire(id)
-		}
-		if err != nil {
-			n.logf("handle %s from %s: %v", m.Type, pc.fc.RemoteAddr(), err)
-			m.Release()
-			return
-		}
-		m.Release()
-	}
-}
-
-// drainInbound retires the flood descriptors the peer delivered in full
-// but the read loop never handled. The connection is closed by now, so
-// Read returns only what is already buffered; a descriptor cut off
-// mid-frame is its sender's to retire.
-func (pc *peerConn) drainInbound() {
-	led := pc.node.floods
-	if led == nil {
-		return
-	}
-	for {
-		m, err := pc.fc.Read()
-		if err != nil {
-			return
-		}
-		if id, counted := floodKey(m); counted {
-			led.Retire(id)
-		}
-		m.Release()
-	}
+		return err
+	})
+	n.removePeer(pc)
 }
 
 func (n *Node) logf(format string, args ...any) {
@@ -662,7 +433,7 @@ func (n *Node) handle(pc *peerConn, m *Message) error {
 func (n *Node) sendPong(pc *peerConn, g guid.GUID, ttl, hops byte, p Pong) error {
 	reply := NewMessage(g, MsgPong, ttl, hops, pongSize)
 	reply.Payload = p.AppendTo(reply.Payload)
-	return pc.send(reply)
+	return pc.Send(reply)
 }
 
 func (n *Node) handlePing(pc *peerConn, m *Message) error {
@@ -743,7 +514,7 @@ func (n *Node) handleQuery(pc *peerConn, m *Message) error {
 			return err
 		}
 		reply.Payload = payload
-		if err := pc.send(reply); err != nil {
+		if err := pc.Send(reply); err != nil {
 			return err
 		}
 	}
@@ -786,7 +557,7 @@ func (n *Node) handleQuery(pc *peerConn, m *Message) error {
 	m.Hops++
 	for _, t := range targets {
 		m.Retain()
-		t.send(m)
+		t.Send(m)
 	}
 	return nil
 }
@@ -829,7 +600,7 @@ func (n *Node) handleQueryHit(pc *peerConn, m *Message) error {
 	m.TTL--
 	m.Hops++
 	m.Retain()
-	return dest.send(m)
+	return dest.Send(m)
 }
 
 func (n *Node) handlePush(pc *peerConn, m *Message) error {
@@ -858,7 +629,7 @@ func (n *Node) handlePush(pc *peerConn, m *Message) error {
 	}
 	m.Hops++
 	m.Retain()
-	return dest.send(m)
+	return dest.Send(m)
 }
 
 func (n *Node) handleRouteTable(pc *peerConn, m *Message) error {
@@ -906,7 +677,7 @@ func (n *Node) QueryWith(g guid.GUID, criteria string, extensions string) error 
 	m.Payload = q.AppendTo(m.Payload)
 	for _, pc := range targets {
 		m.Retain()
-		pc.send(m)
+		pc.Send(m)
 	}
 	m.Release()
 	return nil
@@ -927,7 +698,7 @@ func (n *Node) PingTTL(ttl byte) {
 	n.mu.Unlock()
 	for _, pc := range targets {
 		m.Retain()
-		pc.send(m)
+		pc.Send(m)
 	}
 	m.Release()
 }
@@ -942,7 +713,7 @@ func (n *Node) SendPush(serventID guid.GUID, index uint32, ip net.IP, port uint1
 	}
 	m := NewMessage(guid.New(), MsgPush, DefaultTTL, 0, pushSize)
 	m.Payload = p.AppendTo(m.Payload)
-	return dest.send(m)
+	return dest.Send(m)
 }
 
 // Close shuts the node down: listener, every connection, and waits for all
@@ -968,19 +739,19 @@ func (n *Node) Close() error {
 	// so it is wall time by design.
 	bye := &Message{GUID: guid.New(), Type: MsgBye, TTL: 1, Payload: Bye{Code: 200, Reason: "shutting down"}.Encode()}
 	for _, pc := range peers {
-		if pc.send(bye) != nil {
-			pc.shutdown()
+		if pc.SendLast(bye) != nil {
+			pc.Close()
 		}
 	}
 	expired := simclock.After(ioClock, byeBound)
 	for _, pc := range peers {
 		select {
-		case <-pc.done:
+		case <-pc.Done():
 			continue
 		case <-expired:
 		}
 		for _, unread := range peers {
-			unread.shutdown()
+			unread.Close()
 		}
 		break
 	}

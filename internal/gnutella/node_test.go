@@ -259,7 +259,7 @@ func TestDuplicateQueriesDropped(t *testing.T) {
 	if _, err := ClientHandshake(c, br, HandshakeOptions{Ultrapeer: true, UserAgent: "test", Timeout: 2 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	fc := NewConnFrom(c, br)
+	fc := newWireConnFrom(c, br)
 	m := &Message{GUID: guid.New(), Type: MsgQuery, TTL: 3, Payload: Query{Criteria: "anything"}.Encode()}
 	fc.Write(m)
 	fc.Write(m)
@@ -553,7 +553,7 @@ func TestQRPReadyWaitsForPatch(t *testing.T) {
 	if _, err := ClientHandshake(c, br, HandshakeOptions{UserAgent: "leaf", Timeout: 2 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	fc := NewConnFrom(c, br)
+	fc := newWireConnFrom(c, br)
 	if err := fc.Write(&Message{GUID: guid.New(), Type: MsgRouteTable, TTL: 1, Payload: EncodeQRPReset(QRPTableBits)}); err != nil {
 		t.Fatal(err)
 	}

@@ -74,9 +74,9 @@ func TestSplitHostPortRejectsBadPorts(t *testing.T) {
 // TestReadRetainedMessageSurvivesReuse is the buffer-reuse aliasing
 // regression test: a message retained past its handler (a queued forward,
 // a collector) must keep its payload bytes while the connection keeps
-// reading — i.e. Conn.Read must hand each descriptor its own slab, never
-// a shared reader-owned buffer. Run under -race this also proves the
-// retained payload is not concurrently scribbled on.
+// reading — i.e. the codec's ReadFrame must hand each descriptor its own
+// slab, never a shared reader-owned buffer. Run under -race this also
+// proves the retained payload is not concurrently scribbled on.
 func TestReadRetainedMessageSurvivesReuse(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
@@ -84,7 +84,7 @@ func TestReadRetainedMessageSurvivesReuse(t *testing.T) {
 	const total = 64
 	errc := make(chan error, 1)
 	go func() {
-		w := NewConn(c1)
+		w := newWireConn(c1)
 		for i := 0; i < total; i++ {
 			q := Query{Criteria: queryCriteria(i)}
 			m := NewMessage(guid.New(), MsgQuery, 4, 0, q.encodedSize())
@@ -99,7 +99,7 @@ func TestReadRetainedMessageSurvivesReuse(t *testing.T) {
 		errc <- nil
 	}()
 
-	r := NewConn(c2)
+	r := newWireConn(c2)
 	var retained []*Message
 	for i := 0; i < total; i++ {
 		m, err := r.Read()
@@ -131,9 +131,9 @@ func queryCriteria(i int) string {
 	return "unique query payload number " + string(rune('A'+i%26)) + " seq " + itoa(int64(i))
 }
 
-// TestWriteCoalescing checks that WriteBuffered stages frames without
-// touching the wire until Flush, and that the flushed bytes frame every
-// staged descriptor intact.
+// TestWriteCoalescing checks that the codec stages frames in a buffered
+// writer without touching the wire until Flush, and that the flushed bytes
+// frame every staged descriptor intact.
 func TestWriteCoalescing(t *testing.T) {
 	var wire bytes.Buffer
 	srv, cli := net.Pipe()
@@ -150,7 +150,7 @@ func TestWriteCoalescing(t *testing.T) {
 			}
 		}
 	}()
-	fc := NewConn(cli)
+	fc := newWireConn(cli)
 	var sent []*Message
 	for i := 0; i < 3; i++ {
 		q := Query{Criteria: queryCriteria(i)}
@@ -170,7 +170,7 @@ func TestWriteCoalescing(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("reader did not finish")
 	}
-	rd := NewConnFrom(nopConn{}, bufio.NewReader(&wire))
+	rd := newWireConnFrom(nopConn{}, bufio.NewReader(&wire))
 	for i, want := range sent {
 		got, err := rd.Read()
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/url"
 	"strconv"
@@ -45,48 +44,14 @@ func Retryable(err error) bool {
 	return !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrFirewalled)
 }
 
-// MaxTransferSize caps a single HTTP transfer body. A hostile servent
-// advertising a multi-gigabyte Content-Length must not be able to make
-// the crawler allocate it up front.
-const MaxTransferSize = 64 << 20
-
-// readBody reads a response body whose length the peer advertised,
-// clamped against MaxTransferSize before any allocation; peerLen < 0 (no
-// Content-Length header) reads to EOF under the same cap through a pooled
-// staging buffer.
-func readBody(br *bufio.Reader, peerLen int64) ([]byte, error) {
-	if peerLen > MaxTransferSize {
-		met.clamped.Inc()
-		return nil, fmt.Errorf("gnutella: content length %d exceeds transfer cap %d", peerLen, int64(MaxTransferSize))
-	}
-	if peerLen < 0 {
-		stage := bufpool.GetBuffer()
-		defer bufpool.PutBuffer(stage)
-		if _, err := io.Copy(stage, io.LimitReader(br, MaxTransferSize)); err != nil {
-			return nil, fmt.Errorf("gnutella: download body: %w", err)
-		}
-		b := make([]byte, stage.Len())
-		copy(b, stage.Bytes())
-		met.bytesIn.Add(int64(len(b)))
-		return b, nil
-	}
-	body := make([]byte, peerLen)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, fmt.Errorf("gnutella: download body: %w", err)
-	}
-	met.bytesIn.Add(peerLen)
-	return body, nil
-}
+// xfer is the package's transfer client (see p2p.Transfer).
+var xfer = p2p.NewTransfer("gnutella", Fate, Retryable)
 
 func (n *Node) serveHTTP(c net.Conn) {
 	defer c.Close()
 	c.SetDeadline(ioDeadline(30 * time.Second))
 	br := bufpool.GetReader(c)
 	defer bufpool.PutReader(br)
-	n.serveOneHTTP(c, br)
-}
-
-func (n *Node) serveOneHTTP(c net.Conn, br *bufio.Reader) {
 	n.serveRequest(c, br, n.cfg.Firewalled)
 }
 
@@ -143,8 +108,7 @@ func (n *Node) serveRequest(c net.Conn, br *bufio.Reader, refuse bool) {
 		fmt.Fprintf(c, "HTTP/1.1 206 Partial Content\r\nServer: %s\r\nContent-Type: application/binary\r\nContent-Range: bytes %d-%d/%d\r\nContent-Length: %d\r\n\r\n",
 			n.cfg.UserAgent, lo, hi, len(data), hi-lo+1)
 		if fields[0] == "GET" {
-			c.Write(data[lo : hi+1])
-			met.bytesOut.Add(hi - lo + 1)
+			xfer.WriteBody(c, data[lo:hi+1])
 		}
 		return
 	}
@@ -158,8 +122,7 @@ func (n *Node) serveRequest(c net.Conn, br *bufio.Reader, refuse bool) {
 	fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nServer: %s\r\nContent-Type: application/binary\r\n%sContent-Length: %d\r\n\r\n",
 		n.cfg.UserAgent, urnHdr, len(data))
 	if fields[0] == "GET" {
-		c.Write(data)
-		met.bytesOut.Add(int64(len(data)))
+		xfer.WriteBody(c, data)
 	}
 }
 
@@ -237,20 +200,8 @@ func writeHTTPError(c net.Conn, code int, text string) {
 // Download fetches /get/<index>/<name> from addr over the transport and
 // returns the body.
 func Download(tr p2p.Transport, addr string, index uint32, name string) ([]byte, error) {
-	return downloadOnce(tr, addr, index, name, 30*time.Second)
-}
-
-// downloadOnce performs one download attempt under one socket deadline.
-func downloadOnce(tr p2p.Transport, addr string, index uint32, name string, timeout time.Duration) ([]byte, error) {
-	c, err := tr.Dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("gnutella: download dial %s: %w", addr, err)
-	}
-	defer c.Close()
-	c.SetDeadline(ioDeadline(timeout))
-	br := bufpool.GetReader(c)
-	defer bufpool.PutReader(br)
-	return httpGet(c, br, index, name)
+	body, _, err := DownloadAttempts(tr, addr, index, name, p2p.RetryPolicy{Attempts: 1})
+	return body, err
 }
 
 // Fate classifies a gnutella transfer error into a stable fate token:
@@ -276,167 +227,68 @@ func Fate(err error) string {
 
 // DownloadAttempts fetches like Download but survives a hostile path:
 // each attempt runs under policy.AttemptTimeout, retryable failures back
-// off exponentially (capped, with deterministic per-key jitter — the
-// backoff runs on the wall clock and never touches trace time), and
-// terminal conditions (not found, firewalled) abort immediately. It also
-// returns an attempt log: one p2p.Attempt per try, recording the fate
-// token, the deterministic backoff slept after it (zero on the final
-// try), and the measured wall duration. The study engine turns the log
-// into per-attempt spans.
+// off (see p2p.Transfer.Attempts), and terminal conditions (not found,
+// firewalled) abort immediately. It also returns the attempt log, which
+// the study engine turns into per-attempt spans.
 func DownloadAttempts(tr p2p.Transport, addr string, index uint32, name string, policy p2p.RetryPolicy) ([]byte, []p2p.Attempt, error) {
-	policy = policy.WithDefaults()
-	key := fmt.Sprintf("%s/%d", addr, index)
-	attempts := make([]p2p.Attempt, 0, policy.Attempts)
-	var lastErr error
-	for attempt := 1; attempt <= policy.Attempts; attempt++ {
-		start := ioClock.Now()
-		body, err := downloadOnce(tr, addr, index, name, policy.AttemptTimeout)
-		wall := simclock.Since(ioClock, start)
-		if err == nil {
-			attempts = append(attempts, p2p.Attempt{Fate: p2p.FateOK, Wall: wall})
-			return body, attempts, nil
-		}
-		lastErr = err
-		if !Retryable(err) {
-			attempts = append(attempts, p2p.Attempt{Fate: Fate(err), Wall: wall})
-			return nil, attempts, err
-		}
-		var backoff time.Duration
-		if attempt < policy.Attempts {
-			met.retries.Inc()
-			backoff = policy.Delay(key, attempt)
-			simclock.Sleep(ioClock, backoff)
-		}
-		attempts = append(attempts, p2p.Attempt{Fate: Fate(err), Backoff: backoff, Wall: wall})
-	}
-	return nil, attempts, lastErr
-}
-
-// httpGet issues the GET for a file on an established connection and reads
-// the response body. Durations are wall time (they bound real socket
-// activity) and feed the transfer-latency histogram, never trace events.
-func httpGet(c net.Conn, br *bufio.Reader, index uint32, name string) ([]byte, error) {
-	start := ioClock.Now()
-	body, err := httpGetBody(c, br, index, name)
-	if err == nil {
-		met.transferDur.ObserveDuration(simclock.Since(ioClock, start))
-	}
-	return body, err
-}
-
-func httpGetBody(c net.Conn, br *bufio.Reader, index uint32, name string) ([]byte, error) {
-	path := fmt.Sprintf("/get/%d/%s", index, url.PathEscape(name))
-	if _, err := fmt.Fprintf(c, "GET %s HTTP/1.1\r\nUser-Agent: SimShare/1.0\r\nConnection: close\r\n\r\n", path); err != nil {
-		return nil, fmt.Errorf("gnutella: download write: %w", err)
-	}
-	status, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("gnutella: download status: %w", err)
-	}
-	fields := strings.Fields(status)
-	if len(fields) < 2 {
-		return nil, fmt.Errorf("gnutella: malformed status %q", strings.TrimSpace(status))
-	}
-	code, _ := strconv.Atoi(fields[1])
-	var contentLength int64 = -1
-	var urn string
-	for {
-		h, err := br.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("gnutella: download headers: %w", err)
-		}
-		h = strings.TrimSpace(h)
-		if h == "" {
-			break
-		}
-		if i := strings.IndexByte(h, ':'); i > 0 {
-			switch {
-			case strings.EqualFold(strings.TrimSpace(h[:i]), "Content-Length"):
-				contentLength, _ = strconv.ParseInt(strings.TrimSpace(h[i+1:]), 10, 64)
-			case strings.EqualFold(strings.TrimSpace(h[:i]), "X-Gnutella-Content-URN"):
-				urn = strings.TrimSpace(h[i+1:])
-			}
-		}
-	}
-	switch code {
-	case 200:
-	case 403:
-		return nil, ErrFirewalled
-	case 404:
-		return nil, ErrNotFound
-	default:
-		return nil, fmt.Errorf("gnutella: download status %d", code)
-	}
-	body, err := readBody(br, contentLength)
-	if err != nil {
-		return nil, err
-	}
-	// End-to-end integrity: when the servent advertised the content URN,
-	// a body that hashes differently was damaged in flight. Surfacing
-	// ErrCorrupt (retryable) instead of the bad bytes keeps wire damage
-	// from silently relabeling a specimen as clean content.
-	if urn != "" && p2p.URNSHA1(body) != urn {
-		met.corrupt.Inc()
-		return nil, ErrCorrupt
-	}
-	return body, nil
+	return xfer.Attempts(policy, fmt.Sprintf("%s/%d", addr, index), func(timeout time.Duration) ([]byte, error) {
+		return xfer.Dial(tr, addr, timeout, func(c net.Conn, br *bufio.Reader) ([]byte, error) {
+			return httpGet(c, br, index, name, "")
+		})
+	})
 }
 
 // DownloadRange fetches length bytes starting at offset (length < 0 means
 // "to end of file") using an HTTP Range request — the resume mechanism
 // Gnutella servents used for swarmed/interrupted downloads.
 func DownloadRange(tr p2p.Transport, addr string, index uint32, name string, offset, length int64) ([]byte, error) {
-	c, err := tr.Dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("gnutella: download dial %s: %w", addr, err)
-	}
-	defer c.Close()
-	c.SetDeadline(ioDeadline(30 * time.Second))
 	rangeSpec := fmt.Sprintf("bytes=%d-", offset)
 	if length >= 0 {
 		rangeSpec = fmt.Sprintf("bytes=%d-%d", offset, offset+length-1)
 	}
-	path := fmt.Sprintf("/get/%d/%s", index, url.PathEscape(name))
-	if _, err := fmt.Fprintf(c, "GET %s HTTP/1.1\r\nUser-Agent: SimShare/1.0\r\nRange: %s\r\nConnection: close\r\n\r\n", path, rangeSpec); err != nil {
-		return nil, fmt.Errorf("gnutella: download write: %w", err)
+	return xfer.Dial(tr, addr, 30*time.Second, func(c net.Conn, br *bufio.Reader) ([]byte, error) {
+		return httpGet(c, br, index, name, rangeSpec)
+	})
+}
+
+// httpGet issues the GET for a file on an established connection — for
+// the byte range rangeSpec names, or the whole file when it is empty — and
+// reads the response body.
+func httpGet(c net.Conn, br *bufio.Reader, index uint32, name, rangeSpec string) ([]byte, error) {
+	want, rangeHdr := 200, ""
+	if rangeSpec != "" {
+		want, rangeHdr = 206, "Range: "+rangeSpec+"\r\n"
 	}
-	br := bufpool.GetReader(c)
-	defer bufpool.PutReader(br)
-	status, err := br.ReadString('\n')
+	h, err := xfer.Get(c, br, fmt.Sprintf("GET /get/%d/%s HTTP/1.1\r\nUser-Agent: SimShare/1.0\r\n%sConnection: close\r\n\r\n",
+		index, url.PathEscape(name), rangeHdr))
 	if err != nil {
-		return nil, fmt.Errorf("gnutella: download status: %w", err)
+		return nil, err
 	}
-	fields := strings.Fields(status)
-	if len(fields) < 2 {
-		return nil, fmt.Errorf("gnutella: malformed status %q", strings.TrimSpace(status))
-	}
-	code, _ := strconv.Atoi(fields[1])
-	var contentLength int64 = -1
-	for {
-		h, err := br.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("gnutella: download headers: %w", err)
-		}
-		h = strings.TrimSpace(h)
-		if h == "" {
-			break
-		}
-		if i := strings.IndexByte(h, ':'); i > 0 && strings.EqualFold(strings.TrimSpace(h[:i]), "Content-Length") {
-			contentLength, _ = strconv.ParseInt(strings.TrimSpace(h[i+1:]), 10, 64)
-		}
-	}
-	switch code {
-	case 206:
-	case 404:
-		return nil, ErrNotFound
+	switch h.Code {
+	case want:
 	case 403:
 		return nil, ErrFirewalled
+	case 404:
+		return nil, ErrNotFound
 	case 416:
-		return nil, fmt.Errorf("gnutella: range not satisfiable")
+		return nil, errors.New("gnutella: range not satisfiable")
 	default:
-		return nil, fmt.Errorf("gnutella: range download status %d", code)
+		return nil, fmt.Errorf("gnutella: download status %d", h.Code)
 	}
-	return readBody(br, contentLength)
+	body, err := xfer.ReadBody(br, h.Length)
+	if err != nil {
+		return nil, err
+	}
+	// End-to-end integrity: when the servent advertised the content URN,
+	// a body that hashes differently was damaged in flight. Surfacing
+	// ErrCorrupt (retryable) instead of the bad bytes keeps wire damage
+	// from silently relabeling a specimen as clean content. The URN names
+	// the whole file, so a range body, which HUGE servents also label
+	// with it, is not checked against it.
+	if urn := h.Header["x-gnutella-content-urn"]; rangeSpec == "" && urn != "" && p2p.URNSHA1(body) != urn {
+		return nil, xfer.Corrupt(ErrCorrupt)
+	}
+	return body, nil
 }
 
 // pushKey identifies a pending push-download.
@@ -448,36 +300,44 @@ func pushKey(index uint32, sid guid.GUID) string {
 // firewalled servent's GIV callback on this node's listener, then performs
 // the GET on the called-back connection.
 func (n *Node) DownloadViaPush(serventID guid.GUID, index uint32, name string, timeout time.Duration) ([]byte, error) {
-	key := pushKey(index, serventID)
-	ch := make(chan net.Conn, 1)
-	n.pushMu.Lock()
-	n.pushWaiters[key] = ch
-	n.pushMu.Unlock()
-	defer func() {
-		n.pushMu.Lock()
-		delete(n.pushWaiters, key)
-		n.pushMu.Unlock()
-	}()
+	body, _, err := n.PushAttempts(serventID, index, name, timeout)
+	return body, err
+}
 
-	host, port := splitHostPort(n.Addr())
-	ip := net.ParseIP(host)
-	if n.cfg.AdvertiseIP != nil {
-		ip = n.cfg.AdvertiseIP
-		port = n.cfg.AdvertisePort
-	}
-	if err := n.SendPush(serventID, index, ip, port); err != nil {
-		return nil, err
-	}
-	select {
-	case c := <-ch:
-		defer c.Close()
-		c.SetDeadline(ioDeadline(30 * time.Second))
-		br := bufpool.GetReader(c)
-		defer bufpool.PutReader(br)
-		return httpGet(c, br, index, name)
-	case <-simclock.After(ioClock, timeout):
-		return nil, ErrPushWait
-	}
+// PushAttempts is DownloadViaPush with its attempt log. A push is never
+// retried: its one attempt waits up to timeout for the callback.
+func (n *Node) PushAttempts(serventID guid.GUID, index uint32, name string, timeout time.Duration) ([]byte, []p2p.Attempt, error) {
+	return xfer.Attempts(p2p.RetryPolicy{Attempts: 1}, "", func(time.Duration) ([]byte, error) {
+		key := pushKey(index, serventID)
+		ch := make(chan net.Conn, 1)
+		n.pushMu.Lock()
+		n.pushWaiters[key] = ch
+		n.pushMu.Unlock()
+		defer func() {
+			n.pushMu.Lock()
+			delete(n.pushWaiters, key)
+			n.pushMu.Unlock()
+		}()
+
+		host, port := splitHostPort(n.Addr())
+		ip := net.ParseIP(host)
+		if n.cfg.AdvertiseIP != nil {
+			ip = n.cfg.AdvertiseIP
+			port = n.cfg.AdvertisePort
+		}
+		if err := n.SendPush(serventID, index, ip, port); err != nil {
+			return nil, err
+		}
+		select {
+		case c := <-ch:
+			defer c.Close()
+			return xfer.Exchange(c, 30*time.Second, func(c net.Conn, br *bufio.Reader) ([]byte, error) {
+				return httpGet(c, br, index, name, "")
+			})
+		case <-simclock.After(ioClock, timeout):
+			return nil, ErrPushWait
+		}
+	})
 }
 
 // handleGIV accepts a firewalled servent's callback connection and hands

@@ -1,11 +1,15 @@
 package gnutella
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"net"
 	"testing"
 	"testing/quick"
 
+	"p2pmalware/internal/obs"
 	"p2pmalware/internal/p2p"
 )
 
@@ -58,6 +62,22 @@ func TestDownloadRangeClampsPastEnd(t *testing.T) {
 	}
 	if !bytes.Equal(got, content[9990:]) {
 		t.Fatalf("clamped range = %d bytes", len(got))
+	}
+}
+
+// TestDownloadRangeIgnoresWholeFileURN pins that a partial response
+// labelled with the whole file's content URN, as HUGE servents label
+// theirs, still yields its slice: the URN names the file, not the range.
+func TestDownloadRangeIgnoresWholeFileURN(t *testing.T) {
+	content := []byte("the whole specimen, of which the client asks for a slice")
+	resp := fmt.Sprintf("HTTP/1.1 206 Partial Content\r\nContent-Length: 5\r\nContent-Range: bytes 4-8/%d\r\nX-Gnutella-Content-URN: %s\r\n\r\n%s",
+		len(content), p2p.URNSHA1(content), content[4:9])
+	got, err := DownloadRange(&rawRespTransport{resp: []byte(resp)}, "peer:6346", 3, "sample.exe", 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, content[4:9]) {
+		t.Fatalf("range body = %q, want %q", got, content[4:9])
 	}
 }
 
@@ -167,5 +187,47 @@ func TestUnionOfURNLookup(t *testing.T) {
 	}
 	if server.resolvePath("/uri-res/N2R?urn:sha1:WRONG") != nil {
 		t.Fatal("bogus URN resolved")
+	}
+}
+
+// TestDownloadRejectsMalformedContentLength pins that a Content-Length the
+// client cannot read fails the download: it must not pass for an empty
+// body, or for one that runs to EOF.
+func TestDownloadRejectsMalformedContentLength(t *testing.T) {
+	for _, length := range malformedLengths {
+		resp := "HTTP/1.1 200 OK\r\nContent-Length: " + length + "\r\n\r\nmalware sample body bytes"
+		if body, err := Download(&rawRespTransport{resp: []byte(resp)}, "peer:6346", 3, "sample.exe"); err == nil {
+			t.Errorf("Content-Length %q: got a %d-byte body, want an error", length, len(body))
+		}
+	}
+}
+
+// TestUploadCountsAcceptedBytes pins that the upload byte counter counts
+// what the connection accepted: a requester that hangs up part-way
+// through the body is credited with the bytes it read, not the file size.
+func TestUploadCountsAcceptedBytes(t *testing.T) {
+	lib := p2p.NewLibrary()
+	f := p2p.StaticFile("upload.exe", bytes.Repeat([]byte{7}, 4096))
+	lib.Add(f)
+	n := NewNode(Config{Transport: p2p.NewMem(), Library: lib})
+	out := obs.C("p2p_transfer_bytes_total", "network", "gnutella", "dir", "out")
+	before := out.Value()
+	srv, cli := net.Pipe()
+	go func() {
+		defer cli.Close()
+		fmt.Fprintf(cli, "GET /get/%d/upload.exe HTTP/1.1\r\n\r\n", f.Index)
+		br := bufio.NewReader(cli) // the head arrives in one write
+		for line := ""; line != "\r\n"; {
+			var err error
+			if line, err = br.ReadString('\n'); err != nil {
+				return
+			}
+		}
+		io.ReadFull(cli, make([]byte, 1000))
+	}()
+	n.serveRequest(srv, bufio.NewReader(srv), false)
+	srv.Close()
+	if got := out.Value() - before; got != 1000 {
+		t.Fatalf("upload counter grew by %d bytes, want the 1000 the requester read", got)
 	}
 }

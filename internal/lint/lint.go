@@ -24,7 +24,7 @@
 //     `// lint:sanitizer` function. Per-function summaries (param/return
 //     taint transfer, clamp and sanitizer effects) are computed to a
 //     fixpoint over the whole package set in Init, so clamps applied
-//     inside helpers (readBody, SanitizeFilename) are recognized at call
+//     inside helpers (ReadBody, SanitizeFilename) are recognized at call
 //     sites without suppressions.
 //   - leakcheck: goroutines in the node/transfer layers must have an exit
 //     path (done/quit channel, context, or error return) so month-long
@@ -239,7 +239,7 @@ var scopeTable = []scopeRow{
 	{pkg: "netsim", clock: true, leak: true, deter: true, lock: true, block: true, release: true},
 	{pkg: "obs", clock: true, leak: true, deter: true, lock: true, block: true, release: true, span: true},
 	{pkg: "openft", clock: true, leak: true, deter: true, lock: true, block: true, release: true, span: true},
-	{pkg: "p2p", leak: true, deter: true, lock: true, block: true, release: true},
+	{pkg: "p2p", clock: true, leak: true, deter: true, lock: true, block: true, release: true, span: true},
 	{pkg: "pe", lock: true, block: true, release: true},
 	{pkg: "scanner", deter: true, lock: true, block: true, release: true},
 	{pkg: "simclock", lock: true, block: true, release: true},

@@ -10,15 +10,15 @@ import (
 // parameter to the return values, plus any taint the function produces on
 // its own (stream reads, .Payload access). Summaries are computed to a
 // fixpoint over the whole package set in Analyzer.Init and consulted at
-// call sites, so a clamp or sanitizer applied inside a helper (readBody
+// call sites, so a clamp or sanitizer applied inside a helper (ReadBody
 // capping a peer length, SanitizeFilename laundering a name) is recognized
 // in its callers without `// lint:allow` suppressions — and a helper that
 // forwards wire bytes raw no longer launders them by accident.
 //
 // Summaries are keyed by unqualified function name, like sanitizer facts:
 // the loader works on parsed (untyped) ASTs, so call targets resolve by
-// name. Same-name declarations (readBody in both transfer layers, Encode
-// on every message type) join pointwise, which is conservative in the
+// name. Same-name declarations (Encode on every message type, ReadFrame
+// on both link codecs) join pointwise, which is conservative in the
 // "facts only move up the lattice" direction. Calls through a known
 // standard-library package selector never consult summaries.
 

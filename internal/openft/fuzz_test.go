@@ -7,6 +7,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,9 +85,10 @@ func (r *rawRespTransport) Dial(addr string) (net.Conn, error) {
 
 // FuzzDownloadResponse feeds the transfer client's HTTP response parser
 // raw wire bytes — including the truncated and bit-flipped shapes the
-// fault injector produces. It must never panic or hang, and any body it
-// accepts must hash to the MD5 the request asked for: the end-to-end
-// integrity check that keeps wire damage out of the labelled trace.
+// fault injector produces. It must never panic or hang, any body it
+// accepts must hash to the MD5 the request asked for — the end-to-end
+// integrity check that keeps wire damage out of the labelled trace — and
+// it must never accept one under a malformed Content-Length.
 func FuzzDownloadResponse(f *testing.F) {
 	body := []byte("openft sample body bytes")
 	digest := md5.Sum(body)
@@ -98,14 +101,43 @@ func FuzzDownloadResponse(f *testing.F) {
 	for _, m := range faultsim.Mangle(valid, 0x7A59) {
 		f.Add(m)
 	}
+	for _, length := range malformedLengths {
+		f.Add([]byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n%s", length, body)))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		got, err := download(&rawRespTransport{resp: b}, "peer:1216", sum, 5*time.Second)
 		if err != nil {
 			return
+		}
+		if malformedLength(b) {
+			t.Fatalf("accepted a %d-byte body under a malformed Content-Length", len(got))
 		}
 		gotDigest := md5.Sum(got)
 		if hex.EncodeToString(gotDigest[:]) != sum {
 			t.Fatalf("accepted a body that does not hash to the requested MD5")
 		}
 	})
+}
+
+// malformedLengths are Content-Length values that are not non-negative
+// decimal integers.
+var malformedLengths = []string{"24x", "abc", "-7", "+24", "", "0x18", "2 4"}
+
+// malformedLength reports whether response b's head carries a
+// Content-Length that is not a non-negative decimal integer.
+func malformedLength(b []byte) bool {
+	lines := strings.Split(string(b), "\n")
+	for _, line := range lines[1:] {
+		line = strings.TrimSpace(line)
+		if line == "" {
+			return false
+		}
+		name, value, ok := strings.Cut(line, ":")
+		if ok && strings.EqualFold(strings.TrimSpace(name), "Content-Length") {
+			if _, err := strconv.ParseUint(strings.TrimSpace(value), 10, 63); err != nil {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -115,13 +115,13 @@ func TestSurvivesMalformedSessionTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shares without child registration must be ignored.
-	s.send(Share{MD5: "deadbeef", Size: 666, Path: "canary share.exe"}.Encode(CmdAddShare))
+	s.Send(Share{MD5: "deadbeef", Size: 666, Path: "canary share.exe"}.Encode(CmdAddShare))
 	// Truncated search request.
-	s.send(&Packet{Cmd: CmdSearchReq, Payload: []byte{1}})
+	s.Send(&Packet{Cmd: CmdSearchReq, Payload: []byte{1}})
 	// Search responses for unknown IDs.
-	s.send(SearchResp{ID: 0xFFFF_FF01, IP: net.IPv4(6, 6, 6, 6), Port: 1, Size: 1, MD5: "m", Path: "p"}.Encode())
+	s.Send(SearchResp{ID: 0xFFFF_FF01, IP: net.IPv4(6, 6, 6, 6), Port: 1, Size: 1, MD5: "m", Path: "p"}.Encode())
 	// Unknown command.
-	s.send(&Packet{Cmd: Command(0x7777), Payload: []byte("??")})
+	s.Send(&Packet{Cmd: Command(0x7777), Payload: []byte("??")})
 	time.Sleep(50 * time.Millisecond)
 	verify()
 }
@@ -137,7 +137,7 @@ func TestUnregisteredSharesNotSearchable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.send(Share{MD5: "feedface", Size: 1234, Path: "polluted unique zzyzx.exe"}.Encode(CmdAddShare))
+	s.Send(Share{MD5: "feedface", Size: 1234, Path: "polluted unique zzyzx.exe"}.Encode(CmdAddShare))
 	time.Sleep(50 * time.Millisecond)
 
 	var mu sync.Mutex

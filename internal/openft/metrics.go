@@ -1,16 +1,19 @@
 package openft
 
-import "p2pmalware/internal/obs"
+import (
+	"p2pmalware/internal/obs"
+	"p2pmalware/internal/p2p"
+)
 
 // met holds the package's pre-resolved metric handles, mirroring the
-// gnutella layer: per-command rx/tx/drop counters indexed so the hot path
-// is one map-free lookup plus an atomic add. OpenFT commands are a dense
+// gnutella layer: per-command message counters indexed so the hot path is
+// one map-free lookup plus an atomic add. OpenFT commands are a dense
 // uint16 space starting at zero; anything past the known range shares an
-// "other" counter.
+// "other" set. Transfer metrics live on xfer.
 var met = newMetrics()
 
 type metrics struct {
-	rx, tx, drop []*obs.Counter // indexed by Command, len knownCmds+1; last = other
+	msg [knownCmdCount + 1]p2p.MessageCounters // indexed by command; last = other
 
 	handshakeAcceptOK  *obs.Counter
 	handshakeAcceptErr *obs.Counter
@@ -19,13 +22,6 @@ type metrics struct {
 
 	sessionGauge *obs.Gauge
 	childGauge   *obs.Gauge
-
-	bytesIn     *obs.Counter
-	bytesOut    *obs.Counter
-	clamped     *obs.Counter
-	corrupt     *obs.Counter
-	retries     *obs.Counter
-	transferDur *obs.Histogram
 }
 
 // knownCmdCount covers CmdVersionReq (0) through CmdStatsResp (0x0C).
@@ -39,32 +35,13 @@ func newMetrics() *metrics {
 		handshakeDialErr:   obs.C("p2p_handshakes_total", "network", "openft", "side", "dial", "result", "error"),
 		sessionGauge:       obs.G("p2p_connections", "network", "openft", "kind", "session"),
 		childGauge:         obs.G("p2p_connections", "network", "openft", "kind", "child"),
-		bytesIn:            obs.C("p2p_transfer_bytes_total", "network", "openft", "dir", "in"),
-		bytesOut:           obs.C("p2p_transfer_bytes_total", "network", "openft", "dir", "out"),
-		clamped:            obs.C("p2p_transfer_clamped_total", "network", "openft"),
-		corrupt:            obs.C("p2p_transfer_corrupt_total", "network", "openft"),
-		retries:            obs.C("p2p_transfer_retries_total", "network", "openft"),
-		transferDur:        obs.H("p2p_transfer_duration_us", obs.LatencyBuckets, "network", "openft"),
 	}
-	m.rx = make([]*obs.Counter, knownCmdCount+1)
-	m.tx = make([]*obs.Counter, knownCmdCount+1)
-	m.drop = make([]*obs.Counter, knownCmdCount+1)
-	for i := 0; i <= knownCmdCount; i++ {
+	for i := range m.msg {
 		name := "other"
 		if i < knownCmdCount {
 			name = Command(i).String()
 		}
-		m.rx[i] = obs.C("p2p_messages_rx_total", "network", "openft", "type", name)
-		m.tx[i] = obs.C("p2p_messages_tx_total", "network", "openft", "type", name)
-		m.drop[i] = obs.C("p2p_messages_drop_total", "network", "openft", "type", name)
+		m.msg[i] = p2p.NewMessageCounters("openft", name)
 	}
 	return m
-}
-
-// cmdIndex maps a command to its counter slot.
-func cmdIndex(c Command) int {
-	if int(c) < knownCmdCount {
-		return int(c)
-	}
-	return knownCmdCount
 }

@@ -79,55 +79,32 @@ type childShare struct {
 	port  uint16
 }
 
+// session is one established OpenFT connection: the shared peer link
+// (queue, writer, read loop and flood accounting; see p2p.Link) and the
+// OpenFT state kept per session.
 type session struct {
-	node *Node
-	conn net.Conn
-	br   *bufio.Reader
-	// bw coalesces outbound packets: the writer goroutine stages a whole
-	// burst through it and flushes once. Direct (handshake-phase) sends
-	// share it under sendMu and flush per packet.
-	bw *bufio.Writer
-	// box sits between bw and conn: it counts the bytes conn accepted and
-	// the counted flood packets staged since the last clean flush.
-	box  *p2p.Outbox
+	*p2p.Link[*Packet]
 	info NodeInfo
 	// isChild marks an accepted USER child (on a SEARCH node).
 	isChild bool
 	// childAnswer carries the parent's CHILD_RESP verdict to
 	// BecomeChildOf.
 	childAnswer chan bool
-	// Outbound packets flow through a bounded queue drained by a writer
-	// goroutine so reader goroutines never block on a peer's inbound
-	// flow (two hubs replying to each other over synchronous pipes would
-	// otherwise deadlock). A full queue drops the packet.
-	out    chan *Packet
-	done   chan struct{}
-	once   sync.Once
-	sendMu sync.Mutex // serializes direct writes before the writer starts
-	direct bool       // handshake phase: write synchronously; guarded by sendMu
 }
 
-// sessionQueueCap bounds per-session outbound backlog.
-const sessionQueueCap = 512
-
-func newSession(n *Node, c net.Conn, br *bufio.Reader) *session {
-	box := p2p.NewOutbox(c, n.floods)
-	return &session{node: n, conn: c, br: br, bw: bufio.NewWriterSize(box, 8<<10), box: box,
-		out: make(chan *Packet, sessionQueueCap), done: make(chan struct{}), direct: true,
-		childAnswer: make(chan bool, 1)}
+func newSession(c net.Conn, br *bufio.Reader, led *p2p.FloodLedger) *session {
+	return &session{Link: p2p.NewLink[*Packet](c, br, led, codec{}), childAnswer: make(chan bool, 1)}
 }
 
-var (
-	errSessionClosed = errors.New("openft: session closed")
-	errQueueFull     = errors.New("openft: send queue full, packet dropped")
-)
+// codec frames packets (see p2p.Codec).
+type codec struct{}
 
-// floodKey names the flood a packet belongs to and reports whether the
+// FloodKey names the flood a packet belongs to and reports whether the
 // flood ledger counts it: search requests and responses (End markers
 // included) share the search ID that opens their payload.
 //
 // lint:hotpath
-func floodKey(p *Packet) (p2p.FloodID, bool) {
+func (p *Packet) FloodKey() (p2p.FloodID, bool) {
 	var id p2p.FloodID
 	if (p.Cmd != CmdSearchReq && p.Cmd != CmdSearchResp) || len(p.Payload) < 4 {
 		return id, false
@@ -136,169 +113,32 @@ func floodKey(p *Packet) (p2p.FloodID, bool) {
 	return id, true
 }
 
+// ReadFrame reads one packet from br.
+//
+// lint:hotpath
+func (codec) ReadFrame(br *bufio.Reader) (*Packet, error) { return ReadPacket(br) }
+
+// WriteFrame stages p in bw without flushing and returns its size on the
+// wire.
+//
+// lint:hotpath
+func (codec) WriteFrame(bw *bufio.Writer, p *Packet) (int, error) {
+	return 4 + len(p.Payload), p.writeTo(bw)
+}
+
+// Counters returns the command's message counters; commands past the
+// known range share the last set.
+//
+// lint:hotpath
+func (codec) Counters(p *Packet) *p2p.MessageCounters {
+	return &met.msg[min(int(p.Cmd), knownCmdCount)]
+}
+
 // SearchFloodID is the flood-ledger name of search id.
 func SearchFloodID(id uint32) p2p.FloodID {
 	var f p2p.FloodID
 	binary.BigEndian.PutUint32(f[:], id)
 	return f
-}
-
-// send hands one packet to the session, consuming one reference on every
-// path: a direct (handshake-phase) write releases after flushing, a
-// queued packet is released by the writer goroutine, and the closed/drop
-// paths release before returning the error. A counted flood packet is
-// added to the ledger first; the closed and drop paths retire it, and so
-// does a failed direct write the peer did not read in full.
-//
-// lint:hotpath
-func (s *session) send(p *Packet) error {
-	if id, counted := floodKey(p); counted {
-		s.node.floods.Sent(id)
-	}
-	s.sendMu.Lock()
-	direct := s.direct
-	if direct {
-		err := s.stage(p)
-		if err == nil {
-			err = s.flush()
-		}
-		if err == nil {
-			met.tx[cmdIndex(p.Cmd)].Inc()
-		} else {
-			s.box.Failed()
-		}
-		s.sendMu.Unlock()
-		p.Release()
-		return err
-	}
-	s.sendMu.Unlock()
-	select {
-	case <-s.done:
-		s.discard(p)
-		return errSessionClosed
-	default:
-	}
-	select {
-	case s.out <- p:
-		// A shutdown between the check above and the enqueue may have
-		// found the queue empty; take back whatever its drain missed.
-		select {
-		case <-s.done:
-			s.drainQueue()
-		default:
-		}
-		return nil
-	default:
-		met.drop[cmdIndex(p.Cmd)].Inc()
-		s.discard(p)
-		return errQueueFull
-	}
-}
-
-// stage writes p into the session's buffer and records it with the
-// outbox.
-//
-// lint:hotpath
-func (s *session) stage(p *Packet) error {
-	id, counted := floodKey(p)
-	s.box.Staged(4+len(p.Payload), id, counted)
-	return p.writeTo(s.bw)
-}
-
-// flush pushes the buffered packets onto the wire; a clean flush clears
-// the outbox.
-func (s *session) flush() error {
-	if err := s.bw.Flush(); err != nil {
-		return err
-	}
-	s.box.Flushed()
-	return nil
-}
-
-// discard drops a packet that will never reach the peer: it retires a
-// counted one and releases the reference.
-//
-// lint:hotpath
-func (s *session) discard(p *Packet) {
-	if id, counted := floodKey(p); counted {
-		s.node.floods.Retire(id)
-	}
-	p.Release()
-}
-
-// drainQueue discards everything still queued on a session that has shut
-// down. Concurrent drains are safe: each packet leaves the queue once.
-func (s *session) drainQueue() {
-	for {
-		select {
-		case p := <-s.out:
-			s.discard(p)
-		default:
-			return
-		}
-	}
-}
-
-// startWriter switches the session from synchronous handshake writes to
-// the queued writer goroutine.
-func (s *session) startWriter() {
-	s.sendMu.Lock()
-	s.direct = false
-	s.sendMu.Unlock()
-	go s.writeLoop()
-}
-
-// writeLoop drains the outbound queue, coalescing a burst of packets into
-// the session's write buffer and flushing once when the queue runs dry —
-// one syscall (or simulated link write) per burst instead of one per
-// packet. When the loop ends, packets still queued are discarded, and
-// after a failed write the staged flood packets the peer never read in
-// full are retired.
-func (s *session) writeLoop() {
-	defer s.drainQueue()
-	for {
-		select {
-		case <-s.done:
-			return
-		case p := <-s.out:
-			for {
-				err := s.stage(p)
-				if err == nil {
-					met.tx[cmdIndex(p.Cmd)].Inc()
-				}
-				p.Release()
-				if err != nil {
-					s.writeFailed()
-					return
-				}
-				select {
-				case p = <-s.out:
-					continue
-				default:
-				}
-				break
-			}
-			if err := s.flush(); err != nil {
-				s.writeFailed()
-				return
-			}
-		}
-	}
-}
-
-// writeFailed shuts the session down after a failed write and retires the
-// staged flood packets the peer never read in full.
-func (s *session) writeFailed() {
-	s.shutdown()
-	s.box.Failed()
-}
-
-// shutdown marks the session dead and closes the connection; idempotent.
-func (s *session) shutdown() {
-	s.once.Do(func() {
-		close(s.done)
-		s.conn.Close()
-	})
 }
 
 // NewNode creates an OpenFT node; Start must be called to go live.
@@ -335,8 +175,7 @@ func (n *Node) Start() error {
 		return fmt.Errorf("openft: listen %s: %w", n.cfg.ListenAddr, err)
 	}
 	n.listener = l
-	n.wg.Add(1)
-	go n.acceptLoop()
+	p2p.Accept(l, &n.wg, n.dispatch)
 	return nil
 }
 
@@ -351,31 +190,8 @@ func (n *Node) Addr() string {
 // Class returns the node's class.
 func (n *Node) Class() Class { return n.cfg.Class }
 
-func (n *Node) acceptLoop() {
-	defer n.wg.Done()
-	for {
-		c, err := n.listener.Accept()
-		if err != nil {
-			return
-		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.dispatch(c)
-		}()
-	}
-}
-
-func (n *Node) dispatch(c net.Conn) {
-	br := bufio.NewReader(c)
-	c.SetReadDeadline(ioDeadline(10 * time.Second))
-	peek, err := br.Peek(4)
-	if err != nil {
-		c.Close()
-		return
-	}
-	c.SetReadDeadline(time.Time{})
-	if string(peek) == "GET " || string(peek) == "HEAD" {
+func (n *Node) dispatch(c net.Conn, br *bufio.Reader, sniff string) {
+	if sniff == "GET " || sniff == "HEAD" {
 		n.serveHTTP(c, br)
 		return
 	}
@@ -383,7 +199,7 @@ func (n *Node) dispatch(c net.Conn) {
 }
 
 func (n *Node) acceptSession(c net.Conn, br *bufio.Reader) {
-	s := newSession(n, c, br)
+	s := newSession(c, br, n.floods)
 	// Acceptor side: expect VersionReq + NodeInfo, answer with
 	// VersionResp + our NodeInfo.
 	c.SetReadDeadline(ioDeadline(10 * time.Second))
@@ -411,12 +227,12 @@ func (n *Node) acceptSession(c net.Conn, br *bufio.Reader) {
 	}
 	s.info = info
 	c.SetReadDeadline(time.Time{})
-	if err := s.send(&Packet{Cmd: CmdVersionResp, Payload: []byte{0, 2, 1, 0}}); err != nil {
+	if err := s.Write(&Packet{Cmd: CmdVersionResp, Payload: []byte{0, 2, 1, 0}}); err != nil {
 		met.handshakeAcceptErr.Inc()
 		c.Close()
 		return
 	}
-	if err := s.send(n.nodeInfo().Encode()); err != nil {
+	if err := s.Write(n.nodeInfo().Encode()); err != nil {
 		met.handshakeAcceptErr.Inc()
 		c.Close()
 		return
@@ -426,7 +242,7 @@ func (n *Node) acceptSession(c net.Conn, br *bufio.Reader) {
 		return
 	}
 	met.handshakeAcceptOK.Inc()
-	s.startWriter()
+	s.Start(&n.wg)
 	n.runSession(s)
 }
 
@@ -446,12 +262,12 @@ func (n *Node) connect(addr string) (*session, error) {
 		return nil, fmt.Errorf("openft: dial %s: %w", addr, err)
 	}
 	br := bufio.NewReader(c)
-	s := newSession(n, c, br)
-	if err := s.send(&Packet{Cmd: CmdVersionReq}); err != nil {
+	s := newSession(c, br, n.floods)
+	if err := s.Write(&Packet{Cmd: CmdVersionReq}); err != nil {
 		c.Close()
 		return nil, err
 	}
-	if err := s.send(n.nodeInfo().Encode()); err != nil {
+	if err := s.Write(n.nodeInfo().Encode()); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -485,7 +301,7 @@ func (n *Node) connect(addr string) (*session, error) {
 		return nil, errors.New("openft: node closed")
 	}
 	met.handshakeDialOK.Inc()
-	s.startWriter()
+	s.Start(&n.wg)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -505,7 +321,7 @@ func (n *Node) BecomeChildOf(addr string) error {
 	if s.info.Class&ClassSearch == 0 {
 		return fmt.Errorf("openft: %s is not a SEARCH node", addr)
 	}
-	if err := s.send(&Packet{Cmd: CmdChildReq}); err != nil {
+	if err := s.Send(&Packet{Cmd: CmdChildReq}); err != nil {
 		return err
 	}
 	// The accept/deny answer arrives on the reader loop, which hands it
@@ -517,7 +333,7 @@ func (n *Node) BecomeChildOf(addr string) error {
 			return fmt.Errorf("openft: %s refused the child request", addr)
 		}
 		return n.shareAll(s)
-	case <-s.done:
+	case <-s.Done():
 		return fmt.Errorf("openft: %s closed before answering the child request", addr)
 	case <-simclock.After(ioClock, 5*time.Second):
 		return errors.New("openft: parent did not accept child request")
@@ -538,7 +354,7 @@ func (n *Node) shareAll(s *session) error {
 			return err
 		}
 		sh := Share{MD5: sum, Size: uint32(f.Size), Path: f.Name}
-		if err := s.send(sh.Encode(CmdAddShare)); err != nil {
+		if err := s.Send(sh.Encode(CmdAddShare)); err != nil {
 			return err
 		}
 	}
@@ -621,57 +437,19 @@ func (n *Node) removeSession(s *session) {
 		}
 	}
 	n.mu.Unlock()
-	s.shutdown()
+	s.Close()
 }
 
+// runSession serves the session until its link stops, then forgets it.
 func (n *Node) runSession(s *session) {
-	defer func() {
-		n.removeSession(s)
-		s.drainInbound()
-	}()
-	for {
-		p, err := ReadPacket(s.br)
+	s.Serve(func(p *Packet) error {
+		err := n.handle(s, p)
 		if err != nil {
-			return
+			n.logf("handle %s from %s: %v", p.Cmd, s.RemoteAddr(), err)
 		}
-		met.rx[cmdIndex(p.Cmd)].Inc()
-		// The session loop owns the read reference; handlers that need the
-		// packet past this point (the search-response relay) retain it. A
-		// counted flood packet is retired once its handler returns: every
-		// send it caused has been added to the ledger by then.
-		id, counted := floodKey(p)
-		err = n.handle(s, p)
-		if counted {
-			n.floods.Retire(id)
-		}
-		if err != nil {
-			n.logf("handle %s from %s: %v", p.Cmd, s.conn.RemoteAddr(), err)
-			p.Release()
-			return
-		}
-		p.Release()
-	}
-}
-
-// drainInbound retires the flood packets the peer delivered in full but
-// the session loop never handled. The connection is closed by now, so
-// ReadPacket returns only what is already buffered; a packet cut off
-// mid-frame is its sender's to retire.
-func (s *session) drainInbound() {
-	led := s.node.floods
-	if led == nil {
-		return
-	}
-	for {
-		p, err := ReadPacket(s.br)
-		if err != nil {
-			return
-		}
-		if id, counted := floodKey(p); counted {
-			led.Retire(id)
-		}
-		p.Release()
-	}
+		return err
+	})
+	n.removeSession(s)
 }
 
 func (n *Node) logf(format string, args ...any) {
@@ -716,7 +494,7 @@ func (n *Node) handle(s *session, p *Packet) error {
 
 func (n *Node) handleChildReq(s *session) error {
 	if n.cfg.Class&ClassSearch == 0 {
-		return s.send(ChildResp{Accepted: false}.Encode())
+		return s.Send(ChildResp{Accepted: false}.Encode())
 	}
 	n.mu.Lock()
 	children := 0
@@ -734,7 +512,7 @@ func (n *Node) handleChildReq(s *session) error {
 		s.isChild = true
 	}
 	n.mu.Unlock()
-	return s.send(ChildResp{Accepted: accept}.Encode())
+	return s.Send(ChildResp{Accepted: accept}.Encode())
 }
 
 func (n *Node) handleAddShare(s *session, p *Packet) error {
@@ -809,16 +587,16 @@ func (n *Node) handleSearchReq(s *session, p *Packet) error {
 
 	for _, cs := range matches {
 		resp := SearchResp{ID: req.ID, IP: cs.ip, Port: cs.port, Size: cs.share.Size, MD5: cs.share.MD5, Path: cs.share.Path}
-		if err := s.send(resp.Encode()); err != nil {
+		if err := s.Send(resp.Encode()); err != nil {
 			return err
 		}
 	}
-	if err := s.send(SearchResp{ID: req.ID, End: true}.Encode()); err != nil {
+	if err := s.Send(SearchResp{ID: req.ID, End: true}.Encode()); err != nil {
 		return err
 	}
 	fwdReq := SearchReq{ID: req.ID, TTL: req.TTL - 1, Query: req.Query}
 	for _, sess := range fwd {
-		sess.send(fwdReq.Encode())
+		sess.Send(fwdReq.Encode())
 	}
 	return nil
 }
@@ -843,7 +621,7 @@ func (n *Node) handleSearchResp(s *session, p *Packet) error {
 	// which origin.send consumes on every path.
 	if origin != nil && !resp.End {
 		p.Retain()
-		return origin.send(p)
+		return origin.Send(p)
 	}
 	return nil
 }
@@ -866,7 +644,7 @@ func (n *Node) handleNodeListReq(s *session) error {
 		}
 	}
 	n.mu.Unlock()
-	return s.send(EncodeNodeList(entries))
+	return s.Send(EncodeNodeList(entries))
 }
 
 // handleNodeList records advertised nodes for later connection attempts.
@@ -909,7 +687,7 @@ func (n *Node) RequestNodeList() {
 	}
 	n.mu.Unlock()
 	for _, s := range sessions {
-		s.send(&Packet{Cmd: CmdNodeListReq})
+		s.Send(&Packet{Cmd: CmdNodeListReq})
 	}
 }
 
@@ -924,7 +702,7 @@ func (n *Node) handleStatsReq(s *session) error {
 	}
 	st := Stats{Children: uint32(len(n.childShares)), Shares: shares, SizeKB: kb}
 	n.mu.Unlock()
-	return s.send(st.Encode())
+	return s.Send(st.Encode())
 }
 
 // shareMatches applies OpenFT keyword AND-matching to a share path.
@@ -970,7 +748,7 @@ func (n *Node) SearchWith(id uint32, query string) error {
 	}
 	req := SearchReq{ID: id, TTL: n.cfg.SearchTTL, Query: query}
 	for _, s := range parents {
-		if err := s.send(req.Encode()); err != nil {
+		if err := s.Send(req.Encode()); err != nil {
 			return err
 		}
 	}
@@ -994,7 +772,7 @@ func (n *Node) Close() error {
 		n.listener.Close()
 	}
 	for _, s := range sessions {
-		s.shutdown()
+		s.Close()
 	}
 	n.wg.Wait()
 	return nil

@@ -1,14 +1,19 @@
 package openft
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/md5"
 	"encoding/hex"
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"p2pmalware/internal/obs"
 	"p2pmalware/internal/p2p"
 )
 
@@ -315,6 +320,56 @@ func TestDownloadByMD5(t *testing.T) {
 	}
 }
 
+// TestDownloadRejectsMalformedContentLength pins that a Content-Length the
+// client cannot read fails the download as malformed: it must not pass
+// for an empty body, or for one that runs to EOF, and the content check
+// must not be what catches it.
+func TestDownloadRejectsMalformedContentLength(t *testing.T) {
+	body := []byte("openft sample body bytes")
+	digest := md5.Sum(body)
+	sum := hex.EncodeToString(digest[:])
+	for _, length := range malformedLengths {
+		resp := "HTTP/1.1 200 OK\r\nContent-Length: " + length + "\r\n\r\n" + string(body)
+		got, err := Download(&rawRespTransport{resp: []byte(resp)}, "peer:1216", sum)
+		if err == nil || errors.Is(err, ErrCorrupt) {
+			t.Errorf("Content-Length %q: got %d bytes, err %v; want a malformed-length error", length, len(got), err)
+		}
+	}
+}
+
+// TestUploadCountsAcceptedBytes pins that the upload byte counter counts
+// what the connection accepted: a requester that hangs up part-way
+// through the body is credited with the bytes it read, not the file size.
+func TestUploadCountsAcceptedBytes(t *testing.T) {
+	lib := p2p.NewLibrary()
+	f := p2p.StaticFile("upload.exe", bytes.Repeat([]byte{7}, 4096))
+	lib.Add(f)
+	n := NewNode(Config{Class: ClassUser, Transport: p2p.NewMem(), Library: lib})
+	sum, err := n.ShareMD5(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := obs.C("p2p_transfer_bytes_total", "network", "openft", "dir", "out")
+	before := out.Value()
+	srv, cli := net.Pipe()
+	go func() {
+		defer cli.Close()
+		fmt.Fprintf(cli, "GET /md5/%s HTTP/1.1\r\n\r\n", sum)
+		br := bufio.NewReader(cli) // the head arrives in one write
+		for line := ""; line != "\r\n"; {
+			var err error
+			if line, err = br.ReadString('\n'); err != nil {
+				return
+			}
+		}
+		io.ReadFull(cli, make([]byte, 1000))
+	}()
+	n.serveHTTP(srv, bufio.NewReader(srv))
+	if got := out.Value() - before; got != 1000 {
+		t.Fatalf("upload counter grew by %d bytes, want the 1000 the requester read", got)
+	}
+}
+
 func TestChildRefusedByUserNode(t *testing.T) {
 	mem := p2p.NewMem()
 	plainUser := NewNode(Config{Class: ClassUser, Transport: mem, ListenAddr: "pu:1216",
@@ -371,7 +426,7 @@ func TestStats(t *testing.T) {
 	// by wrapping the session reader. Simplest: call handleStatsReq
 	// indirectly is private; accept the reply on the session loop is
 	// swallowed. So just verify the request does not kill the session.
-	if err := s.send(&Packet{Cmd: CmdStatsReq}); err != nil {
+	if err := s.Send(&Packet{Cmd: CmdStatsReq}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)

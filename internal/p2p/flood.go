@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"p2pmalware/internal/simclock"
 )
 
 // Flood completion accounting.
@@ -146,12 +148,12 @@ func (f *Flood) Done() <-chan struct{} { return f.done }
 func (f *Flood) Wait() error { return f.wait(FloodBound) }
 
 func (f *Flood) wait(bound time.Duration) error {
-	t := time.NewTimer(bound)
-	defer t.Stop()
+	expired, stop := simclock.NewTimer(ioClock, bound)
+	defer stop()
 	select {
 	case <-f.done:
 		return nil
-	case <-t.C:
+	case <-expired:
 	}
 	l := f.led
 	l.mu.Lock()

@@ -5,10 +5,12 @@
 package p2p
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"time"
 )
 
 // Transport abstracts how nodes reach each other, so the same node code
@@ -19,6 +21,38 @@ type Transport interface {
 	Listen(addr string) (net.Listener, error)
 	// Dial connects to the given address.
 	Dial(addr string) (net.Conn, error)
+}
+
+// Accept serves l until it is closed, each accepted connection on its own
+// goroutine, counted in wg like the accept loop itself. A servent tells
+// its overlay, HTTP and callback traffic apart on one port by the first
+// bytes a peer sends, so serve gets the connection with its first four
+// bytes peeked through br; a peer that sends fewer within ten seconds is
+// dropped.
+func Accept(l net.Listener, wg *sync.WaitGroup, serve func(c net.Conn, br *bufio.Reader, sniff string)) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				br := bufio.NewReader(c)
+				c.SetReadDeadline(ioDeadline(10 * time.Second))
+				sniff, err := br.Peek(4)
+				if err != nil {
+					c.Close()
+					return
+				}
+				c.SetReadDeadline(time.Time{})
+				serve(c, br, string(sniff))
+			}()
+		}
+	}()
 }
 
 // TCP is the Transport backed by the operating system's TCP stack.

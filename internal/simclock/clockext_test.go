@@ -20,6 +20,32 @@ func TestRealSleepAndAfter(t *testing.T) {
 	}
 }
 
+func TestNewTimer(t *testing.T) {
+	expired, stop := NewTimer(Real{}, time.Millisecond)
+	select {
+	case <-expired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("NewTimer(Real) never fired")
+	}
+	stop()
+	expired, stop = NewTimer(Real{}, time.Millisecond)
+	stop()
+	select {
+	case <-expired:
+		t.Fatal("a stopped real timer fired")
+	case <-time.After(20 * time.Millisecond):
+	}
+	v := NewVirtual(DefaultEpoch)
+	expired, stop = NewTimer(v, time.Minute)
+	defer stop()
+	v.Advance(time.Minute)
+	select {
+	case <-expired:
+	default:
+		t.Fatal("NewTimer(Virtual) did not fire once the clock advanced")
+	}
+}
+
 func TestOrReal(t *testing.T) {
 	if _, ok := OrReal(nil).(Real); !ok {
 		t.Fatalf("OrReal(nil) = %T, want Real", OrReal(nil))

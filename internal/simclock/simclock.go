@@ -88,6 +88,18 @@ func After(c Clock, d time.Duration) <-chan time.Time {
 	return ch
 }
 
+// NewTimer is After with a stop function that releases the timer before
+// it fires; the simclock replacement for time.NewTimer. A real-clock timer
+// nobody stops stays live until it fires, so a wait that may end early
+// should stop it. Stopping another clock's timer does nothing.
+func NewTimer(c Clock, d time.Duration) (<-chan time.Time, func()) {
+	if _, ok := c.(Real); ok {
+		t := time.NewTimer(d)
+		return t.C, func() { t.Stop() }
+	}
+	return After(c, d), func() {}
+}
+
 // Since returns the time elapsed on c since t; the simclock replacement
 // for time.Since.
 func Since(c Clock, t time.Time) time.Duration { return c.Now().Sub(t) }
