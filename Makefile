@@ -39,9 +39,12 @@ fuzz-smoke:
 # of records and spans, churned runs included, faulted or clean), under
 # the race detector, twice. The race detector's scheduling is the
 # perturbation that would expose a leaked flood count or a flood that
-# ends early.
+# ends early. The pooled-body tests (TestPooledBodies*: concurrent serves
+# and downloads of lazy and static files over recycled slabs) run ten
+# times under it.
 chaos:
 	go test ./internal/core/ -race -count=2 -run 'TestStudySurvivesFaultMatrix|EmitIdentical'
+	go test ./internal/gnutella/ ./internal/openft/ -race -count=10 -run 'TestPooledBodies'
 
 # Golden-trace gate: each TestGoldenTrace* test runs one study, and
 # every case's span and record streams must match testdata/golden/ byte

@@ -6,12 +6,16 @@ import (
 	"p2pmalware/internal/obs"
 )
 
-// Payload slabs back the pooled wire descriptors (gnutella.Message,
-// openft.Packet): the reader draws a slab sized for the advertised payload,
-// the descriptor owns it for its refcounted lifetime, and the final Release
-// returns it here. Four size classes cover the protocol limits — gnutella
-// caps payloads at 64 KiB and OpenFT at 32 KiB — while the small classes
-// keep query/pong traffic from pinning 64 KiB each.
+// Slabs back two kinds of short-lived bytes. The small classes back the
+// pooled wire descriptors (gnutella.Message, openft.Packet): the reader
+// draws a slab sized for the advertised payload, the descriptor owns it
+// for its refcounted lifetime, and the final Release returns it here.
+// Gnutella caps payloads at 64 KiB and OpenFT at 32 KiB, and the classes
+// below 64 KiB keep query/pong traffic from pinning 64 KiB each. File
+// bodies use the same classes, and the classes past 64 KiB exist for
+// them: every lazily generated body a servent serves and every body a
+// transfer downloads, which its one user hands back once it has written,
+// hashed or scanned it.
 //
 // The pools store *[N]byte pointers, not []byte headers: a slice stored in
 // an interface allocates its header on every Put, which would put an
@@ -21,7 +25,14 @@ const (
 	slabSmall  = 128
 	slabMedium = 1 << 10
 	slabLarge  = 8 << 10
-	slabMax    = 64 << 10
+	slab64K    = 64 << 10
+	slab128K   = 128 << 10
+	slab256K   = 256 << 10
+	slab512K   = 512 << 10
+	// slabMax is the largest class. It holds the largest specimen of
+	// either malware catalog (about 400 KiB); a longer request is a plain
+	// allocation.
+	slabMax = slab512K
 )
 
 var (
@@ -30,13 +41,17 @@ var (
 	slabSmallPool  = sync.Pool{New: func() any { slabNew.Inc(); return new([slabSmall]byte) }}
 	slabMediumPool = sync.Pool{New: func() any { slabNew.Inc(); return new([slabMedium]byte) }}
 	slabLargePool  = sync.Pool{New: func() any { slabNew.Inc(); return new([slabLarge]byte) }}
-	slabMaxPool    = sync.Pool{New: func() any { slabNew.Inc(); return new([slabMax]byte) }}
+	slab64KPool    = sync.Pool{New: func() any { slabNew.Inc(); return new([slab64K]byte) }}
+	slab128KPool   = sync.Pool{New: func() any { slabNew.Inc(); return new([slab128K]byte) }}
+	slab256KPool   = sync.Pool{New: func() any { slabNew.Inc(); return new([slab256K]byte) }}
+	slab512KPool   = sync.Pool{New: func() any { slabNew.Inc(); return new([slab512K]byte) }}
 )
 
 // GetSlab returns a byte slice of length n drawn from the smallest pooled
 // size class that fits. Requests beyond the largest class fall back to a
 // plain allocation, which PutSlab later discards. The returned slice is
-// uninitialized — callers overwrite it before reading.
+// uninitialized — callers overwrite it before reading. n is an allocation
+// size: a length a peer sent must be clamped before it gets here.
 //
 // lint:hotpath
 func GetSlab(n int) []byte {
@@ -47,15 +62,22 @@ func GetSlab(n int) []byte {
 		return slabMediumPool.Get().(*[slabMedium]byte)[:n]
 	case n <= slabLarge:
 		return slabLargePool.Get().(*[slabLarge]byte)[:n]
-	case n <= slabMax:
-		return slabMaxPool.Get().(*[slabMax]byte)[:n]
+	case n <= slab64K:
+		return slab64KPool.Get().(*[slab64K]byte)[:n]
+	case n <= slab128K:
+		return slab128KPool.Get().(*[slab128K]byte)[:n]
+	case n <= slab256K:
+		return slab256KPool.Get().(*[slab256K]byte)[:n]
+	case n <= slab512K:
+		return slab512KPool.Get().(*[slab512K]byte)[:n]
 	default:
 		return make([]byte, n)
 	}
 }
 
 // PutSlab recycles a slab obtained from GetSlab. The caller must not touch
-// the slice afterwards. Slices whose capacity is not an exact class size —
+// the slice afterwards, and nothing else may hold it: a slab is handed back
+// by its one user. Slices whose capacity is not an exact class size —
 // oversized fallbacks, or slabs regrown by append — are dropped for the
 // garbage collector instead; recycling through PutSlab is an optimization,
 // never a correctness requirement.
@@ -70,7 +92,13 @@ func PutSlab(b []byte) {
 		slabMediumPool.Put((*[slabMedium]byte)(b))
 	case slabLarge:
 		slabLargePool.Put((*[slabLarge]byte)(b))
-	case slabMax:
-		slabMaxPool.Put((*[slabMax]byte)(b))
+	case slab64K:
+		slab64KPool.Put((*[slab64K]byte)(b))
+	case slab128K:
+		slab128KPool.Put((*[slab128K]byte)(b))
+	case slab256K:
+		slab256KPool.Put((*[slab256K]byte)(b))
+	case slab512K:
+		slab512KPool.Put((*[slab512K]byte)(b))
 	}
 }

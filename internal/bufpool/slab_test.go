@@ -13,7 +13,14 @@ func TestGetSlabLengthAndClass(t *testing.T) {
 		{slabMedium, slabMedium},
 		{slabMedium + 1, slabLarge},
 		{slabLarge, slabLarge},
-		{slabLarge + 1, slabMax},
+		{slabLarge + 1, slab64K},
+		{slab64K, slab64K},
+		{slab64K + 1, slab128K},
+		{slab128K, slab128K},
+		{slab128K + 1, slab256K},
+		{slab256K, slab256K},
+		{slab256K + 1, slab512K},
+		{slab512K, slab512K},
 		{slabMax, slabMax},
 	}
 	for _, tc := range cases {

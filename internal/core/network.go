@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"p2pmalware/internal/archive"
+	"p2pmalware/internal/bufpool"
 	"p2pmalware/internal/dataset"
 	"p2pmalware/internal/obs"
 	"p2pmalware/internal/p2p"
@@ -290,6 +291,9 @@ func (r *runner[H]) fetchOnce(h H, rec *dataset.ResponseRecord, scanNS *int64) *
 		}
 		body, attempts, err := r.a.fetch(h, addr, tr, policy)
 		res := r.s.labelFetch(body, err, scanNS)
+		// The record keeps only the body's digest, size and verdict, so
+		// the scanned body goes back to the transfer pool.
+		bufpool.PutSlab(body)
 		res.attempts = attempts
 		return res
 	})

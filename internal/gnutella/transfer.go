@@ -94,11 +94,13 @@ func (n *Node) serveRequest(c net.Conn, br *bufio.Reader, refuse bool) {
 		writeHTTPError(c, 404, "Not Found")
 		return
 	}
-	data, err := f.Data()
+	body, err := f.Open()
 	if err != nil {
 		writeHTTPError(c, 500, "Internal Error")
 		return
 	}
+	defer body.Release()
+	data := body.Bytes
 	if rangeHdr != "" {
 		lo, hi, ok := parseByteRange(rangeHdr, int64(len(data)))
 		if !ok {
@@ -286,7 +288,7 @@ func httpGet(c net.Conn, br *bufio.Reader, index uint32, name, rangeSpec string)
 	// the whole file, so a range body, which HUGE servents also label
 	// with it, is not checked against it.
 	if urn := h.Header["x-gnutella-content-urn"]; rangeSpec == "" && urn != "" && p2p.URNSHA1(body) != urn {
-		return nil, xfer.Corrupt(ErrCorrupt)
+		return nil, xfer.Corrupt(body, ErrCorrupt)
 	}
 	return body, nil
 }

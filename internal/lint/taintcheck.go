@@ -18,9 +18,10 @@ import (
 //
 // Sinks split by what the value controls:
 //
-//   - allocation and copy bounds (make sizes, io.CopyN / io.LimitReader
-//     limits, Buffer.Grow) accept a clamped value — one compared against a
-//     Max* constant, literal, or len() bound before use;
+//   - allocation and copy bounds (make sizes, bufpool.GetSlab sizes,
+//     io.CopyN / io.LimitReader limits, Buffer.Grow) accept a clamped
+//     value — one compared against a Max* constant, literal, or len()
+//     bound before use;
 //   - filesystem paths (filepath.Join, os.Create and friends) and format
 //     strings (fmt.Printf-family) demand a fully trusted value, which only
 //     a `// lint:sanitizer`-annotated function produces: bounding the
@@ -98,6 +99,11 @@ func taintRun(pass *Pass) error {
 			case pkg == "io" && name == "LimitReader" && len(call.Args) == 2:
 				if f.eval(call.Args[1]) == taintUntrusted {
 					report(call.Args[1].Pos(), "untrusted limit %q reaches io.LimitReader without clamping against a Max* bound", exprText(call.Args[1]))
+				}
+			case pkg == "bufpool" && name == "GetSlab" && len(call.Args) == 1:
+				// The pooled sized get allocates past its largest class.
+				if f.eval(call.Args[0]) == taintUntrusted {
+					report(call.Args[0].Pos(), "untrusted length %q reaches bufpool.GetSlab without clamping against a Max* bound", exprText(call.Args[0]))
 				}
 			case name == "Grow" && len(call.Args) == 1:
 				if f.eval(call.Args[0]) == taintUntrusted {

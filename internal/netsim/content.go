@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"net"
 
+	"p2pmalware/internal/bufpool"
 	"p2pmalware/internal/malware"
 	"p2pmalware/internal/p2p"
 	"p2pmalware/internal/stats"
@@ -47,7 +48,7 @@ func honestFile(term workload.Term, variant int, downloadable bool, rng *stats.R
 		seed := rng.Uint64()
 		return p2p.LazyFile(name, int64(size), func() ([]byte, error) {
 			gen := stats.NewRNG(seed, 0x0C0FFEE)
-			b := make([]byte, size)
+			b := bufpool.GetSlab(size)
 			gen.Fill(b)
 			// Honest "executables" need not be valid PEs: the scanner
 			// labels by signature, and the paper's downloadable set was
@@ -82,7 +83,7 @@ func fakeFile(term workload.Term, variant int, rng *stats.RNG) *p2p.SharedFile {
 	seed := rng.Uint64()
 	f := p2p.LazyFile(name, advertised, func() ([]byte, error) {
 		gen := stats.NewRNG(seed, 0xFA4E)
-		b := make([]byte, trueSize)
+		b := bufpool.GetSlab(trueSize)
 		gen.Fill(b)
 		copy(b, []byte("DECOYFILE"))
 		return b, nil
@@ -93,13 +94,18 @@ func fakeFile(term workload.Term, variant int, rng *stats.RNG) *p2p.SharedFile {
 // infectedFile builds a shared-folder infection: the family's specimen
 // advertised under a query-term-derived name, so it matches real searches.
 func infectedFile(f *malware.Family, variant int, term workload.Term) (*p2p.SharedFile, error) {
-	data, err := f.Specimen(variant)
+	name := fmt.Sprintf("%s full%s", term.Text, f.Container.Extension())
+	return specimenFile(name, f, variant)
+}
+
+// specimenFile shares the family's variant specimen under name. Every host
+// of one variant serves the same process-wide bytes and digests.
+func specimenFile(name string, f *malware.Family, variant int) (*p2p.SharedFile, error) {
+	s, err := f.Shared(variant)
 	if err != nil {
 		return nil, err
 	}
-	name := fmt.Sprintf("%s full%s", term.Text, f.Container.Extension())
-	sf := p2p.StaticFile(name, data)
-	return sf, nil
+	return p2p.StaticFileSums(name, s.Data, s.SHA1, s.MD5), nil
 }
 
 // massAssignment selects corpus term ranks (starting at fromRank) whose

@@ -480,13 +480,11 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 // family specimen and answers every query with a query-derived filename
 // pointing at that specimen.
 func buildEchoNode(mem *p2p.Mem, spec *HostSpec, f *malware.Family, hostIdx int, id guid.GUID) (*gnutella.Node, error) {
-	variant := hostIdx % f.NumVariants()
-	data, err := f.Specimen(variant)
+	specimen, err := specimenFile("shared"+f.Container.Extension(), f, hostIdx%f.NumVariants())
 	if err != nil {
 		return nil, err
 	}
 	lib := p2p.NewLibrary()
-	specimen := p2p.StaticFile("shared"+f.Container.Extension(), data)
 	if _, err := lib.Add(specimen); err != nil {
 		return nil, err
 	}

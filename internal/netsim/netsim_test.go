@@ -1,11 +1,15 @@
 package netsim
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
 	"p2pmalware/internal/ipaddr"
 	"p2pmalware/internal/malware"
+	"p2pmalware/internal/p2p"
+	"p2pmalware/internal/scanner"
 	"p2pmalware/internal/stats"
 	"p2pmalware/internal/workload"
 )
@@ -182,15 +186,15 @@ func TestHonestFileNaming(t *testing.T) {
 	if dl.Size <= 0 {
 		t.Fatal("downloadable honest file empty")
 	}
-	data, err := dl.Data()
+	body, err := dl.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(data)) != dl.Size {
-		t.Fatalf("lazy size mismatch: %d vs %d", len(data), dl.Size)
+	if int64(len(body.Bytes)) != dl.Size {
+		t.Fatalf("lazy size mismatch: %d vs %d", len(body.Bytes), dl.Size)
 	}
 	media := honestFile(term, 2, false, rng)
-	if _, err := media.Data(); err == nil {
+	if _, err := media.Open(); err == nil {
 		t.Fatal("media content materialized")
 	}
 	if media.Size < 1_000_000 {
@@ -208,9 +212,107 @@ func TestInfectedFileCarriesSpecimen(t *testing.T) {
 	if inf.Size != f.VariantSize(0) {
 		t.Fatalf("infected size = %d", inf.Size)
 	}
-	data, _ := inf.Data()
-	if int64(len(data)) != f.VariantSize(0) {
+	body, _ := inf.Open()
+	if int64(len(body.Bytes)) != f.VariantSize(0) {
 		t.Fatal("specimen truncated")
+	}
+}
+
+// specimenVariant returns the variant of f whose specimen is n bytes long.
+func specimenVariant(t *testing.T, f *malware.Family, n int) int {
+	t.Helper()
+	for v := 0; v < f.NumVariants(); v++ {
+		if f.VariantSize(v) == int64(n) {
+			return v
+		}
+	}
+	t.Fatalf("%s has no %d-byte variant", f.Name, n)
+	return 0
+}
+
+// checkSpecimenFile checks that file serves a fresh build of its variant
+// of f under that build's digests, and that it serves the same backing
+// array as every earlier file of the variant, which shared records by
+// family and variant. It reports whether the variant was seen before.
+func checkSpecimenFile(t *testing.T, f *malware.Family, file *p2p.SharedFile, shared map[string]*byte) bool {
+	t.Helper()
+	body, err := file.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := specimenVariant(t, f, len(body.Bytes))
+	fresh, err := f.Specimen(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body.Bytes, fresh) {
+		t.Fatalf("%s variant %d: served bytes differ from a fresh build", f.Name, v)
+	}
+	if file.SHA1 != p2p.URNSHA1(fresh) || file.MD5 != scanner.HexHash(fresh) {
+		t.Fatalf("%s variant %d: SHA1 %s / MD5 %s are not the bytes' digests", f.Name, v, file.SHA1, file.MD5)
+	}
+	key := fmt.Sprintf("%s/%d", f.Name, v)
+	first, seen := shared[key]
+	if !seen {
+		shared[key] = &body.Bytes[0]
+	} else if first != &body.Bytes[0] {
+		t.Fatalf("%s variant %d: two hosts serve separate copies", f.Name, v)
+	}
+	return seen
+}
+
+// TestSpecimenHostsServeOneSharedBuild checks every echo host's and
+// tail-infected host's specimen in a LimeWire universe against a fresh
+// build, and that hosts of one variant share its bytes.
+func TestSpecimenHostsServeOneSharedBuild(t *testing.T) {
+	net_, err := BuildLimeWire(LimeWireConfig{Seed: 6, Ultrapeers: 2, HonestLeaves: 4, EchoHosts: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net_.Close()
+	shared := map[string]*byte{}
+	checked, repeats := map[HostKind]int{}, 0
+	for i, spec := range net_.Specs {
+		if spec.Family == nil {
+			continue
+		}
+		lib := net_.Nodes[i].Library()
+		for idx := uint32(1); idx <= uint32(lib.Len()); idx++ {
+			// Specimens are the static files; the lazy media beside
+			// them carry no SHA1.
+			if file := lib.Get(idx); file != nil && file.SHA1 != "" {
+				if checkSpecimenFile(t, spec.Family, file, shared) {
+					repeats++
+				}
+				checked[spec.Kind]++
+			}
+		}
+	}
+	if checked[KindEchoMalware] != 8 || checked[KindTailInfected] == 0 {
+		t.Fatalf("checked specimens by host kind = %v", checked)
+	}
+	if repeats == 0 {
+		t.Fatal("no two hosts share a variant; the sharing check never ran")
+	}
+}
+
+// TestInfectedFilesShareSpecimens checks infectedFile, which both
+// universes use, for every variant of both catalogs.
+func TestInfectedFilesShareSpecimens(t *testing.T) {
+	term := workload.Term{Text: "star wars episode", Category: workload.Movies}
+	for _, c := range []*malware.Catalog{malware.LimeWireCatalog(), malware.OpenFTCatalog()} {
+		shared := map[string]*byte{}
+		for _, f := range c.Families {
+			for v := 0; v < 2*f.NumVariants(); v++ {
+				inf, err := infectedFile(f, v, term)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if checkSpecimenFile(t, f, inf, shared) != (v >= f.NumVariants()) {
+					t.Fatalf("%s variant %d: sharing does not follow the variant", f.Name, v)
+				}
+			}
+		}
 	}
 }
 
@@ -367,15 +469,15 @@ func TestFakeFile(t *testing.T) {
 	if f.Size < 1_000_000 {
 		t.Fatalf("advertised size = %d", f.Size)
 	}
-	data, err := f.Data()
+	body, err := f.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(data)) == f.Size {
+	if int64(len(body.Bytes)) == f.Size {
 		t.Fatal("decoy content matches advertised size")
 	}
-	if len(data) < 2048 || len(data) > 8192 {
-		t.Fatalf("true size = %d", len(data))
+	if len(body.Bytes) < 2048 || len(body.Bytes) > 8192 {
+		t.Fatalf("true size = %d", len(body.Bytes))
 	}
 }
 

@@ -375,11 +375,12 @@ func (n *Node) fileMD5(f *p2p.SharedFile) (string, error) {
 	n.mu.Unlock()
 	sum := f.MD5
 	if sum == "" {
-		data, err := f.Data()
+		body, err := f.Open()
 		if err != nil {
 			return "", fmt.Errorf("openft: hashing %s: %w", f.Name, err)
 		}
-		d := md5.Sum(data)
+		d := md5.Sum(body.Bytes)
+		body.Release()
 		sum = hex.EncodeToString(d[:])
 	}
 	n.mu.Lock()

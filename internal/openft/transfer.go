@@ -70,14 +70,15 @@ func (n *Node) serveHTTP(c net.Conn, br *bufio.Reader) {
 		fmt.Fprintf(c, "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n")
 		return
 	}
-	data, err := f.Data()
+	body, err := f.Open()
 	if err != nil {
 		fmt.Fprintf(c, "HTTP/1.1 500 Internal Error\r\nContent-Length: 0\r\n\r\n")
 		return
 	}
-	fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Type: application/binary\r\nContent-Length: %d\r\n\r\n", len(data))
+	defer body.Release()
+	fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Type: application/binary\r\nContent-Length: %d\r\n\r\n", len(body.Bytes))
 	if fields[0] == "GET" {
-		xfer.WriteBody(c, data)
+		xfer.WriteBody(c, body.Bytes)
 	}
 }
 
@@ -137,7 +138,7 @@ func download(tr p2p.Transport, addr, md5sum string, timeout time.Duration) ([]b
 		// surfacing ErrCorrupt (retryable) keeps wire damage from silently
 		// relabeling a specimen as clean content.
 		if sum := md5.Sum(body); !strings.EqualFold(hex.EncodeToString(sum[:]), md5sum) {
-			return nil, xfer.Corrupt(ErrCorrupt)
+			return nil, xfer.Corrupt(body, ErrCorrupt)
 		}
 		return body, nil
 	})

@@ -1,13 +1,17 @@
 package p2p
 
 import (
+	"crypto/md5"
 	"crypto/sha1"
 	"encoding/base32"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
 	"unicode"
 	"unicode/utf8"
+
+	"p2pmalware/internal/bufpool"
 )
 
 // SharedFile is one file in a servent's shared folder.
@@ -25,15 +29,38 @@ type SharedFile struct {
 	// be precomputed so lazy files can be advertised without
 	// materializing their content.
 	MD5 string
-	// Data returns the file bytes. Content is generated lazily because a
-	// simulated host may share files it never actually serves.
-	Data func() ([]byte, error)
+	// body yields the file's bytes for one use. The constructor sets it,
+	// and with it who owns the bytes (see Open).
+	body func() (Body, error)
 }
+
+// Body is a shared file's bytes, lent out for one use by Open.
+type Body struct {
+	Bytes []byte
+	// release takes the bytes back; nil for bytes that stay shared.
+	release func([]byte)
+}
+
+// Release ends the use: a lazy file's bytes go back to the buffer pool,
+// a static file's stay shared. Call it at most once, and do not touch
+// Bytes afterwards. A caller that keeps the bytes never calls it and
+// leaves them to the garbage collector.
+func (b Body) Release() {
+	if b.release != nil {
+		b.release(b.Bytes)
+	}
+}
+
+// Open returns the file's bytes for one use. A StaticFile's bytes are
+// shared by every use; a LazyFile's are generated for this use alone and
+// come with their release.
+func (f *SharedFile) Open() (Body, error) { return f.body() }
 
 // URNSHA1 computes the HUGE-style urn:sha1 identifier of data: base32
 // (no padding) of the SHA1 digest.
-func URNSHA1(data []byte) string {
-	d := sha1.Sum(data)
+func URNSHA1(data []byte) string { return sha1URN(sha1.Sum(data)) }
+
+func sha1URN(d [sha1.Size]byte) string {
 	return "urn:sha1:" + base32.StdEncoding.WithPadding(base32.NoPadding).EncodeToString(d[:])
 }
 
@@ -170,9 +197,10 @@ func NewLibrary() *Library {
 }
 
 // Add indexes a file and assigns it a servent-local index, which it
-// returns. The file's Index field is set. Data must be non-nil.
+// returns. The file's Index field is set. The file must come from one of
+// the constructors (StaticFile, StaticFileSums, LazyFile).
 func (l *Library) Add(f *SharedFile) (uint32, error) {
-	if f == nil || f.Data == nil {
+	if f == nil || f.body == nil {
 		return 0, fmt.Errorf("p2p: library add with nil file or data")
 	}
 	if f.Name == "" {
@@ -225,7 +253,7 @@ func (l *Library) Get(index uint32) *SharedFile {
 }
 
 // FindBySHA1 returns the first file whose SHA1 URN equals urn, or nil.
-// Files with empty SHA1 (lazy content not yet materialized) never match.
+// Files with an empty SHA1 (every lazy file) never match.
 func (l *Library) FindBySHA1(urn string) *SharedFile {
 	if urn == "" {
 		return nil
@@ -311,21 +339,42 @@ func (l *Library) AllKeywords() []string {
 	return out
 }
 
-// StaticFile builds a SharedFile whose Data returns the given bytes, with
-// Size and SHA1 precomputed.
+// StaticFile builds a SharedFile that serves the given bytes, with Size
+// and SHA1 precomputed. The bytes are shared by every use and never reach
+// a buffer pool.
 func StaticFile(name string, data []byte) *SharedFile {
+	return staticFile(name, data, URNSHA1(data), "")
+}
+
+// StaticFileSums is StaticFile for bytes whose SHA1 and MD5 digests the
+// caller already has, as for a malware specimen shared by many hosts: it
+// hashes nothing, and OpenFT's share list takes the MD5 from it.
+func StaticFileSums(name string, data []byte, sha1Sum [sha1.Size]byte, md5Sum [md5.Size]byte) *SharedFile {
+	return staticFile(name, data, sha1URN(sha1Sum), hex.EncodeToString(md5Sum[:]))
+}
+
+func staticFile(name string, data []byte, urn, md5Hex string) *SharedFile {
 	return &SharedFile{
 		Name: name,
 		Size: int64(len(data)),
-		SHA1: URNSHA1(data),
-		Data: func() ([]byte, error) { return data, nil },
+		SHA1: urn,
+		MD5:  md5Hex,
+		body: func() (Body, error) { return Body{Bytes: data}, nil },
 	}
 }
 
-// LazyFile builds a SharedFile of a known size whose bytes are produced on
-// demand. The SHA1 field is computed on first Data call and may be empty
-// until then; simulated populations use this to avoid materializing
-// terabytes of synthetic content.
+// LazyFile builds a SharedFile of a known size whose bytes gen produces on
+// each use; simulated populations use this to avoid materializing
+// terabytes of synthetic content. gen must return bytes no one else holds,
+// drawn from bufpool.GetSlab: each use hands them back to the pool when it
+// is done. The SHA1 field stays empty: filling it in once the bytes exist
+// would put URNs into later query hits and so change the study's records.
 func LazyFile(name string, size int64, gen func() ([]byte, error)) *SharedFile {
-	return &SharedFile{Name: name, Size: size, Data: gen}
+	return &SharedFile{Name: name, Size: size, body: func() (Body, error) {
+		b, err := gen()
+		if err != nil {
+			return Body{}, err
+		}
+		return Body{Bytes: b, release: bufpool.PutSlab}, nil
+	}}
 }

@@ -144,7 +144,7 @@ func TestLibraryAddErrors(t *testing.T) {
 		t.Fatal("nil file accepted")
 	}
 	if _, err := l.Add(&SharedFile{Name: "x.exe"}); err == nil {
-		t.Fatal("nil Data accepted")
+		t.Fatal("file with no content accepted")
 	}
 	if _, err := l.Add(StaticFile("", []byte("x"))); err == nil {
 		t.Fatal("empty name accepted")
@@ -166,9 +166,9 @@ func TestStaticFileFields(t *testing.T) {
 	if f.Size != 5 || !strings.HasPrefix(f.SHA1, "urn:sha1:") {
 		t.Fatalf("StaticFile = %+v", f)
 	}
-	data, err := f.Data()
-	if err != nil || string(data) != "hello" {
-		t.Fatalf("Data = %q, %v", data, err)
+	body, err := f.Open()
+	if err != nil || string(body.Bytes) != "hello" {
+		t.Fatalf("Open = %q, %v", body.Bytes, err)
 	}
 }
 

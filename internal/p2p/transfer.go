@@ -156,7 +156,9 @@ func (t *Transfer) Get(c net.Conn, br *bufio.Reader, request string) (Head, erro
 // ReadBody reads a response body whose length the peer advertised,
 // clamped against MaxTransferSize before any allocation; peerLen < 0 (no
 // Content-Length header) reads to EOF under the same cap through a pooled
-// staging buffer.
+// staging buffer. The body is a bufpool slab, and its one user may hand it
+// back with bufpool.PutSlab once done with it; a caller that keeps the
+// body leaves it to the garbage collector.
 func (t *Transfer) ReadBody(br *bufio.Reader, peerLen int64) ([]byte, error) {
 	if peerLen > MaxTransferSize {
 		t.clamped.Inc()
@@ -168,23 +170,25 @@ func (t *Transfer) ReadBody(br *bufio.Reader, peerLen int64) ([]byte, error) {
 		if _, err := io.Copy(stage, io.LimitReader(br, MaxTransferSize)); err != nil {
 			return nil, fmt.Errorf("%s: download body: %w", t.network, err)
 		}
-		body := make([]byte, stage.Len())
+		body := bufpool.GetSlab(stage.Len())
 		copy(body, stage.Bytes())
 		t.bytesIn.Add(int64(len(body)))
 		return body, nil
 	}
-	body := make([]byte, peerLen)
+	body := bufpool.GetSlab(int(peerLen))
 	if _, err := io.ReadFull(br, body); err != nil {
+		bufpool.PutSlab(body)
 		return nil, fmt.Errorf("%s: download body: %w", t.network, err)
 	}
 	t.bytesIn.Add(peerLen)
 	return body, nil
 }
 
-// Corrupt counts a body that failed its content check and returns err,
-// the stack's sentinel for it.
-func (t *Transfer) Corrupt(err error) error {
+// Corrupt counts a body that failed its content check, hands the body
+// back to the pool, and returns err, the stack's sentinel for it.
+func (t *Transfer) Corrupt(body []byte, err error) error {
 	t.corrupt.Inc()
+	bufpool.PutSlab(body)
 	return err
 }
 

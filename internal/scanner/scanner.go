@@ -131,12 +131,11 @@ func FromCatalogs(catalogs ...*malware.Catalog) (*Engine, error) {
 		for _, f := range c.Families {
 			sigs = append(sigs, Signature{Family: f.Name, Kind: Pattern, Data: f.Signature()})
 			for v := 0; v < f.NumVariants(); v++ {
-				b, err := f.Specimen(v)
+				s, err := f.Shared(v)
 				if err != nil {
 					return nil, fmt.Errorf("scanner: building %s variant %d: %w", f.Name, v, err)
 				}
-				d := md5.Sum(b)
-				sigs = append(sigs, Signature{Family: f.Name, Kind: Hash, Data: d[:]})
+				sigs = append(sigs, Signature{Family: f.Name, Kind: Hash, Data: s.MD5[:]})
 			}
 		}
 	}
