@@ -46,12 +46,16 @@ chaos:
 	go test ./internal/core/ -race -count=2 -run 'TestStudySurvivesFaultMatrix|EmitIdentical'
 	go test ./internal/gnutella/ ./internal/openft/ -race -count=10 -run 'TestPooledBodies'
 
-# Golden-trace gate: each TestGoldenTrace* test runs one study, and
-# every case's span and record streams must match testdata/golden/ byte
-# for byte. Refresh after an intentional trace change with:
+# Golden gate: each TestGoldenTrace* test runs one study, and every
+# case's span and record streams must match testdata/golden/ byte for
+# byte; TestReferenceReport runs the reference study and its report and
+# filter output must match cmd/p2panalyze/testdata/ byte for byte.
+# Refresh after an intentional change with:
 #   go test ./internal/core/ -run TestGoldenTrace -update
+#   go test ./cmd/p2panalyze/ -run TestReferenceReport -update
 golden:
 	go test ./internal/core/ -count=1 -run TestGoldenTrace
+	go test ./cmd/p2panalyze/ -count=1 -run TestReferenceReport
 
 # The benchmark (perfbench/) is a nested module that imports the internal
 # packages, so ./... above never builds it; vet and test it here so an

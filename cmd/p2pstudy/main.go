@@ -7,7 +7,7 @@
 //	p2pstudy -days 30 -queries-per-day 96 -out trace.jsonl [-csv trace.csv]
 //	p2pstudy -network limewire -days 7 -out week.jsonl
 //	p2pstudy -days 7 -faults canonical -out hostile.jsonl
-//	p2pstudy -days 2 -spans spans.jsonl -spans-wall-latency  # then p2pprof spans.jsonl
+//	p2pstudy -days 2 -spans spans.jsonl -spans-wall-latency  # then p2panalyze spans spans.jsonl
 //	p2pstudy -days 2 -profile cpu,heap -profile-dir prof
 //	p2pstudy -days 7 -filterd http://localhost:8940 -filterd-k 10
 //
@@ -128,7 +128,7 @@ func main() {
 		faults  = flag.String("faults", "", "fault-injection profile ("+strings.Join(faultsim.ProfileNames(), ", ")+") or a FaultPlan JSON file; empty or \"off\" disables")
 
 		progress    = flag.Duration("progress", 24*time.Hour, "virtual interval between progress reports (0 disables)")
-		spans       = flag.String("spans", "", "optional span-stream output path (JSONL, for cmd/p2pprof)")
+		spans       = flag.String("spans", "", "optional span-stream output path (JSONL, for p2panalyze spans)")
 		spansWall   = flag.Bool("spans-wall-latency", false, "add measured wall_us durations to spans (breaks span determinism)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /varz, and /debug/pprof on this address during the run")
 		profSpec    = flag.String("profile", "", "comma-separated runtime profiles to capture: cpu, heap, mutex")

@@ -73,8 +73,8 @@ type ReportOptions struct {
 	Networks []dataset.Network
 }
 
-// WriteReport renders the full evaluation — tables T1-T4/T6 and figures
-// F1-F4 — as text. cmd/p2panalyze is a thin wrapper around it.
+// WriteReport renders the full evaluation — tables T1-T4, T6 and T7 and
+// figures F1-F4 — as text. `p2panalyze report` is a thin wrapper around it.
 func WriteReport(w io.Writer, tr *dataset.Trace, opts ReportOptions) error {
 	if opts.TopK <= 0 {
 		opts.TopK = 10

@@ -63,7 +63,7 @@ func TestSpanStreamOmitsWallBytes(t *testing.T) {
 }
 
 // TestSpanStagesTileQueryLatency verifies the stage-attribution invariant
-// behind cmd/p2pprof: with wall annotations on, each query's six
+// behind `p2panalyze spans`: with wall annotations on, each query's six
 // partition stage spans are cut from one shared set of clock stamps, so
 // they sum to the root query span — exactly per query up to microsecond
 // rounding, and within 1% in aggregate (the acceptance bound).

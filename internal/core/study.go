@@ -44,7 +44,7 @@ type StudyConfig struct {
 	ProgressEvery time.Duration
 	// SpanWallLatency annotates pipeline spans with measured wall
 	// durations (wall_us), turning the span stream into critical-path
-	// profiling data for cmd/p2pprof. Off by default: wall time is
+	// profiling data for `p2panalyze spans`. Off by default: wall time is
 	// nondeterministic, and the deterministic span stream is what the
 	// golden gate diffs. Span identity, hierarchy, fates, and backoffs are
 	// unaffected either way.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -32,7 +33,7 @@ import (
 // (seed, fetch key, attempt), so it is reproducible and always kept.
 
 // Canonical stage names shared by the study engine and the critical-path
-// analyzer (cmd/p2pprof). The six partition stages (everything except
+// analyzer (p2panalyze spans). The six partition stages (everything except
 // StageQuery, StageScan, StageAttempt and the day-boundary StageCircuit
 // and StageChurn) tile a query's end-to-end wall time exactly: their
 // durations are cut from the same clock stamps, so they sum to the root
@@ -95,37 +96,37 @@ func DeriveSpanID(scope string, seq int64, stage string, attempt int32) SpanID {
 type Span struct {
 	// Time is the owning query's virtual trace timestamp — never a wall
 	// clock reading.
-	Time time.Time
+	Time time.Time `json:"t"`
 	// Scope is the emitting network ("limewire", "openft").
-	Scope string
+	Scope string `json:"scope"`
 	// Seq is the query sequence number (or the virtual day for the
 	// day-boundary spans StageCircuit and StageChurn).
-	Seq int64
+	Seq int64 `json:"seq"`
 	// Stage names the unit of work; see the Stage* constants.
-	Stage string
+	Stage string `json:"span"`
 	// Attempt distinguishes sibling spans of the same stage within one
 	// query (transfer attempts number 1..N; stage spans use 0).
-	Attempt int32
+	Attempt int32 `json:"attempt"`
 	// Retry is the attempt's 1-based position within its own retry loop
 	// (an alternate source restarts at 1 while Attempt keeps counting).
-	Retry int32
+	Retry int32 `json:"retry"`
 	// ID and Parent link the span into its query tree. A zero Parent
 	// marks a root.
-	ID     SpanID
-	Parent SpanID
+	ID     SpanID `json:"id"`
+	Parent SpanID `json:"parent"`
 	// BackoffUS is the deterministic (PRF-drawn) backoff slept after a
 	// retryable failure, in microseconds.
-	BackoffUS int64
+	BackoffUS int64 `json:"backoff_us"`
 	// WallUS is the measured wall-clock duration in microseconds, or -1
 	// when the recorder runs in deterministic mode.
-	WallUS int64
+	WallUS int64 `json:"wall_us"`
 	// Fate is a stable outcome token ("ok", "refused", "timeout", ...);
 	// see p2p.FateOf.
-	Fate string
+	Fate string `json:"fate"`
 	// Detail is a short deterministic annotation (e.g. the source
 	// endpoint of a transfer attempt, or a day-boundary span's counts such
 	// as "replaced=3").
-	Detail string
+	Detail string `json:"detail"`
 
 	// emit orders spans emitted by one recorder; the per-scope emission
 	// order is deterministic (the committer emits in commit order), so it
@@ -472,6 +473,41 @@ func ParseSpanID(s string) (SpanID, error) {
 		return 0, fmt.Errorf("obs: parsing span id %q: %w", s, err)
 	}
 	return SpanID(v), nil
+}
+
+// UnmarshalText parses the hex form AppendSpan emits, so "id" and
+// "parent" decode straight into a SpanID.
+func (id *SpanID) UnmarshalText(b []byte) error {
+	v, err := ParseSpanID(string(b))
+	if err != nil {
+		return err
+	}
+	*id = v
+	return nil
+}
+
+// ReadSpansJSONL decodes a span stream written by WriteSpansJSONL. A span
+// without a wall_us field reads back with WallUS -1, "not recorded", so a
+// deterministic stream stays distinguishable from a measured 0µs.
+func ReadSpansJSONL(r io.Reader) ([]Span, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	var out []Span
+	for line := 1; sc.Scan(); line++ {
+		b := sc.Bytes()
+		if len(b) == 0 {
+			continue
+		}
+		sp := Span{WallUS: -1}
+		if err := json.Unmarshal(b, &sp); err != nil {
+			return nil, fmt.Errorf("obs: span line %d: %w", line, err)
+		}
+		out = append(out, sp)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("obs: reading spans: %w", err)
+	}
+	return out, nil
 }
 
 // WriteSpansJSONL streams spans as JSONL.

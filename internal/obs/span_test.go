@@ -184,6 +184,55 @@ func TestWriteSpansJSONL(t *testing.T) {
 	}
 }
 
+// TestReadSpansJSONLRoundTrip checks that the decoder reads back every
+// field the encoder writes, for a wall stream and a deterministic one: the
+// root's measured 0µs stays 0, and an unrecorded wall time stays -1.
+func TestReadSpansJSONLRoundTrip(t *testing.T) {
+	for _, wall := range []bool{true, false} {
+		r := NewSpanRecorder("limewire", nil, wall)
+		root := DeriveSpanID("limewire", 4, StageQuery, 0)
+		fetch := DeriveSpanID("limewire", 4, StageFetch, 0)
+		r.AddWallUS(Span{Time: spanTime(1), Seq: 4, Stage: StageQuery}, 0)
+		r.AddWallUS(Span{Time: spanTime(1), Seq: 4, Stage: StageFetch, Parent: root}, 1500)
+		r.AddWallUS(Span{
+			Time: spanTime(1), Seq: 4, Stage: StageAttempt, Attempt: 2, Retry: 1, Parent: fetch,
+			BackoffUS: 250, Fate: "refused", Detail: `10.0.0.9:6346 "x"`,
+		}, 7)
+		want := r.Spans()
+		var buf bytes.Buffer
+		if err := WriteSpansJSONL(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSpansJSONL(&buf)
+		if err != nil {
+			t.Fatalf("wall=%v: %v", wall, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("wall=%v: read %d spans, want %d", wall, len(got), len(want))
+		}
+		for i := range want {
+			want[i].emit = 0
+			if got[i] != want[i] {
+				t.Errorf("wall=%v span %d:\n got %+v\nwant %+v", wall, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestReadSpansJSONLNamesBadLine(t *testing.T) {
+	good := string(AppendSpan(nil, Span{Time: spanTime(1), Scope: "openft", Seq: 1, Stage: StageQuery, ID: 1, WallUS: -1}))
+	for _, tc := range []struct{ input, line string }{
+		{good + "\n{\"t\":", "line 2"},
+		{good + "\n\n" + strings.Replace(good, `"id":"0000000000000001"`, `"id":"not-hex"`, 1), "line 3"},
+		{good + "\n" + strings.Replace(good, `"id":"0000000000000001"`, `"id":"0000000000000001","parent":"zz"`, 1), "line 2"},
+	} {
+		_, err := ReadSpansJSONL(strings.NewReader(tc.input))
+		if err == nil || !strings.Contains(err.Error(), tc.line) {
+			t.Errorf("ReadSpansJSONL(%q) = %v, want an error naming %s", tc.input, err, tc.line)
+		}
+	}
+}
+
 // TestSpanHotPathAllocs is the AllocsPerRun==0 proof required for the
 // lint:hotpath markers on the span fast path: begin/end and the explicit
 // wall-stamp variants must not allocate (the recorder preallocates its
