@@ -41,10 +41,12 @@ fuzz-smoke:
 # perturbation that would expose a leaked flood count or a flood that
 # ends early. The pooled-body tests (TestPooledBodies*: concurrent serves
 # and downloads of lazy and static files over recycled slabs) run ten
-# times under it.
+# times under it, and the universes' one churn path (netsim's Churn and
+# build-determinism tests) five times.
 chaos:
 	go test ./internal/core/ -race -count=2 -run 'TestStudySurvivesFaultMatrix|EmitIdentical'
 	go test ./internal/gnutella/ ./internal/openft/ -race -count=10 -run 'TestPooledBodies'
+	go test ./internal/netsim/ -race -count=5 -run 'Churn|Deterministic'
 
 # Golden gate: each TestGoldenTrace* test runs one study, and every
 # case's span and record streams must match testdata/golden/ byte for

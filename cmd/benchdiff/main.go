@@ -50,10 +50,11 @@ type Summary struct {
 }
 
 // defaultHeadline names the benchmarks that gate merges: the scanner hot
-// loop, the memo-hit rescan of a clean MiB (ScanCleanMB: after its first
-// iteration every scan is an MD5 plus a map lookup, so it floors MD5
-// throughput and never times the automaton; ScanCleanMBCold does, but no
-// BENCH artifact records it yet), the end-to-end study engine, and the
+// loop on a multi-signature archive, the scan of a clean MiB (ScanCleanMB:
+// MD5 plus one automaton pass; BENCH_7.json recorded these two names when
+// each iteration after the first was a verdict-memo hit, which the scanner
+// no longer has, so a diff against it compares different work), the
+// end-to-end study engine, and the
 // zero-allocation telemetry primitives every simulation tick goes
 // through — including the trace encoder and tracer emit paths, which are
 // pinned at zero allocs/op — plus the filter daemon's parallel lookup

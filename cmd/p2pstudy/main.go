@@ -137,6 +137,10 @@ func main() {
 		filterdK    = flag.Int("filterd-k", 10, "block-list length trained per network for -filterd (0 = every malicious size)")
 	)
 	flag.Parse()
+	if err := checkFlags(*days, *perDay, *workers, *filterdK, *churn, *fake); err != nil {
+		fmt.Fprintf(os.Stderr, "p2pstudy: %v\n", err)
+		os.Exit(2)
+	}
 
 	prof, err := startProfiles(*profSpec, *profDir)
 	if err != nil {
@@ -248,6 +252,28 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *csvOut)
 	}
+}
+
+// checkFlags rejects flag values outside the ranges the study accepts, so a
+// mistyped flag fails before anything is built. StudyConfig maps zero
+// Days and QueriesPerDay to defaults for library callers; on the command
+// line they are mistakes.
+func checkFlags(days, perDay, workers, filterdK int, churn, fake float64) error {
+	switch {
+	case days < 1:
+		return fmt.Errorf("-days %d is below 1", days)
+	case perDay < 1:
+		return fmt.Errorf("-queries-per-day %d is below 1", perDay)
+	case !(churn >= 0 && churn <= 1):
+		return fmt.Errorf("-churn %v is outside [0, 1]", churn)
+	case !(fake >= 0 && fake <= 1):
+		return fmt.Errorf("-fake-files %v is outside [0, 1]", fake)
+	case workers < 0:
+		return fmt.Errorf("-workers %d is negative (0 = GOMAXPROCS)", workers)
+	case filterdK < 0:
+		return fmt.Errorf("-filterd-k %d is negative (0 = every malicious size)", filterdK)
+	}
+	return nil
 }
 
 // pushBlockList trains the paper's size filter on the finished trace (one

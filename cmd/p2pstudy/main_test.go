@@ -1,0 +1,87 @@
+package main
+
+import (
+	"errors"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// runMainEnv, when set, makes the test binary run p2pstudy's main instead
+// of the tests, so a test can run the command and see its exit status.
+const runMainEnv = "P2PSTUDY_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// rejectFlag runs p2pstudy with args after a one-query study's flags and
+// checks that it exits 2 with a message that names flagName, and that it
+// wrote no trace.
+func rejectFlag(t *testing.T, flagName string, args ...string) {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "trace.jsonl")
+	base := []string{"-quiet", "-network", "openft", "-days", "1", "-queries-per-day", "1", "-out", out}
+	cmd := exec.Command(os.Args[0], append(base, args...)...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	msg, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("p2pstudy %v: err = %v, want exit status 2; output:\n%s", args, err, msg)
+	}
+	if want := "p2pstudy: " + flagName + " "; !strings.HasPrefix(string(msg), want) {
+		t.Errorf("p2pstudy %v: output %q, want it to start with %q", args, msg, want)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("p2pstudy %v: wrote a trace (stat err = %v)", args, err)
+	}
+}
+
+func TestRejectsDaysBelowOne(t *testing.T) {
+	for _, v := range []string{"0", "-3"} {
+		rejectFlag(t, "-days", "-days", v)
+	}
+}
+
+func TestRejectsQueriesPerDayBelowOne(t *testing.T) {
+	for _, v := range []string{"0", "-4"} {
+		rejectFlag(t, "-queries-per-day", "-queries-per-day", v)
+	}
+}
+
+func TestRejectsChurnOutsideUnitInterval(t *testing.T) {
+	for _, v := range []string{"7", "-0.1", "NaN"} {
+		rejectFlag(t, "-churn", "-churn", v)
+	}
+}
+
+func TestRejectsFakeFilesOutsideUnitInterval(t *testing.T) {
+	for _, v := range []string{"-3", "1.5", "NaN"} {
+		rejectFlag(t, "-fake-files", "-fake-files", v)
+	}
+}
+
+func TestRejectsNegativeWorkers(t *testing.T) {
+	rejectFlag(t, "-workers", "-workers", "-2")
+}
+
+func TestRejectsNegativeFilterdK(t *testing.T) {
+	rejectFlag(t, "-filterd-k", "-filterd-k", "-1")
+}
+
+// TestCheckFlagsAcceptsBounds keeps the ends of every range, and 0 for
+// -workers (GOMAXPROCS) and -filterd-k (every malicious size).
+func TestCheckFlagsAcceptsBounds(t *testing.T) {
+	for _, c := range []struct{ churn, fake float64 }{{0, 0}, {1, 1}} {
+		if err := checkFlags(1, 1, 0, 0, c.churn, c.fake); err != nil {
+			t.Errorf("checkFlags(days 1, queries 1, workers 0, k 0, churn %v, fake %v) = %v", c.churn, c.fake, err)
+		}
+	}
+}

@@ -26,7 +26,6 @@ func (h lwHit) push() bool { return h.qh.Flags&gnutella.QHDPush != 0 }
 // limeWire is the instrumented LimeWire client on the simulated Gnutella
 // universe.
 type limeWire struct {
-	u      *netsim.LimeWireNet
 	client *gnutella.Node
 	// pushLocks serializes push downloads per (servent, index), so
 	// concurrent workers cannot collide on the push-callback registration.
@@ -44,7 +43,7 @@ func (s *Study) runLimeWire(tr *dataset.Trace) error {
 
 	var sink floodSink[lwHit]
 	clientIP := net.IPv4(156, 56, 1, 10) // the measurement host
-	a := &limeWire{u: u, pushLocks: newKeyedLocks()}
+	a := &limeWire{pushLocks: newKeyedLocks()}
 	a.client = gnutella.NewNode(gnutella.Config{
 		Role:        gnutella.Leaf,
 		Transport:   u.Mem,
@@ -70,7 +69,7 @@ func (s *Study) runLimeWire(tr *dataset.Trace) error {
 	}
 	return runNetwork[lwHit](s, tr, netInfo{
 		name: "limewire", network: dataset.LimeWire, stream: 0x11F0, mem: u.Mem,
-		churned: "honest leaves", churn: s.cfg.ChurnPerDay,
+		churned: "honest leaves", churn: s.cfg.ChurnPerDay, replace: u.Churn,
 	}, &sink, a)
 }
 
@@ -137,5 +136,3 @@ func (a *limeWire) fetch(h lwHit, addr string, tr p2p.Transport, policy p2p.Retr
 }
 
 func (a *limeWire) retryable(err error) bool { return gnutella.Retryable(err) }
-
-func (a *limeWire) churn(frac float64) (int, error) { return a.u.ChurnHonest(frac) }

@@ -43,9 +43,6 @@ type adapter[H any] interface {
 	// retryable reports whether a failed fetch may succeed from another
 	// source.
 	retryable(err error) bool
-	// churn replaces frac of the honest population and returns how many
-	// hosts it replaced.
-	churn(frac float64) (int, error)
 }
 
 // netInfo is what runNetwork needs to know about a network besides its
@@ -60,6 +57,9 @@ type netInfo struct {
 	// boundary in a clean run; under a fault plan the plan's rate applies
 	// when it is higher.
 	churn float64
+	// replace is the universe's Churn: it replaces frac of the honest
+	// population and returns how many hosts it replaced.
+	replace func(frac float64) (int, error)
 }
 
 // runner is one network's study loop.
@@ -89,7 +89,7 @@ type runner[H any] struct {
 func runNetwork[H any](s *Study, tr *dataset.Trace, info netInfo, sink *floodSink[H], a adapter[H]) error {
 	// Every network draws its queries from the same corpus with the same
 	// skew, as the instrumented clients did, on its own RNG stream.
-	gen, err := workload.NewGenerator(stats.NewRNG(s.cfg.Seed, info.stream), workload.DefaultCorpus(), s.cfg.ZipfExponent)
+	gen, err := workload.NewGenerator(stats.NewRNG(s.cfg.Seed, info.stream), workload.DefaultCorpus(), workload.Skew)
 	if err != nil {
 		return err
 	}
@@ -97,7 +97,7 @@ func runNetwork[H any](s *Study, tr *dataset.Trace, info netInfo, sink *floodSin
 	// scheduled on a virtual clock and fired in timestamp order, so a
 	// month of trace time elapses in however long the in-memory network
 	// takes to answer.
-	clock := simclock.NewVirtual(s.cfg.Epoch)
+	clock := simclock.NewVirtual(simclock.DefaultEpoch)
 	r := &runner[H]{
 		s: s, info: info, a: a, sink: sink, tr: tr,
 		fx:    s.newNetFaults(info.name, info.mem),
@@ -174,7 +174,7 @@ func (r *runner[H]) dayBoundary(day int, now time.Time) {
 	if r.info.churn <= 0 {
 		return
 	}
-	replaced, err := r.a.churn(r.info.churn)
+	replaced, err := r.info.replace(r.info.churn)
 	if err != nil {
 		r.errs.set(fmt.Errorf("churn on day %d: %w", day, err))
 		return

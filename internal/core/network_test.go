@@ -30,7 +30,7 @@ type fakeHit struct {
 func (h fakeHit) src() string { return fmt.Sprintf("%s:%d", h.ip, h.port) }
 
 // fakeNet is an adapter over no network at all: floods answer at once
-// with hits, fetches return each hit's scripted outcome, and churn
+// with hits, fetches return each hit's scripted outcome, and its churn
 // returns churnErr.
 type fakeNet struct {
 	mem      *p2p.Mem
@@ -236,6 +236,7 @@ func TestRunnerErrorText(t *testing.T) {
 			st := fakeStudy(t)
 			err := runNetwork[fakeHit](st, dataset.NewTrace(), netInfo{
 				name: "fake", network: dataset.LimeWire, stream: 1, mem: fake.mem, churned: "hosts", churn: 0.5,
+				replace: fake.churn,
 			}, fake.sink, &fake)
 			if !errors.Is(err, boom) || err.Error() != c.want {
 				t.Fatalf("err = %v, want %q wrapping boom", err, c.want)

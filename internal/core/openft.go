@@ -15,7 +15,6 @@ import (
 // openFT is the instrumented giFT/OpenFT client on the simulated OpenFT
 // universe.
 type openFT struct {
-	u      *netsim.OpenFTNet
 	client *openft.Node
 }
 
@@ -30,7 +29,7 @@ func (s *Study) runOpenFT(tr *dataset.Trace) error {
 
 	var sink floodSink[openft.SearchResp]
 	clientIP := net.IPv4(156, 56, 1, 11)
-	a := &openFT{u: u}
+	a := &openFT{}
 	a.client = openft.NewNode(openft.Config{
 		Class:       openft.ClassUser,
 		Transport:   u.Mem,
@@ -55,7 +54,7 @@ func (s *Study) runOpenFT(tr *dataset.Trace) error {
 	// unchanged.
 	return runNetwork[openft.SearchResp](s, tr, netInfo{
 		name: "openft", network: dataset.OpenFT, stream: 0x0F70, mem: u.Mem,
-		churned: "users",
+		churned: "users", replace: u.Churn,
 	}, &sink, a)
 }
 
@@ -98,5 +97,3 @@ func (a *openFT) fetch(r openft.SearchResp, addr string, tr p2p.Transport, polic
 }
 
 func (a *openFT) retryable(err error) bool { return openft.Retryable(err) }
-
-func (a *openFT) churn(frac float64) (int, error) { return a.u.ChurnUsers(frac) }

@@ -381,8 +381,8 @@ type fetchResult struct {
 const fateCircuitOpen = "circuit_open"
 
 // labelFetch scans a fetched body once — the MD5 is shared between the
-// scan memo key and the record's content identity — and condenses it to a
-// fetchResult. scanNS, when non-nil, accumulates the wall time spent in
+// scanner's hash signatures and the record's content identity — and
+// condenses it to a fetchResult. scanNS, when non-nil, accumulates the wall time spent in
 // the scanner so the executing query's scan span can report it.
 func (s *Study) labelFetch(body []byte, err error, scanNS *int64) fetchResult {
 	if err != nil {

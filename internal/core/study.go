@@ -20,7 +20,6 @@ import (
 	"p2pmalware/internal/obs"
 	"p2pmalware/internal/p2p"
 	"p2pmalware/internal/scanner"
-	"p2pmalware/internal/simclock"
 )
 
 // StudyConfig configures a full measurement run.
@@ -32,8 +31,6 @@ type StudyConfig struct {
 	Days int
 	// QueriesPerDay is the query rate per network (default 96).
 	QueriesPerDay int
-	// ZipfExponent is the query-popularity skew (default 1.0).
-	ZipfExponent float64
 	// ChurnPerDay is the fraction of honest LimeWire leaves replaced at
 	// each virtual day boundary (0 = static population). Malware hosts
 	// persist, matching the paper's stable malicious sources.
@@ -70,8 +67,6 @@ type StudyConfig struct {
 	LimeWire *netsim.LimeWireConfig
 	// OpenFT configures the OpenFT universe; nil skips the network.
 	OpenFT *netsim.OpenFTConfig
-	// Epoch is the virtual trace start (default simclock.DefaultEpoch).
-	Epoch time.Time
 }
 
 func (c *StudyConfig) applyDefaults() {
@@ -81,14 +76,8 @@ func (c *StudyConfig) applyDefaults() {
 	if c.QueriesPerDay <= 0 {
 		c.QueriesPerDay = 96
 	}
-	if c.ZipfExponent == 0 {
-		c.ZipfExponent = 1.0
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Epoch.IsZero() {
-		c.Epoch = simclock.DefaultEpoch
 	}
 }
 

@@ -3,17 +3,31 @@ package netsim
 import (
 	"fmt"
 	"net"
-	"sync"
-	"time"
 
 	"p2pmalware/internal/gnutella"
 	"p2pmalware/internal/guid"
 	"p2pmalware/internal/ipaddr"
 	"p2pmalware/internal/malware"
 	"p2pmalware/internal/p2p"
-	"p2pmalware/internal/simclock"
 	"p2pmalware/internal/stats"
 	"p2pmalware/internal/workload"
+)
+
+// The LimeWire population's fixed calibration.
+const (
+	// leafFiles is each honest leaf's shared-folder size.
+	leafFiles = 8
+	// leafDownloadableShare is the fraction of honest shared files that
+	// are archives/executables rather than media. It sets the malicious
+	// share of downloadable responses.
+	leafDownloadableShare = 0.26
+	// echoPrivateShare is the fraction of echo hosts advertising RFC1918
+	// addresses behind NAT, the paper's headline source observation.
+	echoPrivateShare = 0.28
+	// tailResponseShare is the target fraction of malicious responses
+	// from shared-folder tail infections, so the top-3 echo families
+	// keep 99%.
+	tailResponseShare = 0.01
 )
 
 // LimeWireConfig sizes the simulated Gnutella universe.
@@ -25,36 +39,17 @@ type LimeWireConfig struct {
 	Ultrapeers int
 	// HonestLeaves is the number of honest leaf servents (default 100).
 	HonestLeaves int
-	// FilesPerHonestLeaf is each honest leaf's shared-folder size
-	// (default 8).
-	FilesPerHonestLeaf int
-	// HonestDownloadableShare is the fraction of honest shared files that
-	// are archives/executables rather than media (default 0.30). This is
-	// the main knob for the malicious share of downloadable responses.
-	HonestDownloadableShare float64
 	// EchoHosts is the number of query-echo malware responders
 	// (default 33; set to a negative value to disable query-echo hosts
 	// entirely, as the no-query-echo ablation does).
 	EchoHosts int
-	// EchoPrivateShare is the fraction of echo hosts advertising RFC1918
-	// addresses behind NAT (default 0.28 — the paper's headline source
-	// observation).
-	EchoPrivateShare float64
 	// FakeFileShare is the fraction of honest downloadable files that are
 	// decoys: enticing name and advertised size, junk content of a
 	// different true size (default 0 — off — so the headline calibration
 	// is unaffected; the fake-content extension experiment turns it on).
 	FakeFileShare float64
-	// TailResponseShare is the target fraction of malicious responses
-	// contributed by shared-folder tail infections (default 0.01, i.e.
-	// top-3 echo families keep 99%).
-	TailResponseShare float64
 	// Catalog is the malware ecology (default malware.LimeWireCatalog).
 	Catalog *malware.Catalog
-	// Workload calibrates infected-file term assignment; it must use the
-	// same corpus and skew as the measurement driver (default corpus,
-	// s=1.0).
-	ZipfExponent float64
 }
 
 func (c *LimeWireConfig) applyDefaults() {
@@ -64,172 +59,39 @@ func (c *LimeWireConfig) applyDefaults() {
 	if c.HonestLeaves <= 0 {
 		c.HonestLeaves = 100
 	}
-	if c.FilesPerHonestLeaf <= 0 {
-		c.FilesPerHonestLeaf = 8
-	}
-	if c.HonestDownloadableShare == 0 {
-		c.HonestDownloadableShare = 0.26
-	}
 	if c.EchoHosts == 0 {
 		c.EchoHosts = 33
 	}
 	if c.EchoHosts < 0 {
 		c.EchoHosts = 0
 	}
-	if c.EchoPrivateShare == 0 {
-		c.EchoPrivateShare = 0.28
-	}
-	if c.TailResponseShare == 0 {
-		c.TailResponseShare = 0.01
-	}
 	if c.Catalog == nil {
 		c.Catalog = malware.LimeWireCatalog()
 	}
-	if c.ZipfExponent == 0 {
-		c.ZipfExponent = 1.0
-	}
 }
 
-// LimeWireNet is a running simulated Gnutella universe.
+// LimeWireNet is a running simulated Gnutella universe. Churn replaces
+// its honest leaves.
 type LimeWireNet struct {
-	// Mem is the transport universe.
-	Mem *p2p.Mem
+	universe[*gnutella.Node]
 	// Ultrapeers are the core nodes, for the instrumented client to
 	// connect to.
 	Ultrapeers []*gnutella.Node
-	// Nodes are all running nodes (including ultrapeers).
-	Nodes []*gnutella.Node
-	// Specs describe every synthesized host, parallel to Nodes.
-	Specs []*HostSpec
-
-	mu sync.Mutex
-	// honest tracks the currently-live honest leaves for churn.
-	honest []*gnutella.Node
-	// newHonestLeaf builds and attaches one fresh honest leaf.
-	newHonestLeaf func(attachIdx int) (*gnutella.Node, *HostSpec, error)
-	churnID       int
 }
 
 // UltrapeerAddrs returns dialable addresses of the core.
-func (n *LimeWireNet) UltrapeerAddrs() []string {
-	out := make([]string, len(n.Ultrapeers))
-	for i, up := range n.Ultrapeers {
-		out[i] = up.Addr()
-	}
-	return out
-}
+func (n *LimeWireNet) UltrapeerAddrs() []string { return addrs(n.Ultrapeers) }
 
-// Close shuts every node down.
-func (n *LimeWireNet) Close() {
-	n.mu.Lock()
-	nodes := append([]*gnutella.Node(nil), n.Nodes...)
-	n.mu.Unlock()
-	for _, node := range nodes {
-		node.Close()
-	}
-}
-
-// ChurnHonest models population turnover: it closes a fraction frac of the
-// live honest leaves (their shared files — and any in-flight downloads
-// from them — disappear) and brings up the same number of fresh honest
-// leaves at new addresses. Echo hosts and tail infections persist,
-// matching the paper's observation that malware sources were stable over
-// the trace. It returns how many leaves were replaced.
-//
-// ChurnHonest returns only once the overlay has fully re-formed: the
-// departed leaves are deregistered and every replacement is registered
-// with a QRP table applied. Callers churn behind a pipeline barrier, so
-// this wait is what makes mid-study churn deterministic — the next query
-// floods a completely settled population, never a half-attached one.
-func (n *LimeWireNet) ChurnHonest(frac float64) (int, error) {
-	if frac <= 0 {
-		return 0, nil
-	}
-	n.mu.Lock()
-	k := int(frac * float64(len(n.honest)))
-	if k > len(n.honest) {
-		k = len(n.honest)
-	}
-	leaving := n.honest[:k]
-	n.honest = append([]*gnutella.Node(nil), n.honest[k:]...)
-	factory := n.newHonestLeaf
-	n.mu.Unlock()
-	if factory == nil {
-		return 0, fmt.Errorf("netsim: network does not support churn")
-	}
-	before := n.leafTotal()
-	for _, node := range leaving {
-		node.Close()
-	}
-	// Departures deregister asynchronously (the ultrapeer's reader sees
-	// the closed conn); wait them out before attaching replacements so
-	// the arrival wait below cannot be satisfied by a zombie.
-	if err := n.waitLeaves(func() bool { return n.leafTotal() <= before-k }, "leaf departures"); err != nil {
-		return 0, err
-	}
-	for i := 0; i < k; i++ {
-		n.mu.Lock()
-		n.churnID++
-		id := n.churnID
-		n.mu.Unlock()
-		node, spec, err := factory(id)
-		if err != nil {
-			return i, err
-		}
-		n.mu.Lock()
-		n.honest = append(n.honest, node)
-		n.Nodes = append(n.Nodes, node)
-		n.Specs = append(n.Specs, spec)
-		n.mu.Unlock()
-	}
-	if err := n.waitLeaves(func() bool {
-		return n.leafTotal() >= before && n.qrpReadyTotal() >= before
-	}, "replacement leaves"); err != nil {
-		return 0, err
-	}
-	return k, nil
-}
-
-// leafTotal sums registered leaf connections across the ultrapeer core.
-func (n *LimeWireNet) leafTotal() int {
-	total := 0
+// leaves sums, across the ultrapeer core, the registered leaves and those
+// whose QRP table has been applied; only the latter are reachable by
+// query forwarding.
+func (n *LimeWireNet) leaves() (registered, qrpReady int) {
 	for _, up := range n.Ultrapeers {
 		_, l := up.NumPeers()
-		total += l
+		registered += l
+		qrpReady += up.QRPReadyLeaves()
 	}
-	return total
-}
-
-// qrpReadyTotal sums leaves whose QRP table has been applied — only those
-// are reachable by query forwarding.
-func (n *LimeWireNet) qrpReadyTotal() int {
-	total := 0
-	for _, up := range n.Ultrapeers {
-		total += up.QRPReadyLeaves()
-	}
-	return total
-}
-
-// waitLeaves polls real goroutine progress (acceptor registration, QRP
-// patch application), so it runs on the wall clock even when the trace
-// clock is virtual.
-func (n *LimeWireNet) waitLeaves(formed func() bool, what string) error {
-	wall := wallClock
-	deadline := wall.Now().Add(10 * time.Second)
-	for !formed() {
-		if wall.Now().After(deadline) {
-			return fmt.Errorf("netsim: %s never settled", what)
-		}
-		simclock.Sleep(wall, 2*time.Millisecond)
-	}
-	return nil
-}
-
-// LiveHonestLeaves returns the number of currently-live honest leaves.
-func (n *LimeWireNet) LiveHonestLeaves() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.honest)
+	return registered, qrpReady
 }
 
 // BuildLimeWire synthesizes and starts the simulated LimeWire universe.
@@ -243,7 +105,7 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 	// so they reproduce without shifting any population draw.
 	idRNG := stats.NewRNG(cfg.Seed, 0x5E1D)
 	serventID := func() guid.GUID { return guid.NewFromRand(idRNG.Fill) }
-	gen, err := workload.NewGenerator(stats.NewRNG(cfg.Seed, 0x3A11), workload.DefaultCorpus(), cfg.ZipfExponent)
+	gen, err := workload.NewGenerator(stats.NewRNG(cfg.Seed, 0x3A11), workload.DefaultCorpus(), workload.Skew)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +119,10 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 	}
 
 	mem := p2p.NewMem()
-	net_ := &LimeWireNet{Mem: mem}
+	net_ := &LimeWireNet{}
+	net_.Mem = mem
+	// An honest leaf is one registered and one QRP-ready leaf.
+	net_.registered, net_.perHonest = net_.leaves, 1
 	fail := func(err error) (*LimeWireNet, error) {
 		net_.Close()
 		return nil, err
@@ -281,15 +146,10 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 			return fail(err)
 		}
 		net_.Ultrapeers = append(net_.Ultrapeers, node)
-		net_.Nodes = append(net_.Nodes, node)
-		net_.Specs = append(net_.Specs, spec)
+		net_.add(node, spec)
 	}
-	for i := 0; i < len(net_.Ultrapeers); i++ {
-		for j := i + 1; j < len(net_.Ultrapeers); j++ {
-			if err := net_.Ultrapeers[i].Connect(net_.Ultrapeers[j].Addr()); err != nil {
-				return fail(fmt.Errorf("netsim: mesh %d->%d: %w", i, j, err))
-			}
-		}
+	if err := mesh(net_.Ultrapeers); err != nil {
+		return fail(err)
 	}
 
 	attach := func(node *gnutella.Node, i int) error {
@@ -300,16 +160,16 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 	// leaves draw new addresses and new shared folders from the same
 	// deterministic streams.
 	corpus := gen.Corpus()
-	termPick := stats.NewZipf(rng, cfg.ZipfExponent, len(corpus))
+	termPick := stats.NewZipf(rng, workload.Skew, len(corpus))
 	buildHonest := func(attachIdx int) (*gnutella.Node, *HostSpec, error) {
 		ip, err := pubPool.Next()
 		if err != nil {
 			return nil, nil, err
 		}
 		lib := p2p.NewLibrary()
-		for fidx := 0; fidx < cfg.FilesPerHonestLeaf; fidx++ {
+		for fidx := 0; fidx < leafFiles; fidx++ {
 			term := corpus[termPick.Next()]
-			downloadable := rng.Bool(cfg.HonestDownloadableShare)
+			downloadable := rng.Bool(leafDownloadableShare)
 			var f *p2p.SharedFile
 			if downloadable && rng.Bool(cfg.FakeFileShare) {
 				f = fakeFile(term, rng.IntN(100), rng)
@@ -336,15 +196,13 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 		}
 		return node, spec, nil
 	}
-	net_.newHonestLeaf = buildHonest
+	net_.newHonest = buildHonest
 	for i := 0; i < cfg.HonestLeaves; i++ {
 		node, spec, err := buildHonest(i)
 		if err != nil {
 			return fail(err)
 		}
-		net_.honest = append(net_.honest, node)
-		net_.Nodes = append(net_.Nodes, node)
-		net_.Specs = append(net_.Specs, spec)
+		net_.addHonest(node, spec)
 	}
 
 	// Query-echo malware hosts, apportioned across echo-strategy families
@@ -364,7 +222,7 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 		for k := 0; k < counts[fi]; k++ {
 			// Largest-remainder interleaving keeps the private share even
 			// across families, not front-loaded onto the heaviest one.
-			privDebt += cfg.EchoPrivateShare
+			privDebt += echoPrivateShare
 			private := privDebt >= 1
 			if private {
 				privDebt--
@@ -397,8 +255,7 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 			if err := attach(node, echoIdx); err != nil {
 				return fail(err)
 			}
-			net_.Nodes = append(net_.Nodes, node)
-			net_.Specs = append(net_.Specs, spec)
+			net_.add(node, spec)
 			echoIdx++
 		}
 	}
@@ -416,7 +273,7 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 		if refEcho == 0 {
 			refEcho = 33
 		}
-		tailMass := refEcho * cfg.TailResponseShare / (1 - cfg.TailResponseShare)
+		tailMass := refEcho * tailResponseShare / (1 - tailResponseShare)
 		ranks := massAssignment(gen, 12, tailMass)
 		for i, rank := range ranks {
 			f := tailFams[i%len(tailFams)]
@@ -452,8 +309,7 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 			if err := attach(node, i); err != nil {
 				return fail(err)
 			}
-			net_.Nodes = append(net_.Nodes, node)
-			net_.Specs = append(net_.Specs, spec)
+			net_.add(node, spec)
 		}
 	}
 
@@ -461,15 +317,10 @@ func BuildLimeWire(cfg LimeWireConfig) (*LimeWireNet, error) {
 	// ultrapeer registers the peer — and applies its QRP patch — on its
 	// own goroutines. Wait for the whole population to be registered and
 	// query-reachable so measurement starts on a fully-formed overlay.
-	wantLeaves := 0
-	for _, spec := range net_.Specs {
-		if spec.Kind != KindUltrapeer {
-			wantLeaves++
-		}
-	}
-	if err := net_.waitLeaves(func() bool {
-		return net_.leafTotal() >= wantLeaves && net_.qrpReadyTotal() >= wantLeaves
-	}, "initial population"); err != nil {
+	want := len(net_.Specs) - len(net_.Ultrapeers)
+	if err := net_.settle("initial population", func(leaves, qrpReady int) bool {
+		return leaves >= want && qrpReady >= want
+	}); err != nil {
 		return fail(err)
 	}
 

@@ -117,26 +117,81 @@ func TestBuildLimeWireStructure(t *testing.T) {
 	}
 }
 
-func TestBuildLimeWireDeterministic(t *testing.T) {
-	build := func() []string {
-		net_, err := BuildLimeWire(LimeWireConfig{Seed: 42, Ultrapeers: 2, HonestLeaves: 5, EchoHosts: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer net_.Close()
-		var out []string
-		for i, s := range net_.Specs {
-			out = append(out, string(s.Kind)+"/"+s.Addr()+"/"+net_.Nodes[i].ServentID().String())
-		}
-		return out
+// hostKey is a host's kind, address and malware family.
+func hostKey(s *HostSpec) string {
+	fam := ""
+	if s.Family != nil {
+		fam = s.Family.Name
 	}
-	a, b := build(), build()
+	return fmt.Sprintf("%s/%s/%s", s.Kind, s.Addr(), fam)
+}
+
+// churner is a running universe of either network.
+type churner interface {
+	Churn(frac float64) (int, error)
+	Close()
+}
+
+// TestBuildDeterministic builds each universe twice at one seed, then
+// churns a quarter of each twin's honest hosts. The twins must list the
+// same hosts in the same order after the build and again after the churn,
+// servent IDs included on LimeWire.
+func TestBuildDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) (u churner, hosts func() []string)
+	}{
+		{"limewire", func(t *testing.T) (churner, func() []string) {
+			u, err := BuildLimeWire(LimeWireConfig{Seed: 42, Ultrapeers: 2, HonestLeaves: 8, EchoHosts: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return u, func() []string {
+				var out []string
+				for i, s := range u.Specs {
+					out = append(out, hostKey(s)+"/"+u.Nodes[i].ServentID().String())
+				}
+				return out
+			}
+		}},
+		{"openft", func(t *testing.T) (churner, func() []string) {
+			u, err := BuildOpenFT(OpenFTConfig{Seed: 42, SearchNodes: 2, HonestUsers: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return u, func() []string {
+				var out []string
+				for _, s := range u.Specs {
+					out = append(out, hostKey(s))
+				}
+				return out
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, hostsA := tc.build(t)
+			defer a.Close()
+			b, hostsB := tc.build(t)
+			defer b.Close()
+			samePopulation(t, "build", hostsA(), hostsB())
+			for _, u := range []churner{a, b} {
+				if n, err := u.Churn(0.25); n != 2 || err != nil {
+					t.Fatalf("churn replaced %d, %v; want 2", n, err)
+				}
+			}
+			samePopulation(t, "churn", hostsA(), hostsB())
+		})
+	}
+}
+
+func samePopulation(t *testing.T, after string, a, b []string) {
+	t.Helper()
 	if len(a) != len(b) {
-		t.Fatal("different population sizes")
+		t.Fatalf("after %s: population sizes %d and %d", after, len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("population diverged at %d: %s vs %s", i, a[i], b[i])
+			t.Fatalf("after %s: population diverged at %d: %s vs %s", after, i, a[i], b[i])
 		}
 	}
 }
@@ -322,7 +377,7 @@ func TestChurnHonest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net_.Close()
-	before := net_.LiveHonestLeaves()
+	before := len(net_.honest)
 	if before != 20 {
 		t.Fatalf("live honest = %d", before)
 	}
@@ -332,14 +387,14 @@ func TestChurnHonest(t *testing.T) {
 			oldAddrs[s.Addr()] = true
 		}
 	}
-	replaced, err := net_.ChurnHonest(0.25)
+	replaced, err := net_.Churn(0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if replaced != 5 {
 		t.Fatalf("replaced = %d, want 5", replaced)
 	}
-	if got := net_.LiveHonestLeaves(); got != 20 {
+	if got := len(net_.honest); got != 20 {
 		t.Fatalf("live honest after churn = %d", got)
 	}
 	// Replacements get fresh addresses.
@@ -390,17 +445,18 @@ func TestChurnHonestSettlesQRP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net_.Close()
-	want := net_.leafTotal()
-	if _, err := net_.ChurnHonest(0.5); err != nil {
+	want, _ := net_.registered()
+	if _, err := net_.Churn(0.5); err != nil {
 		t.Fatal(err)
 	}
-	// ChurnHonest promises a fully re-formed overlay on return: no poll
-	// here, the counts must already be right.
-	if got := net_.leafTotal(); got != want {
-		t.Fatalf("leaf total immediately after churn = %d, want %d", got, want)
+	// Churn promises a fully re-formed overlay on return: no poll here,
+	// the counts must already be right.
+	leaves, qrpReady := net_.registered()
+	if leaves != want {
+		t.Fatalf("leaf total immediately after churn = %d, want %d", leaves, want)
 	}
-	if got := net_.qrpReadyTotal(); got != want {
-		t.Fatalf("QRP-ready leaves immediately after churn = %d, want %d", got, want)
+	if qrpReady != want {
+		t.Fatalf("QRP-ready leaves immediately after churn = %d, want %d", qrpReady, want)
 	}
 }
 
@@ -410,9 +466,9 @@ func TestChurnUsersOpenFT(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net_.Close()
-	beforeChildren, beforeShares := net_.childTotal(), net_.shareTotal()
-	if net_.LiveHonestUsers() != 12 {
-		t.Fatalf("live honest users = %d", net_.LiveHonestUsers())
+	beforeChildren, beforeShares := net_.registered()
+	if len(net_.honest) != 12 {
+		t.Fatalf("live honest users = %d", len(net_.honest))
 	}
 	oldAddrs := map[string]bool{}
 	for _, s := range net_.Specs {
@@ -420,22 +476,23 @@ func TestChurnUsersOpenFT(t *testing.T) {
 			oldAddrs[s.Addr()] = true
 		}
 	}
-	replaced, err := net_.ChurnUsers(0.25)
+	replaced, err := net_.Churn(0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if replaced != 3 {
 		t.Fatalf("replaced = %d, want 3", replaced)
 	}
-	if got := net_.LiveHonestUsers(); got != 12 {
+	if got := len(net_.honest); got != 12 {
 		t.Fatalf("live honest after churn = %d", got)
 	}
-	// ChurnUsers promises a fully re-formed tier on return.
-	if got := net_.childTotal(); got != beforeChildren {
-		t.Fatalf("children after churn = %d, want %d", got, beforeChildren)
+	// Churn promises a fully re-formed tier on return.
+	children, shares := net_.registered()
+	if children != beforeChildren {
+		t.Fatalf("children after churn = %d, want %d", children, beforeChildren)
 	}
-	if got := net_.shareTotal(); got != beforeShares {
-		t.Fatalf("shares after churn = %d, want %d", got, beforeShares)
+	if shares != beforeShares {
+		t.Fatalf("shares after churn = %d, want %d", shares, beforeShares)
 	}
 	fresh := 0
 	for _, s := range net_.Specs[len(net_.Specs)-3:] {
@@ -457,7 +514,7 @@ func TestChurnZeroFrac(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net_.Close()
-	if n, err := net_.ChurnHonest(0); n != 0 || err != nil {
+	if n, err := net_.Churn(0); n != 0 || err != nil {
 		t.Fatalf("zero churn = %d, %v", n, err)
 	}
 }
@@ -492,7 +549,7 @@ func TestBuildLimeWireWithFakeFiles(t *testing.T) {
 	// whose lazy content size differs). Sample libraries via downloads is
 	// heavy; instead trust construction + the fakeFile unit test, and
 	// just assert the build is sound.
-	if net_.LiveHonestLeaves() != 20 {
-		t.Fatalf("leaves = %d", net_.LiveHonestLeaves())
+	if len(net_.honest) != 20 {
+		t.Fatalf("leaves = %d", len(net_.honest))
 	}
 }

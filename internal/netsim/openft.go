@@ -2,16 +2,25 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"p2pmalware/internal/ipaddr"
 	"p2pmalware/internal/malware"
 	"p2pmalware/internal/openft"
 	"p2pmalware/internal/p2p"
-	"p2pmalware/internal/simclock"
 	"p2pmalware/internal/stats"
 	"p2pmalware/internal/workload"
+)
+
+// The OpenFT population's fixed calibration.
+const (
+	// userFiles is each honest user's shared-folder size.
+	userFiles = 8
+	// userDownloadableShare is the archive/executable fraction of honest
+	// shares, calibrated so ~3% of downloadable responses are malicious.
+	userDownloadableShare = 0.42
+	// maliciousShare is the target fraction of downloadable responses
+	// that are malicious, the paper's OpenFT headline.
+	maliciousShare = 0.03
 )
 
 // OpenFTConfig sizes the simulated OpenFT universe.
@@ -23,20 +32,8 @@ type OpenFTConfig struct {
 	SearchNodes int
 	// HonestUsers is the number of honest USER hosts (default 60).
 	HonestUsers int
-	// FilesPerUser is each honest user's shared-folder size (default 8).
-	FilesPerUser int
-	// HonestDownloadableShare is the archive/executable fraction of
-	// honest shares (default 0.42, calibrated so ~3% of downloadable
-	// responses are malicious).
-	HonestDownloadableShare float64
-	// MaliciousShare is the target fraction of downloadable responses
-	// that are malicious (default 0.03 — the paper's OpenFT headline).
-	MaliciousShare float64
 	// Catalog is the malware ecology (default malware.OpenFTCatalog).
 	Catalog *malware.Catalog
-	// ZipfExponent matches the measurement driver's query skew
-	// (default 1.0).
-	ZipfExponent float64
 }
 
 func (c *OpenFTConfig) applyDefaults() {
@@ -46,157 +43,31 @@ func (c *OpenFTConfig) applyDefaults() {
 	if c.HonestUsers <= 0 {
 		c.HonestUsers = 60
 	}
-	if c.FilesPerUser <= 0 {
-		c.FilesPerUser = 8
-	}
-	if c.HonestDownloadableShare == 0 {
-		c.HonestDownloadableShare = 0.42
-	}
-	if c.MaliciousShare == 0 {
-		c.MaliciousShare = 0.03
-	}
 	if c.Catalog == nil {
 		c.Catalog = malware.OpenFTCatalog()
 	}
-	if c.ZipfExponent == 0 {
-		c.ZipfExponent = 1.0
-	}
 }
 
-// OpenFTNet is a running simulated OpenFT universe.
+// OpenFTNet is a running simulated OpenFT universe. Churn replaces its
+// honest users.
 type OpenFTNet struct {
-	// Mem is the transport universe.
-	Mem *p2p.Mem
+	universe[*openft.Node]
 	// SearchNodes are the SEARCH-tier nodes the instrumented client
 	// connects to.
 	SearchNodes []*openft.Node
-	// Nodes are all running nodes.
-	Nodes []*openft.Node
-	// Specs describe every synthesized host, parallel to Nodes.
-	Specs []*HostSpec
-
-	mu sync.Mutex
-	// honest tracks the currently-live honest users for churn.
-	honest []*openft.Node
-	// sharesPerHonest is how many shares each honest user registers.
-	sharesPerHonest int
-	// newHonestUser builds and attaches one fresh honest user.
-	newHonestUser func(attachIdx int) (*openft.Node, *HostSpec, error)
-	churnID       int
 }
 
 // SearchAddrs returns dialable SEARCH-node addresses.
-func (n *OpenFTNet) SearchAddrs() []string {
-	out := make([]string, len(n.SearchNodes))
-	for i, s := range n.SearchNodes {
-		out[i] = s.Addr()
-	}
-	return out
-}
+func (n *OpenFTNet) SearchAddrs() []string { return addrs(n.SearchNodes) }
 
-// Close shuts every node down.
-func (n *OpenFTNet) Close() {
-	n.mu.Lock()
-	nodes := append([]*openft.Node(nil), n.Nodes...)
-	n.mu.Unlock()
-	for _, node := range nodes {
-		node.Close()
-	}
-}
-
-// LiveHonestUsers returns the number of currently-live honest users.
-func (n *OpenFTNet) LiveHonestUsers() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.honest)
-}
-
-// childTotal sums registered children across the SEARCH tier.
-func (n *OpenFTNet) childTotal() int {
-	total := 0
+// children sums registered children and their shares across the SEARCH
+// tier.
+func (n *OpenFTNet) children() (children, shares int) {
 	for _, s := range n.SearchNodes {
-		total += s.Children()
+		children += s.Children()
+		shares += s.ChildShareCount()
 	}
-	return total
-}
-
-// shareTotal sums registered child shares across the SEARCH tier.
-func (n *OpenFTNet) shareTotal() int {
-	total := 0
-	for _, s := range n.SearchNodes {
-		total += s.ChildShareCount()
-	}
-	return total
-}
-
-// waitFormed polls real goroutine progress (child registration, ADDSHARE
-// application), so it runs on the wall clock even when the trace clock is
-// virtual.
-func (n *OpenFTNet) waitFormed(formed func() bool, what string) error {
-	wall := wallClock
-	deadline := wall.Now().Add(10 * time.Second)
-	for !formed() {
-		if wall.Now().After(deadline) {
-			return fmt.Errorf("netsim: %s never settled", what)
-		}
-		simclock.Sleep(wall, 2*time.Millisecond)
-	}
-	return nil
-}
-
-// ChurnUsers models population turnover on the OpenFT side: a fraction
-// frac of honest users leaves (their shares disappear from the SEARCH
-// tier) and the same number of fresh users joins at new addresses.
-// Infected users persist, matching the paper's observation that malware
-// sources were stable over the trace. Like LimeWireNet.ChurnHonest, it
-// returns only once the tier has fully re-formed — departures purged,
-// replacements registered with all shares applied — so churn behind a
-// pipeline barrier stays deterministic.
-func (n *OpenFTNet) ChurnUsers(frac float64) (int, error) {
-	if frac <= 0 {
-		return 0, nil
-	}
-	n.mu.Lock()
-	k := int(frac * float64(len(n.honest)))
-	if k > len(n.honest) {
-		k = len(n.honest)
-	}
-	leaving := n.honest[:k]
-	n.honest = append([]*openft.Node(nil), n.honest[k:]...)
-	factory := n.newHonestUser
-	perUser := n.sharesPerHonest
-	n.mu.Unlock()
-	if factory == nil {
-		return 0, fmt.Errorf("netsim: network does not support churn")
-	}
-	beforeChildren, beforeShares := n.childTotal(), n.shareTotal()
-	for _, node := range leaving {
-		node.Close()
-	}
-	if err := n.waitFormed(func() bool {
-		return n.childTotal() <= beforeChildren-k && n.shareTotal() <= beforeShares-k*perUser
-	}, "user departures"); err != nil {
-		return 0, err
-	}
-	for i := 0; i < k; i++ {
-		n.mu.Lock()
-		n.churnID++
-		id := n.churnID
-		n.mu.Unlock()
-		node, _, err := factory(id)
-		if err != nil {
-			return i, err
-		}
-		n.mu.Lock()
-		n.honest = append(n.honest, node)
-		n.mu.Unlock()
-	}
-	if err := n.waitFormed(func() bool {
-		return n.childTotal() >= beforeChildren && n.shareTotal() >= beforeShares
-	}, "replacement users"); err != nil {
-		return 0, err
-	}
-	return k, nil
+	return children, shares
 }
 
 // BuildOpenFT synthesizes and starts the simulated OpenFT universe.
@@ -206,7 +77,7 @@ func BuildOpenFT(cfg OpenFTConfig) (*OpenFTNet, error) {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed, 0x0F7A)
-	gen, err := workload.NewGenerator(stats.NewRNG(cfg.Seed, 0x3A11), workload.DefaultCorpus(), cfg.ZipfExponent)
+	gen, err := workload.NewGenerator(stats.NewRNG(cfg.Seed, 0x3A11), workload.DefaultCorpus(), workload.Skew)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +87,10 @@ func BuildOpenFT(cfg OpenFTConfig) (*OpenFTNet, error) {
 	}
 
 	mem := p2p.NewMem()
-	net_ := &OpenFTNet{Mem: mem}
+	net_ := &OpenFTNet{}
+	net_.Mem = mem
+	// An honest user is one registered child and userFiles shares.
+	net_.registered, net_.perHonest = net_.children, userFiles
 	fail := func(err error) (*OpenFTNet, error) {
 		net_.Close()
 		return nil, err
@@ -244,20 +118,14 @@ func BuildOpenFT(cfg OpenFTConfig) (*OpenFTNet, error) {
 			return fail(err)
 		}
 		net_.SearchNodes = append(net_.SearchNodes, node)
-		net_.Nodes = append(net_.Nodes, node)
-		net_.Specs = append(net_.Specs, spec)
+		net_.add(node, spec)
 	}
-	for i := 0; i < len(net_.SearchNodes); i++ {
-		for j := i + 1; j < len(net_.SearchNodes); j++ {
-			if err := net_.SearchNodes[i].Connect(net_.SearchNodes[j].Addr()); err != nil {
-				return fail(fmt.Errorf("netsim: openft mesh %d->%d: %w", i, j, err))
-			}
-		}
+	if err := mesh(net_.SearchNodes); err != nil {
+		return fail(err)
 	}
 
-	// wantChildren/wantShares accumulate what a fully-formed SEARCH tier
-	// must report before measurement (or churn) may proceed.
-	wantChildren, wantShares := 0, 0
+	// addUser starts a USER node sharing lib and makes it a child of the
+	// SEARCH node parent selects.
 	addUser := func(spec *HostSpec, lib *p2p.Library, parent int) (*openft.Node, error) {
 		node := openft.NewNode(openft.Config{
 			Class: openft.ClassUser, Transport: mem,
@@ -271,12 +139,6 @@ func BuildOpenFT(cfg OpenFTConfig) (*OpenFTNet, error) {
 			node.Close()
 			return nil, err
 		}
-		net_.mu.Lock()
-		net_.Nodes = append(net_.Nodes, node)
-		net_.Specs = append(net_.Specs, spec)
-		net_.mu.Unlock()
-		wantChildren++
-		wantShares += lib.Len()
 		return node, nil
 	}
 
@@ -284,16 +146,16 @@ func BuildOpenFT(cfg OpenFTConfig) (*OpenFTNet, error) {
 	// users draw new addresses and new shared folders from the same
 	// deterministic streams.
 	corpus := gen.Corpus()
-	termPick := stats.NewZipf(rng, cfg.ZipfExponent, len(corpus))
+	termPick := stats.NewZipf(rng, workload.Skew, len(corpus))
 	buildHonest := func(attachIdx int) (*openft.Node, *HostSpec, error) {
 		ip, err := pubPool.Next()
 		if err != nil {
 			return nil, nil, err
 		}
 		lib := p2p.NewLibrary()
-		for fidx := 0; fidx < cfg.FilesPerUser; fidx++ {
+		for fidx := 0; fidx < userFiles; fidx++ {
 			term := corpus[termPick.Next()]
-			downloadable := rng.Bool(cfg.HonestDownloadableShare)
+			downloadable := rng.Bool(userDownloadableShare)
 			if _, err := lib.Add(honestFile(term, rng.IntN(100), downloadable, rng)); err != nil {
 				return nil, nil, err
 			}
@@ -305,28 +167,31 @@ func BuildOpenFT(cfg OpenFTConfig) (*OpenFTNet, error) {
 		}
 		return node, spec, nil
 	}
-	net_.newHonestUser = buildHonest
-	net_.sharesPerHonest = cfg.FilesPerUser
+	net_.newHonest = buildHonest
+	// wantShares is what a fully-formed SEARCH tier must report before
+	// measurement may start.
+	wantShares := 0
 	for i := 0; i < cfg.HonestUsers; i++ {
-		node, _, err := buildHonest(i)
+		node, spec, err := buildHonest(i)
 		if err != nil {
 			return fail(err)
 		}
-		net_.honest = append(net_.honest, node)
+		net_.addHonest(node, spec)
+		wantShares += userFiles
 	}
 
 	// Infected users. The response-volume budget per family is its
 	// catalog share of the total malicious budget; the total malicious
 	// budget is set so malicious/(malicious+honest downloadable) ≈
-	// MaliciousShare. Expected honest downloadable hits per query:
+	// maliciousShare. Expected honest downloadable hits per query:
 	// users × files × Σp² × downloadableShare.
 	var sumP2 float64
 	for i := range corpus {
 		p := gen.TermProbability(i)
 		sumP2 += p * p
 	}
-	honestDownloadablePerQuery := float64(cfg.HonestUsers*cfg.FilesPerUser) * sumP2 * cfg.HonestDownloadableShare
-	maliciousBudget := honestDownloadablePerQuery * cfg.MaliciousShare / (1 - cfg.MaliciousShare)
+	honestDownloadablePerQuery := float64(cfg.HonestUsers*userFiles) * sumP2 * userDownloadableShare
+	maliciousBudget := honestDownloadablePerQuery * maliciousShare / (1 - maliciousShare)
 
 	shares := cfg.Catalog.Shares()
 	hostHints := cfg.Catalog.HostHints
@@ -380,9 +245,12 @@ func BuildOpenFT(cfg OpenFTConfig) (*OpenFTNet, error) {
 					return fail(err)
 				}
 			}
-			if _, err := addUser(specs[h], libs[h], h); err != nil {
+			node, err := addUser(specs[h], libs[h], h)
+			if err != nil {
 				return fail(err)
 			}
+			net_.add(node, specs[h])
+			wantShares += libs[h].Len()
 		}
 	}
 
@@ -390,9 +258,10 @@ func BuildOpenFT(cfg OpenFTConfig) (*OpenFTNet, error) {
 	// ADDSHARE stream is applied by the parent's reader afterwards. Wait
 	// until every share is searchable so measurement starts on a
 	// fully-formed tier.
-	if err := net_.waitFormed(func() bool {
-		return net_.childTotal() >= wantChildren && net_.shareTotal() >= wantShares
-	}, "initial population"); err != nil {
+	wantChildren := len(net_.Specs) - len(net_.SearchNodes)
+	if err := net_.settle("initial population", func(children, shares int) bool {
+		return children >= wantChildren && shares >= wantShares
+	}); err != nil {
 		return fail(err)
 	}
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"p2pmalware/internal/archive"
 	"p2pmalware/internal/malware"
 	"p2pmalware/internal/stats"
 )
@@ -177,94 +176,8 @@ func TestAutomatonAgainstCatalogCorpus(t *testing.T) {
 	}
 }
 
-// TestScanMemoReturnsIdenticalVerdicts checks that a memoized re-scan of
-// the same content — directly and inside archives at different depths —
-// reports exactly what the cold scan did.
-func TestScanMemoReturnsIdenticalVerdicts(t *testing.T) {
-	t.Parallel()
-	e := groundTruth(t)
-	f := malware.LimeWireCatalog().Families[0]
-	spec, err := f.Specimen(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := e.Scan(spec)
-	warm := e.Scan(spec)
-	if len(cold) == 0 {
-		t.Fatal("specimen not detected")
-	}
-	if len(warm) != len(cold) {
-		t.Fatalf("memoized scan differs: cold=%+v warm=%+v", cold, warm)
-	}
-	for i := range cold {
-		if cold[i] != warm[i] {
-			t.Fatalf("memoized scan differs at %d: cold=%+v warm=%+v", i, cold[i], warm[i])
-		}
-	}
-	// The same specimen reached through an archive must be re-rooted under
-	// the member path, not replayed with the bare-specimen path.
-	z, err := archive.Build([]archive.Member{{Name: "dir/evil.exe", Data: spec}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nested bool
-	for _, d := range e.Scan(z) {
-		if d.Family == f.Name && d.Path == "dir/evil.exe" {
-			nested = true
-		}
-		if d.Path == "" && d.Family == f.Name {
-			// The archive bytes themselves still show the marker (stored,
-			// not compressed), so a top-level pattern hit is legitimate —
-			// but it must not carry the cached member-relative path.
-			continue
-		}
-	}
-	if !nested {
-		t.Fatal("memoized member verdict not rebased under archive path")
-	}
-	// Returned slices must be caller-owned: mutating one scan's result
-	// must not corrupt later scans of the same content.
-	first := e.Scan(spec)
-	first[0] = Detection{Family: "CLOBBERED", Path: "x"}
-	second := e.Scan(spec)
-	if second[0].Family == "CLOBBERED" {
-		t.Fatal("scan result aliases the shared memo entry")
-	}
-}
-
-// TestScanMemoDepthBudget verifies that caching a deep archive scanned
-// with an exhausted recursion budget does not mask detections when the
-// same bytes are later scanned with budget to spare.
-func TestScanMemoDepthBudget(t *testing.T) {
-	t.Parallel()
-	e := groundTruth(t)
-	f := malware.LimeWireCatalog().Families[0]
-	spec, _ := f.Specimen(0)
-	// inner hides the specimen one compressed layer down.
-	inner, err := archive.BuildCompressed([]archive.Member{{Name: "x.exe", Data: spec}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bury inner so it is first scanned at the recursion floor (budget 0).
-	deep := inner
-	for i := 0; i < MaxArchiveDepth; i++ {
-		deep, err = archive.BuildCompressed([]archive.Member{{Name: "layer.zip", Data: deep}})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := e.Infected(deep); ok {
-		t.Fatal("detection beyond depth limit")
-	}
-	// Now scan inner at the top level: full budget, must detect, even
-	// though the same bytes were just scanned (and memoized) at budget 0.
-	if fam, ok := e.Infected(inner); !ok || fam != f.Name {
-		t.Fatalf("budget-0 memo entry masked top-level detection: %v %v", fam, ok)
-	}
-}
-
 // TestScanConcurrent hammers one engine from many goroutines; run with
-// -race this doubles as the memo's synchronization test.
+// -race it checks that a scan only reads the compiled database.
 func TestScanConcurrent(t *testing.T) {
 	t.Parallel()
 	e := groundTruth(t)

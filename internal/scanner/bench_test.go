@@ -28,45 +28,13 @@ func cleanMB() []byte {
 	return data
 }
 
-// coldCopy returns an engine that shares proto's compiled database but has
-// an empty memo, so its first scan of any payload takes the cold path.
-func coldCopy(proto *Engine) *Engine {
-	return &Engine{
-		patterns: proto.patterns,
-		ac:       proto.ac,
-		hashes:   proto.hashes,
-		maxDepth: proto.maxDepth,
-		memo:     make(map[memoKey][]Detection),
-	}
-}
-
-// BenchmarkScanCleanMB rescans one clean MiB through one engine. After the
-// first iteration every scan is a memo hit, so this times MD5 plus a map
-// lookup, not the automaton; BenchmarkScanCleanMBCold times the full
-// clean-payload scan.
+// BenchmarkScanCleanMB scans one clean MiB: MD5 plus one automaton pass.
 func BenchmarkScanCleanMB(b *testing.B) {
 	e := benchEngine(b)
 	data := cleanMB()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, bad := e.Infected(data); bad {
-			b.Fatal("clean data detected")
-		}
-	}
-}
-
-// BenchmarkScanCleanMBCold scans the clean MiB through a fresh memo every
-// iteration: MD5, one automaton pass, and the memo store.
-func BenchmarkScanCleanMBCold(b *testing.B) {
-	proto := benchEngine(b)
-	data := cleanMB()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := coldCopy(proto)
-		b.StartTimer()
 		if _, bad := e.Infected(data); bad {
 			b.Fatal("clean data detected")
 		}
@@ -110,8 +78,8 @@ func BenchmarkACMatch(b *testing.B) {
 // mdSum keeps BenchmarkMD5's result live.
 var mdSum [md5.Size]byte
 
-// BenchmarkMD5 times the other half of a cold scan: the content digest
-// every scan computes for its memo key and the record's body hash.
+// BenchmarkMD5 times the other half of a scan: the content digest every
+// scan computes for hash signatures and the record's body hash.
 func BenchmarkMD5(b *testing.B) {
 	data := cleanMB()
 	b.SetBytes(int64(len(data)))
@@ -137,8 +105,8 @@ func BenchmarkScanSpecimen(b *testing.B) {
 }
 
 // legacyScan reproduces the pre-automaton engine verbatim — one
-// bytes.Contains pass per pattern signature plus an MD5 per layer, no
-// memoization — as the baseline for the old-vs-new benchmark pair.
+// bytes.Contains pass per pattern signature plus an MD5 per layer — as the
+// baseline for the old-vs-new benchmark pair.
 func legacyScan(e *Engine, data []byte) []Detection {
 	found := make(map[Detection]bool)
 	legacyScanInto(e, data, "", 0, found)
@@ -204,10 +172,10 @@ func multiSigArchive(b *testing.B) []byte {
 	return z
 }
 
-// BenchmarkScanMultiSigLegacy is the pre-PR scanner on an archive-bearing
-// multi-signature payload; BenchmarkScanMultiSigEngine is the shipping
-// engine (automaton + memo) on the same bytes. Their ratio is the
-// scanner-speedup acceptance number recorded in BENCH_4.json.
+// BenchmarkScanMultiSigLegacy is the pre-automaton scanner on an
+// archive-bearing multi-signature payload; BenchmarkScanMultiSigEngine is
+// the shipping engine on the same bytes. Their ratio is the automaton's
+// speedup.
 func BenchmarkScanMultiSigLegacy(b *testing.B) {
 	e := benchEngine(b)
 	z := multiSigArchive(b)
@@ -228,23 +196,6 @@ func BenchmarkScanMultiSigEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if ds := e.Scan(z); len(ds) < 4 {
 			b.Fatalf("engine scan found %d detections, want >= 4", len(ds))
-		}
-	}
-}
-
-// BenchmarkScanMultiSigEngineCold isolates the automaton win from the memo
-// win by scanning through a fresh engine every iteration.
-func BenchmarkScanMultiSigEngineCold(b *testing.B) {
-	proto := benchEngine(b)
-	z := multiSigArchive(b)
-	b.SetBytes(int64(len(z)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := coldCopy(proto)
-		b.StartTimer()
-		if ds := e.Scan(z); len(ds) < 4 {
-			b.Fatalf("cold engine scan found %d detections, want >= 4", len(ds))
 		}
 	}
 }

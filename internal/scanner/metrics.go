@@ -13,8 +13,6 @@ type metrics struct {
 	detections    *obs.Counter
 	bytesScanned  *obs.Counter
 	scanDur       *obs.Histogram
-	memoHits      *obs.Counter
-	memoMisses    *obs.Counter
 }
 
 func newMetrics() *metrics {
@@ -24,7 +22,5 @@ func newMetrics() *metrics {
 		detections:    obs.C("p2p_scan_detections_total"),
 		bytesScanned:  obs.C("p2p_scan_bytes_total"),
 		scanDur:       obs.H("p2p_scan_duration_us", obs.LatencyBuckets),
-		memoHits:      obs.C("p2p_scan_memo_total", "result", "hit"),
-		memoMisses:    obs.C("p2p_scan_memo_total", "result", "miss"),
 	}
 }

@@ -10,8 +10,7 @@
 //
 // All pattern signatures are compiled into a single Aho–Corasick automaton
 // in New, so a scan makes one pass over each payload regardless of the
-// signature count, and verdicts for previously seen content (keyed by the
-// MD5 already computed for trace identity) are memoized per engine.
+// signature count.
 package scanner
 
 import (
@@ -19,7 +18,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"p2pmalware/internal/archive"
@@ -58,29 +56,13 @@ type Detection struct {
 	Path string
 }
 
-// memoKey identifies a scanned specimen: its content digest plus how much
-// archive-recursion budget the scan had. Verdicts for non-archive content
-// never depend on the budget, so those entries normalize it to zero and
-// one memo entry serves every depth.
-type memoKey struct {
-	sum    [md5.Size]byte
-	budget int
-}
-
 // Engine is a compiled signature database. Engines are immutable after
-// construction — the memo cache is internally synchronized — and safe for
-// concurrent use.
+// construction and safe for concurrent use.
 type Engine struct {
 	patterns []Signature
 	ac       *acMatcher
 	hashes   map[[md5.Size]byte]string // digest -> family
 	maxDepth int
-
-	memoMu sync.RWMutex
-	// memo maps specimen identity to its finished verdict. Entries hold
-	// subtree-relative paths ("" = the specimen itself) and are treated as
-	// immutable once stored; readers copy or rebase, never mutate.
-	memo map[memoKey][]Detection
 }
 
 // MaxArchiveDepth is how deep the engine recurses into nested archives.
@@ -91,7 +73,6 @@ func New(sigs []Signature) (*Engine, error) {
 	e := &Engine{
 		hashes:   make(map[[md5.Size]byte]string),
 		maxDepth: MaxArchiveDepth,
-		memo:     make(map[memoKey][]Detection),
 	}
 	for _, s := range sigs {
 		if s.Family == "" {
@@ -155,21 +136,21 @@ func (e *Engine) Scan(data []byte) []Detection {
 }
 
 // ScanSum scans like Scan and additionally returns the MD5 of data, so
-// callers that also need the content identity (trace records, memo keys)
-// hash each payload exactly once.
+// callers that also need the content identity (trace records) hash each
+// payload exactly once.
 func (e *Engine) ScanSum(data []byte) ([md5.Size]byte, []Detection) {
 	start := time.Now()
-	sum, memoized := e.scanMemo(data, e.maxDepth)
+	sum := md5.Sum(data)
+	ds := e.scan(data, sum, e.maxDepth)
 	met.bytesScanned.Add(int64(len(data)))
 	met.scanDur.ObserveDuration(time.Since(start))
-	met.detections.Add(int64(len(memoized)))
-	if len(memoized) == 0 {
+	met.detections.Add(int64(len(ds)))
+	if len(ds) == 0 {
 		met.scansClean.Inc()
 		return sum, nil
 	}
 	met.scansInfected.Inc()
-	// Memo entries are shared across scans; hand callers their own copy.
-	return sum, append([]Detection(nil), memoized...)
+	return sum, ds
 }
 
 // Infected reports whether data contains any known malware, and the family
@@ -182,42 +163,12 @@ func (e *Engine) Infected(data []byte) (string, bool) {
 	return ds[0].Family, true
 }
 
-// scanMemo returns data's digest and its (possibly cached) verdict. The
-// returned slice is the shared memo entry: sorted, subtree-relative, and
-// not to be mutated. budget is the remaining archive-recursion allowance.
-func (e *Engine) scanMemo(data []byte, budget int) ([md5.Size]byte, []Detection) {
-	sum := md5.Sum(data)
-	key := memoKey{sum: sum}
-	isZip := archive.IsZip(data)
-	if isZip {
-		key.budget = budget
-	}
-	e.memoMu.RLock()
-	ds, ok := e.memo[key]
-	e.memoMu.RUnlock()
-	if ok {
-		met.memoHits.Inc()
-		return sum, ds
-	}
-	met.memoMisses.Inc()
-	ds = e.scanCold(data, sum, isZip, budget)
-	e.memoMu.Lock()
-	// A concurrent scan of the same content may have stored first; keep
-	// the existing entry so every caller shares one slice.
-	if prior, raced := e.memo[key]; raced {
-		ds = prior
-	} else {
-		e.memo[key] = ds
-	}
-	e.memoMu.Unlock()
-	return sum, ds
-}
-
-// scanCold computes the verdict for content not in the memo: hash-signature
-// lookup, one automaton pass for every pattern signature, then bounded
-// recursion into archive members. Member verdicts come back subtree-relative
-// and are rebased under the member path here.
-func (e *Engine) scanCold(data []byte, sum [md5.Size]byte, isZip bool, budget int) []Detection {
+// scan computes the verdict for data, whose MD5 is sum: hash-signature
+// lookup, one automaton pass for every pattern signature, then recursion
+// into archive members while budget, the remaining archive-recursion
+// allowance, lasts. Member verdicts come back subtree-relative and are
+// rebased under the member path here.
+func (e *Engine) scan(data []byte, sum [md5.Size]byte, budget int) []Detection {
 	var out []Detection
 	if fam, ok := e.hashes[sum]; ok {
 		out = append(out, Detection{Family: fam})
@@ -225,11 +176,10 @@ func (e *Engine) scanCold(data []byte, sum [md5.Size]byte, isZip bool, budget in
 	e.ac.match(data, func(pattern int32) {
 		out = append(out, Detection{Family: e.patterns[pattern].Family})
 	})
-	if isZip && budget > 0 {
+	if budget > 0 && archive.IsZip(data) {
 		if members, err := archive.Extract(data); err == nil {
 			for _, m := range members {
-				_, sub := e.scanMemo(m.Data, budget-1)
-				for _, d := range sub {
+				for _, d := range e.scan(m.Data, md5.Sum(m.Data), budget-1) {
 					p := m.Name
 					if d.Path != "" {
 						p = m.Name + "/" + d.Path

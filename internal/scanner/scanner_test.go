@@ -181,6 +181,12 @@ func TestScanDeterministicOrder(t *testing.T) {
 	if len(ds) != 2 || ds[0].Family != "A.Fam" || ds[1].Family != "B.Fam" {
 		t.Fatalf("order wrong: %+v", ds)
 	}
+	// The result is the caller's own: mutating it must not change a later
+	// scan of the same content.
+	ds[0] = Detection{Family: "CLOBBERED", Path: "x"}
+	if again := e.Scan(data); len(again) != 2 || again[0].Family != "A.Fam" {
+		t.Fatalf("scan result aliases engine state: %+v", again)
+	}
 }
 
 func TestMultipleFamiliesInOneArchive(t *testing.T) {

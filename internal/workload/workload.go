@@ -92,6 +92,11 @@ func DefaultCorpus() []Term {
 	}
 }
 
+// Skew is the Zipf exponent of query popularity. The measurement driver
+// draws its queries with it, and both simulated universes calibrate their
+// shared files to it, so what hosts share matches what clients ask for.
+const Skew = 1.0
+
 // Generator draws terms from a corpus with Zipf-distributed popularity.
 type Generator struct {
 	corpus []Term
@@ -99,7 +104,8 @@ type Generator struct {
 }
 
 // NewGenerator builds a generator over corpus with Zipf exponent s
-// (s ≈ 0.8–1.1 matches measured P2P query popularity skew).
+// (s ≈ 0.8–1.1 matches measured P2P query popularity skew; the study
+// uses Skew).
 func NewGenerator(rng *stats.RNG, corpus []Term, s float64) (*Generator, error) {
 	if len(corpus) == 0 {
 		return nil, fmt.Errorf("workload: empty corpus")
