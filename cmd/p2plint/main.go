@@ -1,10 +1,8 @@
 // Command p2plint runs the repository's custom static-analysis suite
-// (clockcheck, lockcheck, wirecheck, errwrap, the interprocedural
-// taintcheck, leakcheck, exhaustcheck, the determinism/concurrency/
-// allocation guards detercheck, atomiccheck, and allocheck, and the
-// CFG-based flow analyzers lockpath, blockcheck, and releasecheck — see
-// internal/lint) over the given packages and exits non-zero on any
-// finding. It is part of the CI merge gate:
+// (lockcheck, the interprocedural taintcheck, allocheck, and the CFG-based
+// flow analyzers lockpath, blockcheck, and releasecheck — see
+// internal/lint; -list prints them) over the given packages and exits
+// non-zero on any finding. It is part of the CI merge gate:
 //
 //	go run ./cmd/p2plint ./...
 //

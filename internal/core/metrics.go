@@ -1,15 +1,6 @@
 package core
 
-import (
-	"p2pmalware/internal/obs"
-	"p2pmalware/internal/simclock"
-)
-
-// wallClock is the sanctioned wall-time source for the measurement layer
-// (clockcheck bans direct time.Now calls here). It only feeds latency
-// metrics and the optional wall_us span durations — never virtual-time
-// record or span timestamps.
-var wallClock simclock.Clock = simclock.Real{}
+import "p2pmalware/internal/obs"
 
 // netMetrics holds one instrumented client's study-level metric handles.
 type netMetrics struct {

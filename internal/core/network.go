@@ -128,7 +128,7 @@ func runNetwork[H any](s *Study, tr *dataset.Trace, info netInfo, sink *floodSin
 		})
 	}
 	r.scheduleProgress(clock)
-	clock.Run(0)
+	clock.Run()
 	r.pl.stop()
 	return r.errs.get()
 }
@@ -193,12 +193,12 @@ func (r *runner[H]) task(i int, now time.Time, term workload.Term) *pipeTask {
 	var floodErr error
 	t.collect = func() {
 		id, send := r.a.flood(term.Text)
-		start := wallClock.Now()
+		start := time.Now()
 		if hits, floodErr = r.sink.collect(r.info.mem.Floods(), id, send); floodErr != nil {
 			floodErr = fmt.Errorf("query %d %q: %w", i, term.Text, floodErr)
 			return
 		}
-		r.met.stageCollect.ObserveDuration(simclock.Since(wallClock, start))
+		r.met.stageCollect.ObserveDuration(time.Since(start))
 		sort.Slice(hits, func(x, y int) bool { return r.a.less(hits[x], hits[y]) })
 	}
 	t.run = func() {
@@ -214,7 +214,7 @@ func (r *runner[H]) task(i int, now time.Time, term workload.Term) *pipeTask {
 // downloadable ones, logging each one's cache trail on t for attempt
 // spans.
 func (r *runner[H]) fetchAll(t *pipeTask, now time.Time, term workload.Term, hits []H) []dataset.ResponseRecord {
-	start := wallClock.Now()
+	start := time.Now()
 	recs := make([]dataset.ResponseRecord, len(hits))
 	for k, h := range hits {
 		rec := r.a.response(h)
@@ -234,7 +234,7 @@ func (r *runner[H]) fetchAll(t *pipeTask, now time.Time, term workload.Term, hit
 		applyResult(&recs[k], res)
 		t.trails = append(t.trails, trail)
 	}
-	r.met.stageFetch.ObserveDuration(simclock.Since(wallClock, start))
+	r.met.stageFetch.ObserveDuration(time.Since(start))
 	return recs
 }
 

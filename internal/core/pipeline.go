@@ -10,7 +10,6 @@ import (
 	"p2pmalware/internal/obs"
 	"p2pmalware/internal/p2p"
 	"p2pmalware/internal/scanner"
-	"p2pmalware/internal/simclock"
 )
 
 // The pipelined study engine splits each network's per-query work into
@@ -113,10 +112,10 @@ func newPipeline(workers int, met *netMetrics) *pipeline {
 		defer close(p.work)
 		for t := range p.collect {
 			met.queueCollect.Dec()
-			t.wCollectStart = wallClock.Now()
+			t.wCollectStart = time.Now()
 			met.stageCollectWait.ObserveDuration(t.wCollectStart.Sub(t.wSubmit))
 			t.collect()
-			t.wCollectEnd = wallClock.Now()
+			t.wCollectEnd = time.Now()
 			met.queueWork.Inc()
 			p.work <- t
 		}
@@ -127,12 +126,12 @@ func newPipeline(workers int, met *netMetrics) *pipeline {
 			defer p.workers.Done()
 			for t := range p.work {
 				met.queueWork.Dec()
-				t.wRunStart = wallClock.Now()
+				t.wRunStart = time.Now()
 				met.stageFetchWait.ObserveDuration(t.wRunStart.Sub(t.wCollectEnd))
 				met.workersBusy.Inc()
 				met.workerOcc.Observe(met.workersBusy.Value())
 				t.run()
-				t.wRunEnd = wallClock.Now()
+				t.wRunEnd = time.Now()
 				met.workersBusy.Dec()
 				close(t.ready)
 			}
@@ -141,14 +140,14 @@ func newPipeline(workers int, met *netMetrics) *pipeline {
 	go func() {
 		defer close(p.done)
 		for t := range p.commitq {
-			waitStart := wallClock.Now()
+			waitStart := time.Now()
 			<-t.ready
-			met.stageCommitWait.ObserveDuration(simclock.Since(wallClock, waitStart))
+			met.stageCommitWait.ObserveDuration(time.Since(waitStart))
 			met.queueCommit.Dec()
-			t.wCommitStart = wallClock.Now()
+			t.wCommitStart = time.Now()
 			met.stageCommitHold.ObserveDuration(t.wCommitStart.Sub(t.wRunEnd))
 			t.commit()
-			commitEnd := wallClock.Now()
+			commitEnd := time.Now()
 			emitQuerySpans(t, commitEnd)
 			emitAttemptSpans(t.spans, t.seq, t.at, t.trails)
 			met.inflight.Add(-1)
@@ -189,7 +188,7 @@ func emitQuerySpans(t *pipeTask, commitEnd time.Time) {
 // lint:hotpath
 func (p *pipeline) submit(t *pipeTask) {
 	t.ready = make(chan struct{})
-	t.wSubmit = wallClock.Now()
+	t.wSubmit = time.Now()
 	p.pending.Add(1)
 	p.met.inflight.Inc()
 	p.met.queueCommit.Inc()
@@ -388,10 +387,10 @@ func (s *Study) labelFetch(body []byte, err error, scanNS *int64) fetchResult {
 	if err != nil {
 		return fetchResult{err: err}
 	}
-	scanStart := wallClock.Now()
+	scanStart := time.Now()
 	sum, ds := s.engine.ScanSum(body)
 	if scanNS != nil {
-		*scanNS += int64(simclock.Since(wallClock, scanStart))
+		*scanNS += int64(time.Since(scanStart))
 	}
 	res := fetchResult{hash: scanner.HexSum(sum), size: int64(len(body))}
 	if len(ds) > 0 {

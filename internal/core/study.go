@@ -174,10 +174,10 @@ func (s *Study) Trace() *dataset.Trace { return s.trace }
 // newSpanRecorder builds a network's span recorder and registers it for
 // later merging. Span stamps come from the caller (the committer reuses
 // each query's scheduled instant, day-boundary spans the boundary's), and
-// wall measurement uses the sanctioned wall clock and is kept only when
-// SpanWallLatency is set.
+// wall measurement reads the real clock (the recorder's default) and is
+// kept only when SpanWallLatency is set.
 func (s *Study) newSpanRecorder(scope string) *obs.SpanRecorder {
-	r := obs.NewSpanRecorder(scope, wallClock, s.cfg.SpanWallLatency)
+	r := obs.NewSpanRecorder(scope, nil, s.cfg.SpanWallLatency)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.spanRecs = append(s.spanRecs, r)

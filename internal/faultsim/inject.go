@@ -11,15 +11,8 @@ import (
 
 	"p2pmalware/internal/obs"
 	"p2pmalware/internal/p2p"
-	"p2pmalware/internal/simclock"
 	"p2pmalware/internal/stats"
 )
-
-// ioClock is the sanctioned wall-time source for injected socket behavior
-// (clockcheck bans direct time.* calls in this package). Injected latency
-// and stalls shape real socket activity only; trace timestamps always come
-// from the virtual clock upstream.
-var ioClock simclock.Clock = simclock.Real{}
 
 // maxStall bounds a slow-loris stall when the victim set no read deadline,
 // so an unhardened caller degrades instead of hanging forever.
@@ -218,7 +211,7 @@ func (c *faultConn) Read(p []byte) (int, error) {
 		if c.verdict.latency > 0 {
 			c.inj.delayedUS.ObserveDuration(c.verdict.latency)
 			c.mu.Unlock()
-			simclock.Sleep(ioClock, c.verdict.latency)
+			time.Sleep(c.verdict.latency)
 			c.mu.Lock()
 		}
 	}
@@ -272,12 +265,12 @@ func (c *faultConn) stall() error {
 	}
 	wait := maxStall
 	if !deadline.IsZero() {
-		if d := deadline.Sub(ioClock.Now()); d < wait {
+		if d := time.Until(deadline); d < wait {
 			wait = d
 		}
 	}
 	if wait > 0 {
-		simclock.Sleep(ioClock, wait)
+		time.Sleep(wait)
 	}
 	return os.ErrDeadlineExceeded
 }

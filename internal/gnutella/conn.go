@@ -86,7 +86,7 @@ func boolHeader(v bool) string {
 // would silently lose them.
 func ClientHandshake(conn net.Conn, br *bufio.Reader, opts HandshakeOptions) (*HandshakeInfo, error) {
 	if opts.Timeout > 0 {
-		conn.SetDeadline(ioDeadline(opts.Timeout))
+		conn.SetDeadline(time.Now().Add(opts.Timeout))
 		defer conn.SetDeadline(time.Time{})
 	}
 	bw := bufio.NewWriter(conn)
@@ -112,7 +112,7 @@ func ClientHandshake(conn net.Conn, br *bufio.Reader, opts HandshakeOptions) (*H
 // must also serve all subsequent descriptor framing.
 func ServerHandshake(conn net.Conn, br *bufio.Reader, opts HandshakeOptions, accept func(*HandshakeInfo) bool) (*HandshakeInfo, error) {
 	if opts.Timeout > 0 {
-		conn.SetDeadline(ioDeadline(opts.Timeout))
+		conn.SetDeadline(time.Now().Add(opts.Timeout))
 		defer conn.SetDeadline(time.Time{})
 	}
 	status, hdrs, err := readHandshakePart(br)

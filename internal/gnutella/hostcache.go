@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"p2pmalware/internal/simclock"
 )
 
 // HostCache holds servent endpoints learned from pongs, the way servents
@@ -131,7 +129,7 @@ func (n *Node) Bootstrap(seed string, extra int, wait time.Duration) (int, error
 	}
 	n.PingTTL(2)
 	// Waits on pongs arriving over real connections, so wall time.
-	simclock.Sleep(ioClock, wait)
+	time.Sleep(wait)
 	made := 0
 	for _, addr := range n.hostCache.Addrs(0) {
 		if made >= extra {

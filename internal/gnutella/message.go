@@ -26,8 +26,6 @@ import (
 )
 
 // MsgType is the descriptor payload type byte.
-//
-// lint:wireenum
 type MsgType byte
 
 // Gnutella descriptor types.
@@ -103,8 +101,8 @@ type Message struct {
 	Payload []byte
 
 	// refs counts outstanding owners of a managed message; it stays 0 for
-	// the unmanaged flavor. Accessed atomically.
-	refs int32
+	// the unmanaged flavor.
+	refs atomic.Int32
 	// slab is the pooled payload backing returned to bufpool on final
 	// release; nil for unmanaged messages and empty payloads.
 	slab []byte
@@ -135,7 +133,7 @@ func NewMessage(g guid.GUID, t MsgType, ttl, hops byte, payloadCap int) *Message
 		m.slab = nil
 		m.Payload = nil
 	}
-	atomic.StoreInt32(&m.refs, 1)
+	m.refs.Store(1)
 	return m
 }
 
@@ -145,10 +143,10 @@ func NewMessage(g guid.GUID, t MsgType, ttl, hops byte, payloadCap int) *Message
 //
 // lint:hotpath
 func (m *Message) Retain() {
-	if m == nil || atomic.LoadInt32(&m.refs) == 0 {
+	if m == nil || m.refs.Load() == 0 {
 		return
 	}
-	atomic.AddInt32(&m.refs, 1)
+	m.refs.Add(1)
 }
 
 // Release drops one reference; the final release returns the payload slab
@@ -158,10 +156,10 @@ func (m *Message) Retain() {
 //
 // lint:hotpath
 func (m *Message) Release() {
-	if m == nil || atomic.LoadInt32(&m.refs) == 0 {
+	if m == nil || m.refs.Load() == 0 {
 		return
 	}
-	if atomic.AddInt32(&m.refs, -1) > 0 {
+	if m.refs.Add(-1) > 0 {
 		return
 	}
 	if m.slab != nil {
@@ -179,7 +177,7 @@ func (m *Message) Release() {
 // Managed reports whether m is pool-managed (reference-counted). Exposed
 // for the aliasing regression tests.
 func (m *Message) Managed() bool {
-	return m != nil && atomic.LoadInt32(&m.refs) > 0
+	return m != nil && m.refs.Load() > 0
 }
 
 // Errors shared by message parsing.

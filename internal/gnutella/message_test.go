@@ -1,6 +1,7 @@
 package gnutella
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"testing/quick"
@@ -19,9 +20,29 @@ func TestPongRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPongShort(t *testing.T) {
-	if _, err := ParsePong(make([]byte, 13)); err == nil {
-		t.Fatal("short pong accepted")
+// TestTruncatedPayloadsRejected feeds every decoder a peer-supplied
+// payload of each length below its minimum. Nothing in the program
+// recovers from a panic, so a decoder that indexes past a short payload
+// would take down the whole study or gnutellad; each must instead return
+// an error wrapping ErrShortPayload.
+func TestTruncatedPayloadsRejected(t *testing.T) {
+	decoders := []struct {
+		name  string
+		min   int
+		parse func([]byte) error
+	}{
+		{"pong", 14, func(b []byte) error { _, err := ParsePong(b); return err }},
+		{"query", 3, func(b []byte) error { _, err := ParseQuery(b); return err }},
+		{"query hit", 11 + guid.Size, func(b []byte) error { _, err := ParseQueryHit(b); return err }},
+		{"push", 26, func(b []byte) error { _, err := ParsePush(b); return err }},
+		{"bye", 3, func(b []byte) error { _, err := ParseBye(b); return err }},
+	}
+	for _, d := range decoders {
+		for n := 0; n < d.min; n++ {
+			if err := d.parse(make([]byte, n)); !errors.Is(err, ErrShortPayload) {
+				t.Errorf("%s of %d bytes: err = %v, want ErrShortPayload", d.name, n, err)
+			}
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"p2pmalware/internal/guid"
 	"p2pmalware/internal/obs"
 	"p2pmalware/internal/p2p"
-	"p2pmalware/internal/simclock"
 )
 
 // Role is a servent's position in the two-tier Gnutella topology.
@@ -72,10 +71,6 @@ type Config struct {
 	// ultrapeers forward it every query — the trick query-echo malware
 	// used to see (and answer) all search traffic.
 	PromiscuousQRP bool
-	// Clock is the trace-time source for protocol observations (host-cache
-	// timestamps). Nil means the real clock. Socket deadlines always use
-	// wall time regardless — see clock.go.
-	Clock simclock.Clock
 	// HitLimit caps results per query hit descriptor (default 64).
 	HitLimit int
 	// Log, when set, receives leveled debug logging (see internal/obs).
@@ -90,7 +85,6 @@ type Config struct {
 type Node struct {
 	cfg       Config
 	serventID guid.GUID
-	clock     simclock.Clock // trace-time source; set once in NewNode
 	listener  net.Listener
 
 	mu         sync.Mutex
@@ -160,7 +154,6 @@ func NewNode(cfg Config) *Node {
 	return &Node{
 		cfg:         cfg,
 		serventID:   id,
-		clock:       simclock.OrReal(cfg.Clock),
 		peers:       make(map[*peerConn]bool),
 		myQueries:   make(map[guid.GUID]bool),
 		routes:      newRouteTable(0),
@@ -480,7 +473,7 @@ func (n *Node) handlePong(pc *peerConn, m *Message) error {
 	if err != nil {
 		return err
 	}
-	n.hostCache.Add(pong.IP, pong.Port, pong.Files, n.clock.Now())
+	n.hostCache.Add(pong.IP, pong.Port, pong.Files, time.Now())
 	return nil
 }
 
@@ -743,7 +736,7 @@ func (n *Node) Close() error {
 			pc.Close()
 		}
 	}
-	expired := simclock.After(ioClock, byeBound)
+	expired := time.After(byeBound)
 	for _, pc := range peers {
 		select {
 		case <-pc.Done():

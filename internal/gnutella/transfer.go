@@ -13,7 +13,6 @@ import (
 	"p2pmalware/internal/bufpool"
 	"p2pmalware/internal/guid"
 	"p2pmalware/internal/p2p"
-	"p2pmalware/internal/simclock"
 )
 
 // Gnutella file transfer is plain HTTP on the servent's port:
@@ -49,7 +48,7 @@ var xfer = p2p.NewTransfer("gnutella", Fate, Retryable)
 
 func (n *Node) serveHTTP(c net.Conn) {
 	defer c.Close()
-	c.SetDeadline(ioDeadline(30 * time.Second))
+	c.SetDeadline(time.Now().Add(30 * time.Second))
 	br := bufpool.GetReader(c)
 	defer bufpool.PutReader(br)
 	n.serveRequest(c, br, n.cfg.Firewalled)
@@ -336,7 +335,7 @@ func (n *Node) PushAttempts(serventID guid.GUID, index uint32, name string, time
 			return xfer.Exchange(c, 30*time.Second, func(c net.Conn, br *bufio.Reader) ([]byte, error) {
 				return httpGet(c, br, index, name, "")
 			})
-		case <-simclock.After(ioClock, timeout):
+		case <-time.After(timeout):
 			return nil, ErrPushWait
 		}
 	})
@@ -345,7 +344,7 @@ func (n *Node) PushAttempts(serventID guid.GUID, index uint32, name string, time
 // handleGIV accepts a firewalled servent's callback connection and hands
 // it to the waiting downloader.
 func (n *Node) handleGIV(c net.Conn) {
-	c.SetReadDeadline(ioDeadline(10 * time.Second))
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
 	br := bufio.NewReader(c)
 	line, err := br.ReadString('\n')
 	if err != nil {
@@ -402,7 +401,7 @@ func (n *Node) performPush(p Push) {
 		return
 	}
 	defer c.Close()
-	c.SetDeadline(ioDeadline(30 * time.Second))
+	c.SetDeadline(time.Now().Add(30 * time.Second))
 	if _, err := fmt.Fprintf(c, "GIV %d:%s/%s\n\n", p.Index, n.serventID, f.Name); err != nil {
 		return
 	}

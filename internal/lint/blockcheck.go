@@ -20,7 +20,7 @@ import (
 //
 //   - channel sends and receives, unless they sit in a select that has a
 //     default clause (those poll, they don't block);
-//   - sleeps: time.Sleep and clock-interface Sleep/SleepCtx methods;
+//   - sleeps: time.Sleep and any other Sleep/SleepCtx method;
 //   - network calls: Dial/DialContext/DialTimeout/Accept and the http
 //     package verbs;
 //   - Wait on a sync.Cond owned by a mutex other than one of the held
@@ -44,7 +44,7 @@ var netBlockRe = regexp.MustCompile(`^(Dial|DialContext|DialTimeout|DialIP|Accep
 var httpVerbs = map[string]bool{"Get": true, "Post": true, "PostForm": true, "Head": true, "Do": true}
 
 func blockCheckRun(pass *Pass) error {
-	if !blockScopeRe.MatchString(pass.Path) {
+	if !internalScoped(pass.Path) {
 		return nil
 	}
 	owners := condOwners(pass.Files)

@@ -137,7 +137,7 @@ func user(peerData []byte) (n int) {
 }
 
 // runAnalyzerOnSrc runs one analyzer over a single in-memory file under the
-// given import path (chosen to land in or out of scopeTable rows).
+// given import path (chosen to land in or out of internal/).
 func runAnalyzerOnSrc(t *testing.T, a *Analyzer, pkgPath, src string) []Diagnostic {
 	t.Helper()
 	fset := token.NewFileSet()

@@ -48,7 +48,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 		t.Fatal(err)
 	}
 	sort.Strings(pkgDirs)
-	if len(pkgDirs) < 10 {
+	if len(pkgDirs) < 8 {
 		t.Fatalf("found only %d fixture packages under %s; the walk is broken", len(pkgDirs), root)
 	}
 

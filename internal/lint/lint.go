@@ -1,22 +1,16 @@
 // Package lint is a self-contained static-analysis framework plus the
 // project's custom analyzers. It mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, Reportf) on the standard library alone so the
-// toolchain needs no external modules, and it exists because the study's
-// headline statistics are only as trustworthy as the crawler: a month-long
-// simulated crawl that reads the wall clock, races on a shared host cache,
-// or crashes mid-trace on a hostile peer's truncated packet silently
-// corrupts prevalence numbers.
+// toolchain needs no external modules. Each analyzer stays only while it
+// catches a defect the tests miss: DESIGN.md ("Static analysis") records,
+// per analyzer, the invariant, the sites that rely on it, and one mutation
+// of the program that changes its behaviour, that the analyzer flags, and
+// that passes every test and gate.
 //
 // Analyzers:
 //
-//   - clockcheck: simulation packages must read time through
-//     internal/simclock, never the raw time package.
 //   - lockcheck: struct fields annotated "// guarded by <mutex>" may only
 //     be touched by functions that lock that mutex on the same receiver.
-//   - wirecheck: wire-format decoders must length-check a payload before
-//     indexing or slicing it.
-//   - errwrap: errors forwarded through fmt.Errorf must use %w so callers
-//     can unwrap across package boundaries.
 //   - taintcheck: interprocedural dataflow over a
 //     {trusted, clamped, untrusted} lattice; wire-derived values may not
 //     reach allocation sizes, copy limits, filesystem paths, or format
@@ -26,18 +20,6 @@
 //     fixpoint over the whole package set in Init, so clamps applied
 //     inside helpers (ReadBody, SanitizeFilename) are recognized at call
 //     sites without suppressions.
-//   - leakcheck: goroutines in the node/transfer layers must have an exit
-//     path (done/quit channel, context, or error return) so month-long
-//     simulated crawls cannot leak collectors.
-//   - exhaustcheck: switches over `// lint:wireenum` types must cover
-//     every declared constant or carry a default, so new message types
-//     cannot be silently dropped.
-//   - detercheck: determinism guard — ranging over a map directly into a
-//     trace/JSONL/PRF sink, drawing from the unseeded math/rand global
-//     source, and constructing wall clocks outside the sanctioned
-//     ioClock/wallClock package vars are all reported.
-//   - atomiccheck: a field accessed through sync/atomic anywhere in a
-//     package may not also be read or written with plain loads/stores.
 //   - allocheck: functions annotated `// lint:hotpath` must stay free of
 //     heap-escaping composite literals, fmt/log calls, string
 //     concatenation, and closures, keeping AllocsPerRun == 0 paths honest.
@@ -51,10 +33,11 @@
 //     ownership hand-off (return, send, store, wrap) recognized.
 //
 // The last three run on a shared control-flow-graph dataflow engine (see
-// cfg.go and flow.go): function bodies are lowered to basic blocks with
-// typed edges, a worklist iteration computes per-block facts to a
-// fixpoint, and diagnostics are emitted in a deterministic replay pass
-// over the stable facts. taintcheck runs on the same engine.
+// cfg.go and flow.go) over every package under internal/: function bodies
+// are lowered to basic blocks with typed edges, a worklist iteration
+// computes per-block facts to a fixpoint, and diagnostics are emitted in a
+// deterministic replay pass over the stable facts. taintcheck runs on the
+// same engine.
 //
 // A finding can be suppressed with `// lint:allow <analyzer> <reason>` on
 // the same line or the line above.
@@ -80,7 +63,7 @@ type Analyzer struct {
 	Doc string
 	// Init, if set, is called once per Run over the full package set
 	// before any per-package pass, so an analyzer can gather
-	// cross-package facts (sanitizer names, wire-enum members). It must
+	// cross-package facts (sanitizer names, function summaries). It must
 	// rebuild its state from scratch each call: tests invoke Run many
 	// times with different package sets.
 	Init func(pkgs []*Package) error
@@ -184,112 +167,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full analyzer suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{ClockCheck, LockCheck, WireCheck, ErrWrap, TaintCheck, LeakCheck, ExhaustCheck, DeterCheck, AtomicCheck, AllocCheck, LockPath, BlockCheck, ReleaseCheck}
+	return []*Analyzer{LockCheck, TaintCheck, AllocCheck, LockPath, BlockCheck, ReleaseCheck}
 }
 
-// scopeTable is the single source of truth for which internal packages the
-// scope-limited analyzers cover. clockcheck, leakcheck and detercheck all
-// derive their package matchers from this table, so adding a package here
-// is the one and only step needed to bring it under analysis — a new
-// subsystem can no longer silently escape one analyzer's hand-maintained
-// list while being covered by another's.
-//
-// Scope meanings:
-//
-//	clock   — simclock discipline: no raw time.Now/Sleep/After reads.
-//	leak    — long-running goroutines need exit paths.
-//	deter   — determinism invariants: no unsorted map iteration into
-//	          ordered sinks, no unseeded randomness, no unsanctioned
-//	          wall-clock construction.
-//	lock    — CFG lock-path discipline: every Lock unlocked on all
-//	          return paths, no re-entrant locking.
-//	block   — no blocking operation (channel, sleep, dial, foreign
-//	          cond.Wait) while a mutex is held.
-//	release — pooled buffers, connections, and files released on every
-//	          return path or handed off.
-//	span    — the package emits deterministic pipeline spans (builds
-//	          obs.Span values or records transfer attempts). Claiming
-//	          span implies clock discipline: clockcheck audits the
-//	          package even without a clock claim, because a raw wall
-//	          read feeding Span.Time would silently break the
-//	          byte-identical span golden. The span hot path itself is
-//	          covered by allocheck's `// lint:hotpath` annotations.
-//
-// Every package under internal/ must appear here and be claimed by at
-// least one scope (TestEveryInternalPackageClaimed enforces it). Purely
-// computational packages with no locks, goroutines, or resources still
-// carry the cheap CFG scopes — the analyzers are no-ops on code without
-// mutexes or acquisitions, and new concurrency added later is covered
-// from the first line.
-var scopeTable = []scopeRow{
-	{pkg: "analysis", lock: true, block: true, release: true},
-	{pkg: "archive", lock: true, block: true, release: true},
-	{pkg: "bufpool", lock: true, block: true, release: true},
-	{pkg: "core", clock: true, leak: true, deter: true, lock: true, block: true, release: true, span: true},
-	{pkg: "dataset", deter: true, lock: true, block: true, release: true},
-	{pkg: "deploy", lock: true, block: true, release: true},
-	{pkg: "faultsim", clock: true, leak: true, deter: true, lock: true, block: true, release: true},
-	{pkg: "filter", deter: true, lock: true, block: true, release: true},
-	{pkg: "filtersvc", leak: true, deter: true, lock: true, block: true, release: true},
-	{pkg: "gnutella", clock: true, leak: true, deter: true, lock: true, block: true, release: true, span: true},
-	{pkg: "guid", lock: true, block: true, release: true},
-	{pkg: "ipaddr", lock: true, block: true, release: true},
-	{pkg: "lint", lock: true, release: true},
-	{pkg: "malware", lock: true, block: true, release: true},
-	{pkg: "netsim", clock: true, leak: true, deter: true, lock: true, block: true, release: true},
-	{pkg: "obs", clock: true, leak: true, deter: true, lock: true, block: true, release: true, span: true},
-	{pkg: "openft", clock: true, leak: true, deter: true, lock: true, block: true, release: true, span: true},
-	{pkg: "p2p", clock: true, leak: true, deter: true, lock: true, block: true, release: true, span: true},
-	{pkg: "pe", lock: true, block: true, release: true},
-	{pkg: "scanner", deter: true, lock: true, block: true, release: true},
-	{pkg: "simclock", lock: true, block: true, release: true},
-	{pkg: "stats", deter: true, lock: true, block: true, release: true},
-	{pkg: "workload", clock: true, deter: true, lock: true, block: true, release: true},
-}
-
-// scopeRe compiles the package matcher for one scope column of scopeTable.
-func scopeRe(flag func(row scopeRow) bool) *regexp.Regexp {
-	var names []string
-	for _, row := range scopeTable {
-		if flag(row) {
-			names = append(names, regexp.QuoteMeta(row.pkg))
-		}
-	}
-	return regexp.MustCompile(`internal/(` + strings.Join(names, "|") + `)(/|$)`)
-}
-
-// scopeRow is one scopeTable entry.
-type scopeRow struct {
-	pkg     string // path element directly under internal/
-	clock   bool
-	leak    bool
-	deter   bool
-	lock    bool
-	block   bool
-	release bool
-	span    bool
-}
-
-// The derived matchers. Keeping them package-level lets fixtures under
-// testdata/src/p2pmalware/internal/... exercise scope decisions exactly as
-// production packages do.
-var (
-	clockScopeRe   = scopeRe(func(r scopeRow) bool { return r.clock })
-	leakScopeRe    = scopeRe(func(r scopeRow) bool { return r.leak })
-	deterScopeRe   = scopeRe(func(r scopeRow) bool { return r.deter })
-	lockScopeRe    = scopeRe(func(r scopeRow) bool { return r.lock })
-	blockScopeRe   = scopeRe(func(r scopeRow) bool { return r.block })
-	releaseScopeRe = scopeRe(func(r scopeRow) bool { return r.release })
-	spanScopeRe    = scopeRe(func(r scopeRow) bool { return r.span })
-)
-
-// clockScoped is clockcheck's package predicate: the clock column plus
-// every span-emitting package — span timestamps must come from the trace
-// clock, so claiming span pulls a package under clock discipline even if
-// its clock cell is ever dropped.
-func clockScoped(path string) bool {
-	return clockScopeRe.MatchString(path) || spanScopeRe.MatchString(path)
-}
+// internalScoped is the CFG analyzers' package predicate: every package
+// under internal/, fixtures included; commands and example.com fixtures
+// are out of scope.
+func internalScoped(path string) bool { return strings.Contains(path, "internal/") }
 
 // allowKey addresses one suppressed (file, line, analyzer) cell.
 type allowKey struct {
@@ -320,32 +204,6 @@ func allowLines(pkg *Package) map[allowKey]bool {
 		}
 	}
 	return out
-}
-
-// importName returns the local name under which file imports path, or ""
-// if the file does not import it (or imports it blank or dotted).
-func importName(file *ast.File, path string) string {
-	for _, imp := range file.Imports {
-		if imp.Path.Value != `"`+path+`"` {
-			continue
-		}
-		if imp.Name == nil {
-			// Default name: last path element.
-			name := path
-			for i := len(path) - 1; i >= 0; i-- {
-				if path[i] == '/' {
-					name = path[i+1:]
-					break
-				}
-			}
-			return name
-		}
-		if imp.Name.Name == "_" || imp.Name.Name == "." {
-			return ""
-		}
-		return imp.Name.Name
-	}
-	return ""
 }
 
 // selectorPath renders a chain of identifier selections ("s", "s.node",

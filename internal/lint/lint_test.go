@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -19,63 +18,16 @@ func runFixture(t *testing.T, a *Analyzer, pkgPath string) {
 	}
 }
 
-func TestClockCheckFixture(t *testing.T) {
-	runFixture(t, ClockCheck, "p2pmalware/internal/netsim/clockfix")
-}
-
-func TestClockCheckIgnoresUnrestrictedPackages(t *testing.T) {
-	runFixture(t, ClockCheck, "example.com/clockfree")
-}
-
 func TestLockCheckFixture(t *testing.T) {
 	runFixture(t, LockCheck, "example.com/lockfix")
-}
-
-func TestWireCheckFixture(t *testing.T) {
-	runFixture(t, WireCheck, "p2pmalware/internal/pe/wirefix")
-}
-
-func TestWireCheckIgnoresUnrestrictedPackages(t *testing.T) {
-	runFixture(t, WireCheck, "example.com/wirefree")
-}
-
-func TestErrWrapFixture(t *testing.T) {
-	runFixture(t, ErrWrap, "example.com/errwrapfix")
 }
 
 func TestTaintCheckFixture(t *testing.T) {
 	runFixture(t, TaintCheck, "example.com/taintfix")
 }
 
-func TestLeakCheckFixture(t *testing.T) {
-	runFixture(t, LeakCheck, "p2pmalware/internal/gnutella/leakfix")
-}
-
-func TestLeakCheckIgnoresUnrestrictedPackages(t *testing.T) {
-	runFixture(t, LeakCheck, "example.com/leakfree")
-}
-
-func TestExhaustCheckFixture(t *testing.T) {
-	runFixture(t, ExhaustCheck, "example.com/exhaustfix")
-}
-
 func TestTaintCheckInterprocFixture(t *testing.T) {
 	runFixture(t, TaintCheck, "example.com/interproc")
-}
-
-func TestDeterCheckFixture(t *testing.T) {
-	runFixture(t, DeterCheck, "p2pmalware/internal/obs/deterfix")
-}
-
-// TestDeterCheckIgnoresUnscopedPackages reuses the clock-free fixture: it
-// lives outside every scopeTable deter row, so even a hit there would be
-// out of scope.
-func TestDeterCheckIgnoresUnscopedPackages(t *testing.T) {
-	runFixture(t, DeterCheck, "example.com/clockfree")
-}
-
-func TestAtomicCheckFixture(t *testing.T) {
-	runFixture(t, AtomicCheck, "example.com/atomicfix")
 }
 
 func TestAllocCheckFixture(t *testing.T) {
@@ -94,86 +46,20 @@ func TestReleaseCheckFixture(t *testing.T) {
 	runFixture(t, ReleaseCheck, "p2pmalware/internal/gnutella/releasefix")
 }
 
-// The CFG analyzers scope off scopeTable like the older scope-limited
-// checks; a fixture outside every lock/block/release row must stay silent
-// even though it contains violations of all three invariants.
+// The CFG analyzers cover every package under internal/; a fixture
+// outside internal/ must stay silent even though it contains violations
+// of all three invariants.
 func TestCFGAnalyzersIgnoreUnscopedPackages(t *testing.T) {
 	runFixture(t, LockPath, "example.com/lockfree")
 	runFixture(t, BlockCheck, "example.com/lockfree")
 	runFixture(t, ReleaseCheck, "example.com/lockfree")
 }
 
-// TestEveryInternalPackageClaimed pins scopeTable to the filesystem: every
-// package directly under internal/ must have a row, every row must point
-// at a package that still exists, and every row must claim at least one
-// analyzer scope. A new subsystem cannot ship unanalyzed, and a renamed
-// one cannot leave a stale row silently matching nothing.
-func TestEveryInternalPackageClaimed(t *testing.T) {
-	dirs, err := os.ReadDir(filepath.Join("..", "..", "internal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := make(map[string]scopeRow, len(scopeTable))
-	for _, row := range scopeTable {
-		if _, dup := rows[row.pkg]; dup {
-			t.Errorf("scopeTable has duplicate row for %q", row.pkg)
-		}
-		rows[row.pkg] = row
-	}
-	seen := make(map[string]bool)
-	for _, d := range dirs {
-		if !d.IsDir() {
-			continue
-		}
-		seen[d.Name()] = true
-		row, ok := rows[d.Name()]
-		if !ok {
-			t.Errorf("internal/%s has no scopeTable row: add one claiming at least one analyzer scope", d.Name())
-			continue
-		}
-		if !(row.clock || row.leak || row.deter || row.lock || row.block || row.release || row.span) {
-			t.Errorf("scopeTable row for %q claims no analyzer scope", d.Name())
-		}
-	}
-	for pkg := range rows {
-		if !seen[pkg] {
-			t.Errorf("scopeTable row %q matches no directory under internal/", pkg)
-		}
-	}
-}
-
-// TestSpanScopeImpliesClockDiscipline pins the span column's contract:
-// every span-emitting package is audited by clockcheck through the
-// clockScoped union, whether or not its clock cell is set — a raw wall
-// read feeding Span.Time would break the span goldens.
-func TestSpanScopeImpliesClockDiscipline(t *testing.T) {
-	spanPkgs := 0
-	for _, row := range scopeTable {
-		if !row.span {
-			continue
-		}
-		spanPkgs++
-		path := "p2pmalware/internal/" + row.pkg + "/spans.go"
-		if !spanScopeRe.MatchString(path) {
-			t.Errorf("spanScopeRe does not match span-claimed package path %q", path)
-		}
-		if !clockScoped(path) {
-			t.Errorf("span-claimed package %q escapes clockcheck", row.pkg)
-		}
-	}
-	if spanPkgs < 4 {
-		t.Errorf("expected at least 4 span-claimed packages (obs, core, gnutella, openft), got %d", spanPkgs)
-	}
-	if clockScoped("p2pmalware/internal/pe/parse.go") {
-		t.Error("clockScoped matches a package with neither clock nor span claims")
-	}
-}
-
 // TestFixtureRunnerDetectsMisses guards the harness itself: an analyzer
 // that reports nothing must fail a fixture that expects a diagnostic.
 func TestFixtureRunnerDetectsMisses(t *testing.T) {
 	silent := &Analyzer{Name: "silent", Doc: "reports nothing", Run: func(*Pass) error { return nil }}
-	problems, err := Fixture(".", silent, "p2pmalware/internal/pe/wirefix")
+	problems, err := Fixture(".", silent, "example.com/lockfix")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ var LockPath = &Analyzer{
 }
 
 func lockPathRun(pass *Pass) error {
-	if !lockScopeRe.MatchString(pass.Path) {
+	if !internalScoped(pass.Path) {
 		return nil
 	}
 	for _, file := range pass.Files {

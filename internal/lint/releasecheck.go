@@ -190,7 +190,7 @@ func deferredReleases(d *ast.DeferStmt) []string {
 }
 
 func releaseCheckRun(pass *Pass) error {
-	if !releaseScopeRe.MatchString(pass.Path) {
+	if !internalScoped(pass.Path) {
 		return nil
 	}
 	for _, file := range pass.Files {

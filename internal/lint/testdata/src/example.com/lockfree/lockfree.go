@@ -1,7 +1,7 @@
 // Package lockfree holds deliberate lock-path, blocking-under-lock, and
-// resource-leak violations in a package outside every scopeTable
-// lock/block/release row. The CFG analyzers must stay silent here — no
-// `// want` comments by design.
+// resource-leak violations in a package outside internal/, which the CFG
+// analyzers do not cover. They must stay silent here — no `// want`
+// comments by design.
 package lockfree
 
 import (

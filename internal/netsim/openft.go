@@ -16,10 +16,13 @@ const (
 	// userFiles is each honest user's shared-folder size.
 	userFiles = 8
 	// userDownloadableShare is the archive/executable fraction of honest
-	// shares, calibrated so ~3% of downloadable responses are malicious.
+	// shares. It sets the honest downloadable response volume, not the
+	// malicious share: the malicious budget scales with that volume (see
+	// BuildOpenFT), so changing it leaves OpenFT's 3% in place.
 	userDownloadableShare = 0.42
 	// maliciousShare is the target fraction of downloadable responses
-	// that are malicious, the paper's OpenFT headline.
+	// that are malicious, the paper's OpenFT headline (T2's 3%). It
+	// alone sets that number.
 	maliciousShare = 0.03
 )
 

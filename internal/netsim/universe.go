@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"p2pmalware/internal/p2p"
-	"p2pmalware/internal/simclock"
 )
 
 // The overlay settle wait polls real goroutine progress (acceptor
@@ -83,13 +82,12 @@ func mesh[N node](tier []N) error {
 // Registration runs on the accepting nodes' own goroutines, so the wait
 // polls on the wall clock even when the trace clock is virtual.
 func (u *universe[N]) settle(what string, formed func(hosts, ready int) bool) error {
-	wall := wallClock
-	deadline := wall.Now().Add(settleDeadline)
+	deadline := time.Now().Add(settleDeadline)
 	for !formed(u.registered()) {
-		if wall.Now().After(deadline) {
+		if time.Now().After(deadline) {
 			return fmt.Errorf("netsim: %s never settled", what)
 		}
-		simclock.Sleep(wall, settlePoll)
+		time.Sleep(settlePoll)
 	}
 	return nil
 }

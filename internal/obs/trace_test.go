@@ -19,7 +19,7 @@ func TestTracerStampsVirtualTime(t *testing.T) {
 	clock.Schedule(2*time.Hour, func(now time.Time) {
 		tr.Emit("tick", Int("n", 2))
 	})
-	clock.Run(0)
+	clock.Run()
 	events := tr.Events()
 	if len(events) != 2 {
 		t.Fatalf("got %d events, want 2", len(events))

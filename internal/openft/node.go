@@ -14,7 +14,6 @@ import (
 
 	"p2pmalware/internal/obs"
 	"p2pmalware/internal/p2p"
-	"p2pmalware/internal/simclock"
 )
 
 // Config configures an OpenFT node.
@@ -202,7 +201,7 @@ func (n *Node) acceptSession(c net.Conn, br *bufio.Reader) {
 	s := newSession(c, br, n.floods)
 	// Acceptor side: expect VersionReq + NodeInfo, answer with
 	// VersionResp + our NodeInfo.
-	c.SetReadDeadline(ioDeadline(10 * time.Second))
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
 	p, err := ReadPacket(br)
 	if err != nil || p.Cmd != CmdVersionReq {
 		p.Release() // nil-safe; owed back on the mismatch path too
@@ -271,7 +270,7 @@ func (n *Node) connect(addr string) (*session, error) {
 		c.Close()
 		return nil, err
 	}
-	c.SetReadDeadline(ioDeadline(10 * time.Second))
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
 	p, err := ReadPacket(br)
 	if err != nil || p.Cmd != CmdVersionResp {
 		p.Release()
@@ -335,7 +334,7 @@ func (n *Node) BecomeChildOf(addr string) error {
 		return n.shareAll(s)
 	case <-s.Done():
 		return fmt.Errorf("openft: %s closed before answering the child request", addr)
-	case <-simclock.After(ioClock, 5*time.Second):
+	case <-time.After(5 * time.Second):
 		return errors.New("openft: parent did not accept child request")
 	}
 }

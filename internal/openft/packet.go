@@ -30,8 +30,6 @@ import (
 )
 
 // Command is the 16-bit packet command.
-//
-// lint:wireenum
 type Command uint16
 
 // OpenFT commands (subset used by the reproduction, numbered after giFT's
@@ -121,8 +119,8 @@ type Packet struct {
 	Payload []byte
 
 	// refs counts outstanding owners of a managed packet; it stays 0 for
-	// the unmanaged flavor. Accessed atomically.
-	refs int32
+	// the unmanaged flavor.
+	refs atomic.Int32
 	// slab is the pooled payload backing returned to bufpool on final
 	// release; nil for unmanaged packets and empty payloads.
 	slab []byte
@@ -150,7 +148,7 @@ func NewPacket(cmd Command, payloadCap int) *Packet {
 		p.slab = nil
 		p.Payload = nil
 	}
-	atomic.StoreInt32(&p.refs, 1)
+	p.refs.Store(1)
 	return p
 }
 
@@ -160,10 +158,10 @@ func NewPacket(cmd Command, payloadCap int) *Packet {
 //
 // lint:hotpath
 func (p *Packet) Retain() {
-	if p == nil || atomic.LoadInt32(&p.refs) == 0 {
+	if p == nil || p.refs.Load() == 0 {
 		return
 	}
-	atomic.AddInt32(&p.refs, 1)
+	p.refs.Add(1)
 }
 
 // Release drops one reference; the final release returns the payload slab
@@ -173,10 +171,10 @@ func (p *Packet) Retain() {
 //
 // lint:hotpath
 func (p *Packet) Release() {
-	if p == nil || atomic.LoadInt32(&p.refs) == 0 {
+	if p == nil || p.refs.Load() == 0 {
 		return
 	}
-	if atomic.AddInt32(&p.refs, -1) > 0 {
+	if p.refs.Add(-1) > 0 {
 		return
 	}
 	if p.slab != nil {
@@ -189,7 +187,7 @@ func (p *Packet) Release() {
 }
 
 // Managed reports whether p is pool-managed (reference-counted).
-func (p *Packet) Managed() bool { return atomic.LoadInt32(&p.refs) != 0 }
+func (p *Packet) Managed() bool { return p.refs.Load() != 0 }
 
 // ErrPacketSize is returned for payloads over MaxPacketPayload.
 var ErrPacketSize = errors.New("openft: packet exceeds size limit")

@@ -39,7 +39,7 @@ var xfer = p2p.NewTransfer("openft", Fate, Retryable)
 
 func (n *Node) serveHTTP(c net.Conn, br *bufio.Reader) {
 	defer c.Close()
-	c.SetDeadline(ioDeadline(30 * time.Second))
+	c.SetDeadline(time.Now().Add(30 * time.Second))
 	line, err := br.ReadString('\n')
 	if err != nil {
 		return

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"p2pmalware/internal/simclock"
 )
 
 // Flood completion accounting.
@@ -148,12 +146,12 @@ func (f *Flood) Done() <-chan struct{} { return f.done }
 func (f *Flood) Wait() error { return f.wait(FloodBound) }
 
 func (f *Flood) wait(bound time.Duration) error {
-	expired, stop := simclock.NewTimer(ioClock, bound)
-	defer stop()
+	timer := time.NewTimer(bound)
+	defer timer.Stop()
 	select {
 	case <-f.done:
 		return nil
-	case <-expired:
+	case <-timer.C:
 	}
 	l := f.led
 	l.mu.Lock()

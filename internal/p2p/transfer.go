@@ -11,7 +11,6 @@ import (
 
 	"p2pmalware/internal/bufpool"
 	"p2pmalware/internal/obs"
-	"p2pmalware/internal/simclock"
 )
 
 // MaxTransferSize caps a single HTTP transfer body. A hostile peer
@@ -60,15 +59,15 @@ func (t *Transfer) Attempts(policy RetryPolicy, key string, get func(timeout tim
 	policy = policy.WithDefaults()
 	log := make([]Attempt, 0, policy.Attempts)
 	for attempt := 1; ; attempt++ {
-		start := ioClock.Now()
+		start := time.Now()
 		body, err := get(policy.AttemptTimeout)
-		a := Attempt{Fate: t.fate(err), Wall: simclock.Since(ioClock, start)}
+		a := Attempt{Fate: t.fate(err), Wall: time.Since(start)}
 		if err == nil || !t.retryable(err) || attempt >= policy.Attempts {
 			return body, append(log, a), err
 		}
 		t.retries.Inc()
 		a.Backoff = policy.Delay(key, attempt)
-		simclock.Sleep(ioClock, a.Backoff)
+		time.Sleep(a.Backoff)
 		log = append(log, a)
 	}
 }
@@ -89,13 +88,13 @@ func (t *Transfer) Dial(tr Transport, addr string, timeout time.Duration, get fu
 // latency histogram; the dial and a push's wait for its callback are not
 // part of it.
 func (t *Transfer) Exchange(c net.Conn, timeout time.Duration, get func(c net.Conn, br *bufio.Reader) ([]byte, error)) ([]byte, error) {
-	c.SetDeadline(ioDeadline(timeout))
+	c.SetDeadline(time.Now().Add(timeout))
 	br := bufpool.GetReader(c)
 	defer bufpool.PutReader(br)
-	start := ioClock.Now()
+	start := time.Now()
 	body, err := get(c, br)
 	if err == nil {
-		t.duration.ObserveDuration(simclock.Since(ioClock, start))
+		t.duration.ObserveDuration(time.Since(start))
 	}
 	return body, err
 }

@@ -42,7 +42,7 @@ func Accept(l net.Listener, wg *sync.WaitGroup, serve func(c net.Conn, br *bufio
 			go func() {
 				defer wg.Done()
 				br := bufio.NewReader(c)
-				c.SetReadDeadline(ioDeadline(10 * time.Second))
+				c.SetReadDeadline(time.Now().Add(10 * time.Second))
 				sniff, err := br.Peek(4)
 				if err != nil {
 					c.Close()

@@ -25,7 +25,7 @@ func TestQuickEventsFireInTimestampOrder(t *testing.T) {
 				fired = append(fired, now.Sub(DefaultEpoch))
 			})
 		}
-		v.Run(0)
+		v.Run()
 		if len(fired) != len(delays) {
 			return false
 		}
@@ -40,30 +40,6 @@ func TestQuickEventsFireInTimestampOrder(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickAdvanceNeverFiresBeyondDeadline asserts partial advances only
-// fire in-window events.
-func TestQuickAdvanceNeverFiresBeyondDeadline(t *testing.T) {
-	f := func(delays []uint16, windowMS uint16) bool {
-		v := NewVirtual(DefaultEpoch)
-		if len(delays) > 100 {
-			delays = delays[:100]
-		}
-		inWindow := 0
-		window := time.Duration(windowMS) * time.Millisecond
-		for _, d := range delays {
-			dd := time.Duration(d) * time.Millisecond
-			if dd <= window {
-				inWindow++
-			}
-			v.Schedule(dd, func(time.Time) {})
-		}
-		return v.Advance(window) == inWindow
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -14,6 +14,16 @@ func TestRealClock(t *testing.T) {
 	}
 }
 
+func TestOrReal(t *testing.T) {
+	if _, ok := OrReal(nil).(Real); !ok {
+		t.Fatalf("OrReal(nil) = %T, want Real", OrReal(nil))
+	}
+	v := NewVirtual(DefaultEpoch)
+	if OrReal(v) != Clock(v) {
+		t.Fatal("OrReal should pass non-nil clocks through")
+	}
+}
+
 func TestVirtualStartsAtEpoch(t *testing.T) {
 	v := NewVirtual(DefaultEpoch)
 	if !v.Now().Equal(DefaultEpoch) {
@@ -21,37 +31,18 @@ func TestVirtualStartsAtEpoch(t *testing.T) {
 	}
 }
 
-func TestAdvanceFiresInOrder(t *testing.T) {
+func TestRunFiresInOrder(t *testing.T) {
 	v := NewVirtual(DefaultEpoch)
 	var order []int
 	v.Schedule(3*time.Second, func(time.Time) { order = append(order, 3) })
 	v.Schedule(1*time.Second, func(time.Time) { order = append(order, 1) })
 	v.Schedule(2*time.Second, func(time.Time) { order = append(order, 2) })
-	if fired := v.Advance(5 * time.Second); fired != 3 {
-		t.Fatalf("fired = %d, want 3", fired)
-	}
+	v.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
-	if got := v.Now().Sub(DefaultEpoch); got != 5*time.Second {
-		t.Fatalf("clock at +%v, want +5s", got)
-	}
-}
-
-func TestAdvanceStopsAtDeadline(t *testing.T) {
-	v := NewVirtual(DefaultEpoch)
-	fired := false
-	v.Schedule(10*time.Second, func(time.Time) { fired = true })
-	v.Advance(5 * time.Second)
-	if fired {
-		t.Fatal("event beyond deadline fired")
-	}
-	if v.Pending() != 1 {
-		t.Fatalf("Pending = %d", v.Pending())
-	}
-	v.Advance(5 * time.Second)
-	if !fired {
-		t.Fatal("event at deadline did not fire")
+	if got := v.Now().Sub(DefaultEpoch); got != 3*time.Second {
+		t.Fatalf("clock at +%v, want +3s", got)
 	}
 }
 
@@ -62,7 +53,7 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 		i := i
 		v.Schedule(time.Second, func(time.Time) { order = append(order, i) })
 	}
-	v.Advance(time.Second)
+	v.Run()
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("FIFO violated: order = %v", order)
@@ -81,20 +72,12 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 		}
 	}
 	v.Schedule(time.Minute, tick)
-	v.Advance(time.Hour)
+	v.Run()
 	if count != 5 {
 		t.Fatalf("chained events fired %d times, want 5", count)
 	}
-}
-
-func TestScheduleAtPastClamps(t *testing.T) {
-	v := NewVirtual(DefaultEpoch)
-	v.Advance(time.Hour)
-	fired := time.Time{}
-	v.ScheduleAt(DefaultEpoch, func(now time.Time) { fired = now })
-	v.Advance(0)
-	if !fired.Equal(DefaultEpoch.Add(time.Hour)) {
-		t.Fatalf("past event fired at %v", fired)
+	if got := v.Now().Sub(DefaultEpoch); got != 5*time.Minute {
+		t.Fatalf("clock at +%v, want +5m", got)
 	}
 }
 
@@ -104,37 +87,17 @@ func TestRunDrainsQueue(t *testing.T) {
 	for i := 1; i <= 20; i++ {
 		v.Schedule(time.Duration(i)*time.Second, func(time.Time) { n++ })
 	}
-	if fired := v.Run(0); fired != 20 {
-		t.Fatalf("Run fired %d", fired)
-	}
-	if n != 20 || v.Pending() != 0 {
-		t.Fatalf("n=%d pending=%d", n, v.Pending())
+	v.Run()
+	if n != 20 {
+		t.Fatalf("Run fired %d of 20 events", n)
 	}
 	if got := v.Now().Sub(DefaultEpoch); got != 20*time.Second {
 		t.Fatalf("clock at +%v", got)
 	}
-}
-
-func TestRunMaxEvents(t *testing.T) {
-	v := NewVirtual(DefaultEpoch)
-	for i := 0; i < 10; i++ {
-		v.Schedule(time.Second, func(time.Time) {})
+	v.Run()
+	if n != 20 {
+		t.Fatalf("a second Run fired %d more events", n-20)
 	}
-	if fired := v.Run(3); fired != 3 {
-		t.Fatalf("Run(3) fired %d", fired)
-	}
-	if v.Pending() != 7 {
-		t.Fatalf("Pending = %d", v.Pending())
-	}
-}
-
-func TestNegativeAdvancePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewVirtual(DefaultEpoch).Advance(-time.Second)
 }
 
 func TestNilEventPanics(t *testing.T) {
@@ -150,7 +113,8 @@ func TestCallbackReceivesEventTime(t *testing.T) {
 	v := NewVirtual(DefaultEpoch)
 	var got time.Time
 	v.Schedule(90*time.Second, func(now time.Time) { got = now })
-	v.Advance(10 * time.Minute)
+	v.Schedule(10*time.Minute, func(time.Time) {})
+	v.Run()
 	if want := DefaultEpoch.Add(90 * time.Second); !got.Equal(want) {
 		t.Fatalf("callback time = %v, want %v", got, want)
 	}
