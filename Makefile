@@ -36,15 +36,16 @@ fuzz-smoke:
 
 # Chaos gate: the fault-profile × worker-count survival matrix plus every
 # identity test (*EmitIdentical*: same-seed and worker-count byte equality
-# of records and spans, churned runs included, faulted or clean), under
-# the race detector, twice. The race detector's scheduling is the
-# perturbation that would expose a leaked flood count or a flood that
-# ends early. The pooled-body tests (TestPooledBodies*: concurrent serves
-# and downloads of lazy and static files over recycled slabs) run ten
-# times under it, and the universes' one churn path (netsim's Churn and
-# build-determinism tests) five times.
+# of records and spans, churned runs included, faulted or clean) and the
+# fetch-width test (the default width's waiting transfers all in flight
+# at once), under the race detector, twice. The race detector's
+# scheduling is the perturbation that would expose a leaked flood count
+# or a flood that ends early. The pooled-body tests (TestPooledBodies*:
+# concurrent serves and downloads of lazy and static files over recycled
+# slabs) run ten times under it, and the universes' one churn path
+# (netsim's Churn and build-determinism tests) five times.
 chaos:
-	go test ./internal/core/ -race -count=2 -run 'TestStudySurvivesFaultMatrix|EmitIdentical'
+	go test ./internal/core/ -race -count=2 -run 'TestStudySurvivesFaultMatrix|EmitIdentical|TestFetchStageHoldsWaitingTransfers'
 	go test ./internal/gnutella/ ./internal/openft/ -race -count=10 -run 'TestPooledBodies'
 	go test ./internal/netsim/ -race -count=5 -run 'Churn|Deterministic'
 

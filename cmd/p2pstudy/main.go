@@ -124,7 +124,7 @@ func main() {
 		churn   = flag.Float64("churn", 0, "fraction of honest LimeWire leaves replaced per virtual day")
 		fake    = flag.Float64("fake-files", 0, "fraction of honest downloadable shares that are decoys (size lies)")
 		quiet   = flag.Bool("quiet", false, "suppress progress output")
-		workers = flag.Int("workers", 0, "download/scan worker pool size per network (0 = GOMAXPROCS); traces are byte-identical for any value")
+		workers = flag.Int("workers", 0, "download/scan worker pool size per network (0 = 16); traces are byte-identical for any value")
 		faults  = flag.String("faults", "", "fault-injection profile ("+strings.Join(faultsim.ProfileNames(), ", ")+") or a FaultPlan JSON file; empty or \"off\" disables")
 
 		progress    = flag.Duration("progress", 24*time.Hour, "virtual interval between progress reports (0 disables)")
@@ -269,7 +269,7 @@ func checkFlags(days, perDay, workers, filterdK int, churn, fake float64) error 
 	case !(fake >= 0 && fake <= 1):
 		return fmt.Errorf("-fake-files %v is outside [0, 1]", fake)
 	case workers < 0:
-		return fmt.Errorf("-workers %d is negative (0 = GOMAXPROCS)", workers)
+		return fmt.Errorf("-workers %d is negative (0 = 16 workers)", workers)
 	case filterdK < 0:
 		return fmt.Errorf("-filterd-k %d is negative (0 = every malicious size)", filterdK)
 	}

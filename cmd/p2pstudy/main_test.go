@@ -77,7 +77,7 @@ func TestRejectsNegativeFilterdK(t *testing.T) {
 }
 
 // TestCheckFlagsAcceptsBounds keeps the ends of every range, and 0 for
-// -workers (GOMAXPROCS) and -filterd-k (every malicious size).
+// -workers (16 workers) and -filterd-k (every malicious size).
 func TestCheckFlagsAcceptsBounds(t *testing.T) {
 	for _, c := range []struct{ churn, fake float64 }{{0, 0}, {1, 1}} {
 		if err := checkFlags(1, 1, 0, 0, c.churn, c.fake); err != nil {

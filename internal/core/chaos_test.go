@@ -26,14 +26,15 @@ func chaosRetry() p2p.RetryPolicy {
 }
 
 // TestStudySurvivesFaultMatrix sweeps hostile-network regimes against
-// worker counts: the engine must finish without error, never lose a
-// query, and resolve every downloadable record as either downloaded or a
-// counted failure — the graceful-degradation contract. Run with -race
-// (the CI chaos job does) this also hammers the injector, retry,
-// alternate-source, breaker, and churn paths for data races.
+// worker counts (0 is the default width): the engine must finish without
+// error, never lose a query, and resolve every downloadable record as
+// either downloaded or a counted failure — the graceful-degradation
+// contract. Run with -race (the CI chaos job does) this also hammers the
+// injector, retry, alternate-source, breaker, and churn paths for data
+// races.
 func TestStudySurvivesFaultMatrix(t *testing.T) {
 	for _, profile := range []string{"lossy", "truncating", "churning", "slowloris"} {
-		for _, workers := range []int{1, 8} {
+		for _, workers := range []int{1, 8, 0} {
 			profile, workers := profile, workers
 			t.Run(fmt.Sprintf("%s_w%d", profile, workers), func(t *testing.T) {
 				t.Parallel()
@@ -101,10 +102,10 @@ func faultedWorkerStudy(t *testing.T, seed uint64, workers int) (spans, records 
 // byte-identical span and record streams for any worker count — fault
 // decisions are PRF-keyed, retries are schedule-independent, and breaker
 // state only moves behind barriers, so parallelism must not leak into
-// the trace.
+// the trace. 0 is the default width.
 func TestFaultedWorkerCountsEmitIdenticalTraces(t *testing.T) {
 	sp1, rec1 := faultedWorkerStudy(t, 71, 1)
-	for _, workers := range []int{4, 8} {
+	for _, workers := range []int{4, 8, 0, 32} {
 		sp, rec := faultedWorkerStudy(t, 71, workers)
 		checkSameStreams(t, fmt.Sprintf("faulted, workers 1 vs %d", workers), sp1, rec1, sp, rec)
 	}

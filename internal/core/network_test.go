@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"p2pmalware/internal/dataset"
 	"p2pmalware/internal/netsim"
@@ -242,5 +245,93 @@ func TestRunnerErrorText(t *testing.T) {
 				t.Fatalf("err = %v, want %q wrapping boom", err, c.want)
 			}
 		})
+	}
+}
+
+// gatedNet is fakeNet with one hit per flood, each under its own cache
+// key so the fetch cache cannot fold two queries' downloads into one, and
+// with fetches that wait until want of them are inside at once, or until
+// stalled closes.
+type gatedNet struct {
+	*fakeNet
+	want    int
+	full    chan struct{} // closed once want fetches are inside at once
+	stalled chan struct{}
+
+	mu     sync.Mutex
+	inside int // guarded by mu
+	most   int // guarded by mu
+}
+
+func (g *gatedNet) flood(term string) (p2p.FloodID, func() error) {
+	g.floods++
+	id := p2p.FloodID{g.floods}
+	return id, func() error {
+		g.sink.add(id, fakeHit{ip: "10.0.0.1", port: uint16(id[0]), key: "k"})
+		return nil
+	}
+}
+
+func (g *gatedNet) fetch(h fakeHit, addr string, _ p2p.Transport, _ p2p.RetryPolicy) ([]byte, []p2p.Attempt, error) {
+	g.mu.Lock()
+	g.inside++
+	if g.inside > g.most {
+		g.most = g.inside
+		if g.most == g.want {
+			close(g.full)
+		}
+	}
+	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		g.inside--
+		g.mu.Unlock()
+	}()
+	select {
+	case <-g.full:
+		return []byte("MZ" + addr), []p2p.Attempt{{Fate: p2p.FateOf(nil)}}, nil
+	case <-g.stalled:
+		return nil, []p2p.Attempt{{Fate: p2p.FateOf(errRetry)}}, errRetry
+	}
+}
+
+// TestFetchStageHoldsWaitingTransfers pins the fetch stage's default
+// width without timing anything: at Workers 0, fetchWidth transfers that
+// wait on their peers must all be in flight at once, however few cores
+// the process has. Each of fetchWidth queries answers with its own hit,
+// and each fetch waits until fetchWidth fetches are inside together. A
+// pool as narrow as GOMAXPROCS never gets there, and the guard then
+// fails the test instead of letting it hang.
+func TestFetchStageHoldsWaitingTransfers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	stalled := make(chan struct{})
+	guard := time.AfterFunc(10*time.Second, func() { close(stalled) })
+	defer guard.Stop()
+	fake := &gatedNet{
+		fakeNet: &fakeNet{mem: p2p.NewMem(), sink: &floodSink[fakeHit]{}},
+		want:    fetchWidth, full: make(chan struct{}), stalled: stalled,
+	}
+	st, err := NewStudy(StudyConfig{Seed: 5, Days: 1, QueriesPerDay: fetchWidth, LimeWire: &netsim.LimeWireConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := dataset.NewTrace()
+	err = runNetwork[fakeHit](st, tr, netInfo{name: "fake", network: dataset.LimeWire, stream: 1, mem: fake.mem}, fake.sink, fake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake.mu.Lock()
+	most := fake.most
+	fake.mu.Unlock()
+	if most < fetchWidth {
+		t.Fatalf("at most %d fetches were in flight at once, want %d", most, fetchWidth)
+	}
+	if len(tr.Records) != fetchWidth {
+		t.Fatalf("%d records, want one per query (%d)", len(tr.Records), fetchWidth)
+	}
+	for i, rec := range tr.Records {
+		if !rec.Downloaded {
+			t.Errorf("record %d (%s:%d): not downloaded: %s", i, rec.SourceIP, rec.SourcePort, rec.DownloadError)
+		}
 	}
 }

@@ -28,11 +28,11 @@ import (
 //     arrive (an echo host draws its decoy filename per query), so two
 //     floods in flight at once would permute those draws and change
 //     response *content*, not just order.
-//  3. Fetch (bounded worker pool): download each downloadable hit
-//     through the deduplicating fetch cache and scan it. Query N+1's
-//     flood overlaps query N's downloads and scans —
-//     downloads only read per-file static content, so they cannot
-//     perturb later queries' responses.
+//  3. Fetch (worker pool, StudyConfig.Workers wide, fetchWidth by
+//     default): download each downloadable hit through the
+//     deduplicating fetch cache and scan it. Query N+1's flood overlaps
+//     query N's downloads and scans — downloads only read per-file
+//     static content, so they cannot perturb later queries' responses.
 //  4. Commit (single committer goroutine): in submission order, append
 //     the query's records and emit its spans, stamped with the query's
 //     virtual timestamp — so records and spans are byte-identical to the
@@ -98,13 +98,34 @@ type pipeline struct {
 	stopOnce sync.Once
 }
 
+// fetchWidth is each network's fetch-stage width when StudyConfig.Workers
+// is 0. A transfer spends most of its wall time waiting, on its peer and
+// under a fault plan on injected latency and retry backoff, so the width
+// is set by how many waits should overlap, not by the number of cores: a
+// pool as wide as GOMAXPROCS stalls whenever that many transfers sleep at
+// once. Each worker holds at most one body, a slab of at most 512 KiB, so
+// the stage holds at most 8 MiB of bodies per network.
+const fetchWidth = 16
+
+// collectDepth is how many submitted queries may wait for the collector.
+// The collector floods one query at a time, so a deeper queue would only
+// let the virtual clock run further ahead of it and add to every query's
+// collect wait.
+const collectDepth = 2
+
 // newPipeline starts the collector, workers, and the committer. workers
-// must be >= 1.
+// must be >= 1. Each queue is sized for its stage, not as a multiple of
+// the worker count: a short collect queue paces issue to the collector,
+// the collector hands each task straight to a free worker, and the commit
+// queue holds every task the stages can hold at once (collectDepth
+// queued, one collecting, one per worker) plus two, so submit waits on
+// commit order only once finished tasks pile up behind an earlier one
+// still fetching.
 func newPipeline(workers int, met *netMetrics) *pipeline {
 	p := &pipeline{
-		collect: make(chan *pipeTask, 2*workers),
-		work:    make(chan *pipeTask, 2*workers),
-		commitq: make(chan *pipeTask, 2*workers),
+		collect: make(chan *pipeTask, collectDepth),
+		work:    make(chan *pipeTask),
+		commitq: make(chan *pipeTask, workers+collectDepth+2),
 		met:     met,
 		done:    make(chan struct{}),
 	}
@@ -182,8 +203,8 @@ func emitQuerySpans(t *pipeTask, commitEnd time.Time) {
 }
 
 // submit enqueues one task. Must be called from the virtual-clock
-// goroutine only; submission order is commit order. Blocks when the
-// pipeline is at capacity, which throttles query issuance.
+// goroutine only; submission order is commit order. Blocks while the
+// collect queue is full, which paces query issuance to the collector.
 //
 // lint:hotpath
 func (p *pipeline) submit(t *pipeTask) {

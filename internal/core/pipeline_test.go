@@ -14,7 +14,7 @@ import (
 
 // smallStudy is the one-day, five-query two-network study the identity
 // and shape tests share, reporting progress every six virtual hours.
-// workers 0 means GOMAXPROCS.
+// workers 0 means the default width, fetchWidth.
 func smallStudy(seed uint64, workers int) StudyConfig {
 	return StudyConfig{
 		Seed: seed, Days: 1, QueriesPerDay: 5,
@@ -83,10 +83,10 @@ func TestSameSeedStudiesEmitIdenticalTraces(t *testing.T) {
 
 // TestWorkerCountsEmitIdenticalTraces pins the pipeline's determinism
 // contract: for one seed, the span and record streams are byte-identical
-// at any worker count, servent IDs included.
+// at any worker count, servent IDs included. 0 is the default width.
 func TestWorkerCountsEmitIdenticalTraces(t *testing.T) {
 	sp1, rec1 := workerStudy(t, 57, 1)
-	for _, workers := range []int{4, 8} {
+	for _, workers := range []int{4, 8, 0, 32} {
 		sp, rec := workerStudy(t, 57, workers)
 		checkSameStreams(t, fmt.Sprintf("workers 1 vs %d", workers), sp1, rec1, sp, rec)
 	}

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -47,9 +46,11 @@ type StudyConfig struct {
 	// unaffected either way.
 	SpanWallLatency bool
 	// Workers sizes each network's download/scan worker pool (default
-	// GOMAXPROCS). Records and spans are byte-identical for any worker
-	// count: the committer re-serializes results into issue order before
-	// any record is appended or span emitted.
+	// 16: a transfer mostly waits on its peer, so the pool is sized for
+	// transfers in flight, not for cores). Records and spans are
+	// byte-identical for any worker count: the committer re-serializes
+	// results into issue order before any record is appended or span
+	// emitted.
 	Workers int
 	// Faults, when non-nil and active, injects deterministic transport
 	// faults (latency, refusals, resets, truncation, corruption,
@@ -77,7 +78,7 @@ func (c *StudyConfig) applyDefaults() {
 		c.QueriesPerDay = 96
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+		c.Workers = fetchWidth
 	}
 }
 

@@ -26,6 +26,9 @@ import (
 // transfers are recognized and end tracking: returning the value,
 // sending it on a channel, storing it into a struct field or element, or
 // passing it to a constructor-shaped call (New*/from/wrap) that wraps it.
+// Returning the result of another call the value was passed to
+// (`return t.Exchange(c, …)`) is not a transfer: the call used the value,
+// and the caller gets back only what the call returned.
 // For the `v, err := Acquire()` shape, the error path is refined at the
 // branch: on the err != nil edge the acquisition failed and nothing needs
 // releasing.
@@ -247,7 +250,8 @@ func relStep(f *relFact, s ast.Stmt) {
 	case *ast.ReturnStmt:
 		// Returning a tracked value transfers ownership to the caller.
 		for _, r := range x.Results {
-			relDropMentioned(f, r)
+			relScanExpr(f, r)
+			relDropReturned(f, r, false)
 		}
 	case *ast.SendStmt:
 		// Sending a tracked value hands it to the receiver.
@@ -391,6 +395,34 @@ func relDropMentioned(f *relFact, e ast.Expr) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
 			delete(f.held, id.Name)
+		}
+		return true
+	})
+}
+
+// relDropReturned ends tracking for the values a return result hands to
+// the caller: every tracked name the result mentions outside call
+// arguments (`return c, nil`, `return &peerConn{c: c}`, a method's
+// receiver), and whatever a function literal captures. A name that is only
+// a call argument (`return scan(c)`) stays held; relScanExpr has already
+// dropped it if the call is a constructor that wraps it. inArg is set
+// while walking a call's arguments.
+func relDropReturned(f *relFact, e ast.Expr, inArg bool) {
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			relDropMentioned(f, x)
+			return false
+		case *ast.CallExpr:
+			relDropReturned(f, x.Fun, inArg)
+			for _, arg := range x.Args {
+				relDropReturned(f, arg, true)
+			}
+			return false
+		case *ast.Ident:
+			if !inArg {
+				delete(f.held, x.Name)
+			}
 		}
 		return true
 	})
