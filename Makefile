@@ -51,14 +51,15 @@ chaos:
 
 # Golden gate: each TestGoldenTrace* test runs one study, and every
 # case's span and record streams must match testdata/golden/ byte for
-# byte; TestReferenceReport runs the reference study and its report and
-# filter output must match cmd/p2panalyze/testdata/ byte for byte.
-# Refresh after an intentional change with:
+# byte; TestReferenceReport runs the reference study, and its report and
+# filter output must match cmd/p2panalyze/testdata/ byte for byte, as
+# must what TestAblationsAndExtensions measures in each ablation and
+# extension. Refresh after an intentional change with:
 #   go test ./internal/core/ -run TestGoldenTrace -update
-#   go test ./cmd/p2panalyze/ -run TestReferenceReport -update
+#   go test ./cmd/p2panalyze/ -run 'TestReferenceReport|TestAblationsAndExtensions' -update
 golden:
 	go test ./internal/core/ -count=1 -run TestGoldenTrace
-	go test ./cmd/p2panalyze/ -count=1 -run TestReferenceReport
+	go test ./cmd/p2panalyze/ -count=1 -run 'TestReferenceReport|TestAblationsAndExtensions'
 
 # The benchmark (perfbench/) is a nested module that imports the internal
 # packages, so ./... above never builds it; vet and test it here so an
@@ -68,11 +69,11 @@ perfbench-smoke:
 
 # Benchmarks: the obs/archive/scanner/filtersvc/stats/dataset hot paths
 # (among them the per-layer kernels: automaton, MD5, body fill, record
-# encoding) run 6 times each so the output feeds benchstat; the
-# table/figure pipeline and study-engine benchmarks are heavyweight (each
-# iteration runs a scaled-down study) and run once. benchjson folds
-# everything into BENCH_7.json (mean across runs), which CI uploads as an
-# artifact. Non-gating in CI.
+# encoding) run 6 times each so the output feeds benchstat; the two
+# study-engine benchmarks are heavyweight (each iteration runs a
+# scaled-down study) and run once. benchjson folds everything into
+# BENCH_7.json (mean across runs), which CI uploads as an artifact.
+# Non-gating in CI.
 bench:
 	go test -run='^$$' -bench=. -benchmem -count=6 ./internal/obs ./internal/archive ./internal/scanner ./internal/filtersvc ./internal/stats ./internal/dataset | tee bench.out
 	go test -run='^$$' -bench=. -benchmem -count=1 . | tee -a bench.out

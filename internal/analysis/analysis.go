@@ -201,18 +201,6 @@ func MaliciousSources(tr *dataset.Trace, nw dataset.Network) []SourceClassShare 
 	return out
 }
 
-// PrivateShare returns the fraction of malicious responses whose advertised
-// source lies in private address ranges (the paper's 28% headline for
-// LimeWire).
-func PrivateShare(tr *dataset.Trace, nw dataset.Network) float64 {
-	for _, s := range MaliciousSources(tr, nw) {
-		if s.Class == "private" {
-			return s.Share
-		}
-	}
-	return 0
-}
-
 // HostShare is one row of F2: a source host's share of a family's (or
 // network's) malicious responses.
 type HostShare struct {

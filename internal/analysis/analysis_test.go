@@ -119,11 +119,11 @@ func TestMaliciousSources(t *testing.T) {
 	if len(srcs) != 2 || srcs[0].Class != "public" {
 		t.Fatalf("sources = %+v", srcs)
 	}
-	if got := PrivateShare(buildTrace(), dataset.LimeWire); math.Abs(got-6.0/68) > 1e-9 {
-		t.Fatalf("private share = %v", got)
+	if srcs[1].Class != "private" || math.Abs(srcs[1].Share-6.0/68) > 1e-9 {
+		t.Fatalf("private row = %+v", srcs[1])
 	}
-	if PrivateShare(buildTrace(), dataset.OpenFT) != 0 {
-		t.Fatal("phantom private share on empty network")
+	if srcs := MaliciousSources(buildTrace(), dataset.OpenFT); len(srcs) != 0 {
+		t.Fatalf("phantom sources on empty network: %+v", srcs)
 	}
 }
 

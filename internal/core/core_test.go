@@ -66,8 +66,14 @@ func TestLimeWireStudyShape(t *testing.T) {
 	}
 
 	// The paper: 28% of malicious responses from private address ranges.
-	if got := analysis.PrivateShare(tr, dataset.LimeWire); got < 0.18 || got > 0.38 {
-		t.Fatalf("private share = %.3f, want ~0.28", got)
+	var private float64
+	for _, s := range analysis.MaliciousSources(tr, dataset.LimeWire) {
+		if s.Class == "private" {
+			private = s.Share
+		}
+	}
+	if private < 0.18 || private > 0.38 {
+		t.Fatalf("private share = %.3f, want ~0.28", private)
 	}
 
 	// Push-flagged (firewalled) hits must have been downloaded via push.
