@@ -1,12 +1,12 @@
 // Package bufpool recycles the short-lived buffers of the two networks'
 // wire and transfer paths: bufio readers wrapped around connections,
 // staging buffers for bodies whose length the peer did not advertise, and
-// size-classed slabs (slab.go) for descriptor payloads and file bodies. A
-// study run serves and downloads tens of thousands of bodies of up to a
-// few hundred KiB; without pooling each one is a fresh zeroed allocation,
-// and the collections they cause cost the pipelined engine a tenth of its
-// CPU. A pooled buffer has one user at a time, which hands it back when
-// done; a buffer that is never handed back is simply left to the garbage
+// size-classed slabs (slab.go) for file bodies. A study run serves and
+// downloads tens of thousands of bodies of up to a few hundred KiB;
+// without pooling each one is a fresh zeroed allocation, and the
+// collections they cause cost the pipelined engine a tenth of its CPU. A
+// pooled buffer has one user at a time, which hands it back when done; a
+// buffer that is never handed back is simply left to the garbage
 // collector.
 package bufpool
 

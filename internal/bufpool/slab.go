@@ -6,29 +6,22 @@ import (
 	"p2pmalware/internal/obs"
 )
 
-// Slabs back two kinds of short-lived bytes. The small classes back the
-// pooled wire descriptors (gnutella.Message, openft.Packet): the reader
-// draws a slab sized for the advertised payload, the descriptor owns it
-// for its refcounted lifetime, and the final Release returns it here.
-// Gnutella caps payloads at 64 KiB and OpenFT at 32 KiB, and the classes
-// below 64 KiB keep query/pong traffic from pinning 64 KiB each. File
-// bodies use the same classes, and the classes past 64 KiB exist for
-// them: every lazily generated body a servent serves and every body a
-// transfer downloads, which its one user hands back once it has written,
-// hashed or scanned it.
+// Slabs back file bodies: every lazily generated body a servent serves and
+// every body a transfer downloads, which its one user hands back once it
+// has written, hashed or scanned it. The smallest bodies a universe serves
+// are fake files of 2–6 KiB and the smallest malware specimen (about
+// 4 KiB), which the 8 KiB class holds; honest bodies start at 40 KiB.
 //
 // The pools store *[N]byte pointers, not []byte headers: a slice stored in
 // an interface allocates its header on every Put, which would put an
 // allocation back on the very path the slabs exist to clear.
 
 const (
-	slabSmall  = 128
-	slabMedium = 1 << 10
-	slabLarge  = 8 << 10
-	slab64K    = 64 << 10
-	slab128K   = 128 << 10
-	slab256K   = 256 << 10
-	slab512K   = 512 << 10
+	slab8K   = 8 << 10
+	slab64K  = 64 << 10
+	slab128K = 128 << 10
+	slab256K = 256 << 10
+	slab512K = 512 << 10
 	// slabMax is the largest class. It holds the largest specimen of
 	// either malware catalog (about 400 KiB); a longer request is a plain
 	// allocation.
@@ -38,13 +31,11 @@ const (
 var (
 	slabNew = obs.C("p2p_bufpool_new_total", "kind", "slab")
 
-	slabSmallPool  = sync.Pool{New: func() any { slabNew.Inc(); return new([slabSmall]byte) }}
-	slabMediumPool = sync.Pool{New: func() any { slabNew.Inc(); return new([slabMedium]byte) }}
-	slabLargePool  = sync.Pool{New: func() any { slabNew.Inc(); return new([slabLarge]byte) }}
-	slab64KPool    = sync.Pool{New: func() any { slabNew.Inc(); return new([slab64K]byte) }}
-	slab128KPool   = sync.Pool{New: func() any { slabNew.Inc(); return new([slab128K]byte) }}
-	slab256KPool   = sync.Pool{New: func() any { slabNew.Inc(); return new([slab256K]byte) }}
-	slab512KPool   = sync.Pool{New: func() any { slabNew.Inc(); return new([slab512K]byte) }}
+	slab8KPool   = sync.Pool{New: func() any { slabNew.Inc(); return new([slab8K]byte) }}
+	slab64KPool  = sync.Pool{New: func() any { slabNew.Inc(); return new([slab64K]byte) }}
+	slab128KPool = sync.Pool{New: func() any { slabNew.Inc(); return new([slab128K]byte) }}
+	slab256KPool = sync.Pool{New: func() any { slabNew.Inc(); return new([slab256K]byte) }}
+	slab512KPool = sync.Pool{New: func() any { slabNew.Inc(); return new([slab512K]byte) }}
 )
 
 // GetSlab returns a byte slice of length n drawn from the smallest pooled
@@ -56,12 +47,8 @@ var (
 // lint:hotpath
 func GetSlab(n int) []byte {
 	switch {
-	case n <= slabSmall:
-		return slabSmallPool.Get().(*[slabSmall]byte)[:n]
-	case n <= slabMedium:
-		return slabMediumPool.Get().(*[slabMedium]byte)[:n]
-	case n <= slabLarge:
-		return slabLargePool.Get().(*[slabLarge]byte)[:n]
+	case n <= slab8K:
+		return slab8KPool.Get().(*[slab8K]byte)[:n]
 	case n <= slab64K:
 		return slab64KPool.Get().(*[slab64K]byte)[:n]
 	case n <= slab128K:
@@ -86,12 +73,8 @@ func GetSlab(n int) []byte {
 func PutSlab(b []byte) {
 	b = b[:cap(b)]
 	switch cap(b) {
-	case slabSmall:
-		slabSmallPool.Put((*[slabSmall]byte)(b))
-	case slabMedium:
-		slabMediumPool.Put((*[slabMedium]byte)(b))
-	case slabLarge:
-		slabLargePool.Put((*[slabLarge]byte)(b))
+	case slab8K:
+		slab8KPool.Put((*[slab8K]byte)(b))
 	case slab64K:
 		slab64KPool.Put((*[slab64K]byte)(b))
 	case slab128K:

@@ -6,14 +6,10 @@ func TestGetSlabLengthAndClass(t *testing.T) {
 	cases := []struct {
 		n, wantCap int
 	}{
-		{0, slabSmall},
-		{1, slabSmall},
-		{slabSmall, slabSmall},
-		{slabSmall + 1, slabMedium},
-		{slabMedium, slabMedium},
-		{slabMedium + 1, slabLarge},
-		{slabLarge, slabLarge},
-		{slabLarge + 1, slab64K},
+		{0, slab8K},
+		{1, slab8K},
+		{slab8K, slab8K},
+		{slab8K + 1, slab64K},
 		{slab64K, slab64K},
 		{slab64K + 1, slab128K},
 		{slab128K, slab128K},
@@ -49,18 +45,18 @@ func TestPutSlabIgnoresForeignCapacities(t *testing.T) {
 	// size; PutSlab must drop them rather than poison a pool.
 	PutSlab(make([]byte, 100))
 	PutSlab(nil)
-	b := GetSlab(slabSmall)
-	PutSlab(append(b, make([]byte, slabSmall*4)...))
+	b := GetSlab(slab8K)
+	PutSlab(append(b, make([]byte, slab8K*4)...))
 }
 
 func TestSlabReuse(t *testing.T) {
 	// Drain-then-return on a private marker: after PutSlab, a same-class
 	// GetSlab on the same goroutine should hand the slab back (sync.Pool
 	// keeps a per-P private slot), proving bytes actually recycle.
-	b := GetSlab(slabLarge)
+	b := GetSlab(slab8K)
 	b[0] = 0xAB
 	PutSlab(b)
-	c := GetSlab(slabLarge)
+	c := GetSlab(slab8K)
 	if &b[0] != &c[0] {
 		t.Skip("pool did not return the same slab (GC or scheduling); nothing to assert")
 	}
@@ -71,10 +67,10 @@ func TestSlabReuse(t *testing.T) {
 }
 
 func TestGetSlabZeroAlloc(t *testing.T) {
-	b := GetSlab(slabMedium)
+	b := GetSlab(slab8K)
 	PutSlab(b)
 	allocs := testing.AllocsPerRun(1000, func() {
-		s := GetSlab(slabMedium)
+		s := GetSlab(slab8K)
 		PutSlab(s)
 	})
 	if allocs != 0 {

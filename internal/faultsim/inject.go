@@ -67,14 +67,6 @@ func NewInjector(plan *FaultPlan, seed uint64, network string, inner p2p.Transpo
 	}
 }
 
-// Plan returns the injector's plan (the zero plan for a nil injector).
-func (inj *Injector) Plan() FaultPlan {
-	if inj == nil {
-		return FaultPlan{}
-	}
-	return inj.plan
-}
-
 // Transport returns a faulting view of the wrapped transport for one fetch
 // key. Each Dial on the view is one numbered attempt; the fault verdict
 // for (key, attempt) is fixed by the plan seed. A nil injector returns

@@ -38,25 +38,11 @@ type Filter interface {
 // path an O(k) scan whose work order followed map range order.)
 type SizeFilter struct {
 	sizes []int64 // ascending, deduplicated
-	// Tolerance widens matching to ±Tolerance bytes (0 = exact). The
-	// ablation benches explore the false-positive cost of widening.
+	// Tolerance widens matching to ±Tolerance bytes (0 = exact).
+	// TestAblationsAndExtensions (cmd/p2panalyze) measures the
+	// false-positive cost of widening, which EXPERIMENTS.md's ablation
+	// table reports as row A2.
 	Tolerance int64
-}
-
-// NewSizeFilter builds a filter from an explicit block list (copied,
-// sorted, deduplicated) — the constructor used when the list comes from a
-// filtersvc snapshot, a config file, or another already-trained filter
-// rather than from a training trace.
-func NewSizeFilter(sizes []int64, tolerance int64) *SizeFilter {
-	s := append([]int64(nil), sizes...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	dedup := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	return &SizeFilter{sizes: dedup, Tolerance: tolerance}
 }
 
 // Name implements Filter.

@@ -235,9 +235,7 @@ func (m *Message) FloodKey() (p2p.FloodID, bool) {
 }
 
 // ReadFrame reads one descriptor from br, enforcing MaxPayload and
-// clamping TTL.
-//
-// lint:hotpath
+// clamping TTL. Each descriptor gets a payload of its own.
 func (cd *codec) ReadFrame(br *bufio.Reader) (*Message, error) {
 	if _, err := io.ReadFull(br, cd.rhdr[:]); err != nil {
 		return nil, err
@@ -247,14 +245,10 @@ func (cd *codec) ReadFrame(br *bufio.Reader) (*Message, error) {
 	if plen > MaxPayload {
 		return nil, errPayloadSize(int(plen))
 	}
-	m := NewMessage(g, MsgType(cd.rhdr[16]), cd.rhdr[17], cd.rhdr[18], int(plen))
-	if m.TTL > MaxTTL {
-		m.TTL = MaxTTL
-	}
+	m := &Message{GUID: g, Type: MsgType(cd.rhdr[16]), TTL: min(cd.rhdr[17], MaxTTL), Hops: cd.rhdr[18]}
 	if plen > 0 {
-		m.Payload = m.slab[:plen]
+		m.Payload = make([]byte, plen)
 		if _, err := io.ReadFull(br, m.Payload); err != nil {
-			m.Release()
 			return nil, err
 		}
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // wireConn speaks raw Gnutella over an established connection with the
-// node's codec, for tests that play a peer by hand. It never retains or
-// releases references; read from one goroutine and serialize writes.
+// node's codec, for tests that play a peer by hand. Read from one
+// goroutine and serialize writes.
 type wireConn struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer

@@ -64,15 +64,10 @@ func TestUltrapeerDeliversLastHopToLeaves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("no query hit from the leaf behind a TTL-1 ultrapeer: %v", err)
 		}
-		hit := m.Type == MsgQueryHit && m.GUID == g
-		if hit {
-			qh, err = ParseQueryHit(m.Payload)
-		}
-		m.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hit {
+		if m.Type == MsgQueryHit && m.GUID == g {
+			if qh, err = ParseQueryHit(m.Payload); err != nil {
+				t.Fatal(err)
+			}
 			break
 		}
 	}
@@ -119,10 +114,7 @@ func floodPeer(t *testing.T) (*Node, *peerConn, net.Conn) {
 }
 
 func floodQuery(g guid.GUID) *Message {
-	q := Query{Criteria: "flood accounting"}
-	m := NewMessage(g, MsgQuery, DefaultTTL, 0, q.encodedSize())
-	m.Payload = q.AppendTo(m.Payload)
-	return m
+	return &Message{GUID: g, Type: MsgQuery, TTL: DefaultTTL, Payload: Query{Criteria: "flood accounting"}.Encode()}
 }
 
 func completed(f *p2p.Flood) bool {
@@ -197,11 +189,9 @@ func TestFloodDropPathsRetire(t *testing.T) {
 			var wire bytes.Buffer
 			w := &wireConn{bw: bufio.NewWriter(&wire)}
 			for i := 0; i < 2; i++ {
-				m := floodQuery(g)
-				if err := w.Write(m); err != nil {
+				if err := w.Write(floodQuery(g)); err != nil {
 					t.Fatal(err)
 				}
-				m.Release()
 				n.floods.Sent(p2p.FloodID(g)) // the sender's count
 			}
 			pc := newPeerConn(nopConn{}, bufio.NewReader(&wire), n.floods, &HandshakeInfo{}, false)
@@ -334,7 +324,6 @@ func TestFloodSendPathZeroAllocs(t *testing.T) {
 	m := floodQuery(g)
 	send := func(want error) func() {
 		return func() {
-			m.Retain()
 			if err := pc.Send(m); !errors.Is(err, want) {
 				t.Fatalf("Send = %v, want %v", err, want)
 			}
@@ -348,7 +337,6 @@ func TestFloodSendPathZeroAllocs(t *testing.T) {
 		t.Fatalf("dropped send allocs = %v, want 0", allocs)
 	}
 	pc.Close() // drains the queue
-	m.Release()
 	f.Release()
 	if !completed(f) {
 		t.Fatal("queued and dropped descriptors were not all retired")

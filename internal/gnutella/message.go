@@ -18,10 +18,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
-	"sync/atomic"
 
-	"p2pmalware/internal/bufpool"
 	"p2pmalware/internal/guid"
 )
 
@@ -76,16 +73,10 @@ const DefaultTTL = 4
 // MaxTTL is the hard ceiling: descriptors claiming more are clamped.
 const MaxTTL = 7
 
-// Message is one raw descriptor.
-//
-// Messages come in two flavors. A plain &Message{} is unmanaged: it lives
-// on the garbage-collected heap, Retain/Release are no-ops, and it may be
-// shared freely (cold control paths like QRP announcements use these).
-// NewMessage returns a managed descriptor drawn from a pool, its payload
-// backed by a bufpool slab, carrying one reference; every send consumes
-// one reference and the final Release recycles both object and slab. The
-// retain/copy contract at the routing and transfer boundaries is
-// documented in DESIGN.md ("Buffer ownership & arena contract").
+// Message is one raw descriptor. It is a plain heap value that any
+// holder may keep: a reader gives each descriptor its own payload, and a
+// forward hands the same descriptor to every target link, whose writers
+// only read it.
 type Message struct {
 	// GUID is the descriptor's globally unique ID, used for duplicate
 	// suppression and reverse-path routing.
@@ -96,88 +87,8 @@ type Message struct {
 	TTL byte
 	// Hops counts hops taken so far.
 	Hops byte
-	// Payload is the raw descriptor payload. For managed messages it
-	// aliases slab and is only valid while a reference is held.
+	// Payload is the raw descriptor payload.
 	Payload []byte
-
-	// refs counts outstanding owners of a managed message; it stays 0 for
-	// the unmanaged flavor.
-	refs atomic.Int32
-	// slab is the pooled payload backing returned to bufpool on final
-	// release; nil for unmanaged messages and empty payloads.
-	slab []byte
-}
-
-// msgPool recycles managed descriptor headers; their payload slabs cycle
-// through bufpool separately so a pong-sized descriptor never pins a
-// query-hit-sized slab.
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
-
-// NewMessage returns a pooled descriptor holding one reference, with an
-// empty payload backed by a slab of at least payloadCap bytes (none when
-// payloadCap is 0). Build the payload with append into m.Payload; growing
-// past the hint is safe (append falls back to the GC heap and the orphaned
-// slab is still recycled).
-//
-// lint:hotpath
-func NewMessage(g guid.GUID, t MsgType, ttl, hops byte, payloadCap int) *Message {
-	m := msgPool.Get().(*Message)
-	m.GUID = g
-	m.Type = t
-	m.TTL = ttl
-	m.Hops = hops
-	if payloadCap > 0 {
-		m.slab = bufpool.GetSlab(payloadCap)
-		m.Payload = m.slab[:0]
-	} else {
-		m.slab = nil
-		m.Payload = nil
-	}
-	m.refs.Store(1)
-	return m
-}
-
-// Retain adds one reference to a managed message. Callers must already
-// hold a reference (routing retains once per forward target before each
-// send). No-op on unmanaged messages.
-//
-// lint:hotpath
-func (m *Message) Retain() {
-	if m == nil || m.refs.Load() == 0 {
-		return
-	}
-	m.refs.Add(1)
-}
-
-// Release drops one reference; the final release returns the payload slab
-// to bufpool and the descriptor to its pool. The caller must not touch the
-// message afterwards. No-op on unmanaged messages, so cleanup code may
-// release unconditionally.
-//
-// lint:hotpath
-func (m *Message) Release() {
-	if m == nil || m.refs.Load() == 0 {
-		return
-	}
-	if m.refs.Add(-1) > 0 {
-		return
-	}
-	if m.slab != nil {
-		bufpool.PutSlab(m.slab)
-	}
-	m.GUID = guid.GUID{}
-	m.Type = 0
-	m.TTL = 0
-	m.Hops = 0
-	m.Payload = nil
-	m.slab = nil
-	msgPool.Put(m)
-}
-
-// Managed reports whether m is pool-managed (reference-counted). Exposed
-// for the aliasing regression tests.
-func (m *Message) Managed() bool {
-	return m != nil && m.refs.Load() > 0
 }
 
 // Errors shared by message parsing.
@@ -208,24 +119,16 @@ type Pong struct {
 // pongSize is the fixed pong payload length.
 const pongSize = 14
 
-// AppendTo appends the 14-byte pong payload to dst — the zero-copy path
-// for building a reply directly in a pooled message's slab.
-//
-// lint:hotpath
-func (p Pong) AppendTo(dst []byte) []byte {
-	var b [pongSize]byte
-	binary.LittleEndian.PutUint16(b[0:], p.Port)
-	copy(b[2:6], ipv4(p.IP))
-	binary.LittleEndian.PutUint32(b[6:], p.Files)
-	binary.LittleEndian.PutUint32(b[10:], p.KB)
-	return append(dst, b[:]...)
-}
-
 // Encode returns the 14-byte pong payload.
 //
 // lint:hotpath
 func (p Pong) Encode() []byte {
-	return p.AppendTo(make([]byte, 0, pongSize))
+	b := make([]byte, pongSize)
+	binary.LittleEndian.PutUint16(b[0:], p.Port)
+	copy(b[2:6], ipv4(p.IP))
+	binary.LittleEndian.PutUint32(b[6:], p.Files)
+	binary.LittleEndian.PutUint32(b[10:], p.KB)
+	return b
 }
 
 // ParsePong decodes a pong payload.
@@ -253,37 +156,23 @@ type Query struct {
 	Extensions string
 }
 
-// encodedSize returns the exact encoded payload length, used to size a
-// pooled message's slab.
-func (q Query) encodedSize() int {
-	n := 2 + len(q.Criteria) + 1
-	if q.Extensions != "" {
-		n += len(q.Extensions) + 1
-	}
-	return n
-}
-
-// AppendTo appends the query payload to dst.
-//
-// lint:hotpath
-func (q Query) AppendTo(dst []byte) []byte {
-	var sp [2]byte
-	binary.LittleEndian.PutUint16(sp[:], q.MinSpeed)
-	dst = append(dst, sp[:]...)
-	dst = append(dst, q.Criteria...)
-	dst = append(dst, 0)
-	if q.Extensions != "" {
-		dst = append(dst, q.Extensions...)
-		dst = append(dst, 0)
-	}
-	return dst
-}
-
 // Encode returns the query payload.
 //
 // lint:hotpath
 func (q Query) Encode() []byte {
-	return q.AppendTo(make([]byte, 0, q.encodedSize()))
+	n := 2 + len(q.Criteria) + 1
+	if q.Extensions != "" {
+		n += len(q.Extensions) + 1
+	}
+	b := make([]byte, 2, n)
+	binary.LittleEndian.PutUint16(b, q.MinSpeed)
+	b = append(b, q.Criteria...)
+	b = append(b, 0)
+	if q.Extensions != "" {
+		b = append(b, q.Extensions...)
+		b = append(b, 0)
+	}
+	return b
 }
 
 // ParseQuery decodes a query payload.
@@ -348,16 +237,21 @@ type QueryHit struct {
 	ServentID guid.GUID
 }
 
-// errTooManyHits lives off the hot path so AppendTo stays free of fmt
+// errTooManyHits lives off the hot path so Encode stays free of fmt
 // boxing under the hotpath allocation contract.
 func errTooManyHits(n int) error {
 	return fmt.Errorf("gnutella: %d hits exceeds 255", n)
 }
 
-// encodedSize returns the exact encoded payload length (valid while
-// Vendor is at most 4 characters, which Encode enforces by padding or
-// truncating), used to size a pooled message's slab.
-func (qh QueryHit) encodedSize() int {
+// Encode returns the query-hit payload, including the QHD trailer when
+// Vendor is set (its code padded or truncated to 4 bytes), and the
+// trailing servent GUID.
+//
+// lint:hotpath
+func (qh QueryHit) Encode() ([]byte, error) {
+	if len(qh.Hits) > 255 {
+		return nil, errTooManyHits(len(qh.Hits))
+	}
 	n := 11 + guid.Size
 	for i := range qh.Hits {
 		n += 8 + len(qh.Hits[i].Name) + 1 + len(qh.Hits[i].Extensions) + 1
@@ -365,23 +259,11 @@ func (qh QueryHit) encodedSize() int {
 	if qh.Vendor != "" {
 		n += 4 + 3
 	}
-	return n
-}
-
-// AppendTo appends the query-hit payload to dst, including the QHD
-// trailer when Vendor is set, and the trailing servent GUID.
-//
-// lint:hotpath
-func (qh QueryHit) AppendTo(dst []byte) ([]byte, error) {
-	if len(qh.Hits) > 255 {
-		return dst, errTooManyHits(len(qh.Hits))
-	}
-	var hdr [11]byte
-	hdr[0] = byte(len(qh.Hits))
-	binary.LittleEndian.PutUint16(hdr[1:], qh.Port)
-	copy(hdr[3:7], ipv4(qh.IP))
-	binary.LittleEndian.PutUint32(hdr[7:], qh.Speed)
-	dst = append(dst, hdr[:]...)
+	dst := make([]byte, 11, n)
+	dst[0] = byte(len(qh.Hits))
+	binary.LittleEndian.PutUint16(dst[1:], qh.Port)
+	copy(dst[3:7], ipv4(qh.IP))
+	binary.LittleEndian.PutUint32(dst[7:], qh.Speed)
 	for i := range qh.Hits {
 		h := &qh.Hits[i]
 		var rec [8]byte
@@ -411,12 +293,6 @@ func appendVendor(dst []byte, vendor string) []byte {
 		return append(dst, vendor[:4]...)
 	}
 	return append(dst, (vendor + "    ")[:4]...)
-}
-
-// Encode returns the query-hit payload, including the QHD trailer when
-// Vendor is set, and the trailing servent GUID.
-func (qh QueryHit) Encode() ([]byte, error) {
-	return qh.AppendTo(make([]byte, 0, qh.encodedSize()))
 }
 
 // ParseQueryHit decodes a query-hit payload.
@@ -487,23 +363,16 @@ type Push struct {
 // pushSize is the fixed push payload length.
 const pushSize = 26
 
-// AppendTo appends the 26-byte push payload to dst.
-//
-// lint:hotpath
-func (p Push) AppendTo(dst []byte) []byte {
-	var b [pushSize]byte
-	copy(b[0:16], p.ServentID[:])
-	binary.LittleEndian.PutUint32(b[16:], p.Index)
-	copy(b[20:24], ipv4(p.IP))
-	binary.LittleEndian.PutUint16(b[24:], p.Port)
-	return append(dst, b[:]...)
-}
-
 // Encode returns the 26-byte push payload.
 //
 // lint:hotpath
 func (p Push) Encode() []byte {
-	return p.AppendTo(make([]byte, 0, pushSize))
+	b := make([]byte, pushSize)
+	copy(b[0:16], p.ServentID[:])
+	binary.LittleEndian.PutUint32(b[16:], p.Index)
+	copy(b[20:24], ipv4(p.IP))
+	binary.LittleEndian.PutUint16(b[24:], p.Port)
+	return b
 }
 
 // ParsePush decodes a push payload.
@@ -529,23 +398,14 @@ type Bye struct {
 	Reason string
 }
 
-// AppendTo appends the bye payload to dst.
-//
-// lint:hotpath
-func (b Bye) AppendTo(dst []byte) []byte {
-	var code [2]byte
-	binary.LittleEndian.PutUint16(code[:], b.Code)
-	dst = append(dst, code[:]...)
-	dst = append(dst, b.Reason...)
-	dst = append(dst, 0)
-	return dst
-}
-
 // Encode returns the bye payload.
 //
 // lint:hotpath
 func (b Bye) Encode() []byte {
-	return b.AppendTo(make([]byte, 0, 2+len(b.Reason)+1))
+	dst := make([]byte, 2, 2+len(b.Reason)+1)
+	binary.LittleEndian.PutUint16(dst, b.Code)
+	dst = append(dst, b.Reason...)
+	return append(dst, 0)
 }
 
 // ParseBye decodes a bye payload.

@@ -178,12 +178,6 @@ func (n *Node) Addr() string {
 	return n.listener.Addr().String()
 }
 
-// AdvertisedEndpoint returns the IP and port the node places in protocol
-// messages.
-func (n *Node) AdvertisedEndpoint() (net.IP, uint16) {
-	return n.cfg.AdvertiseIP, n.cfg.AdvertisePort
-}
-
 // Start binds the listener and begins accepting overlay connections, HTTP
 // transfer requests and GIV callbacks (distinguished by protocol sniffing
 // on the first request line, as real servents did on their single port).
@@ -421,12 +415,9 @@ func (n *Node) handle(pc *peerConn, m *Message) error {
 	}
 }
 
-// sendPong builds a pooled pong reply directly in its slab and queues it;
-// the send consumes the reply's only reference.
+// sendPong queues a pong reply.
 func (n *Node) sendPong(pc *peerConn, g guid.GUID, ttl, hops byte, p Pong) error {
-	reply := NewMessage(g, MsgPong, ttl, hops, pongSize)
-	reply.Payload = p.AppendTo(reply.Payload)
-	return pc.Send(reply)
+	return pc.Send(&Message{GUID: g, Type: MsgPong, TTL: ttl, Hops: hops, Payload: p.Encode()})
 }
 
 func (n *Node) handlePing(pc *peerConn, m *Message) error {
@@ -500,14 +491,11 @@ func (n *Node) handleQuery(pc *peerConn, m *Message) error {
 		if n.cfg.Firewalled {
 			qh.Flags |= QHDPush
 		}
-		reply := NewMessage(m.GUID, MsgQueryHit, m.Hops+1, 0, qh.encodedSize())
-		payload, err := qh.AppendTo(reply.Payload)
+		payload, err := qh.Encode()
 		if err != nil {
-			reply.Release()
 			return err
 		}
-		reply.Payload = payload
-		if err := pc.Send(reply); err != nil {
+		if err := pc.Send(&Message{GUID: m.GUID, Type: MsgQueryHit, TTL: m.Hops + 1, Payload: payload}); err != nil {
 			return err
 		}
 	}
@@ -542,14 +530,13 @@ func (n *Node) handleQuery(pc *peerConn, m *Message) error {
 	n.mu.Unlock()
 	// Zero-copy forward: the received descriptor is forwarded in place —
 	// only the TTL/Hops header fields change, and they change once, before
-	// any target can write the message. Each target holds its own
-	// reference until its writer has flushed the bytes.
+	// any target can write the message. Every target's writer then reads
+	// the same descriptor.
 	if m.TTL > 0 {
 		m.TTL--
 	}
 	m.Hops++
 	for _, t := range targets {
-		m.Retain()
 		t.Send(m)
 	}
 	return nil
@@ -592,7 +579,6 @@ func (n *Node) handleQueryHit(pc *peerConn, m *Message) error {
 	// Zero-copy reverse-path forward; see handleQuery.
 	m.TTL--
 	m.Hops++
-	m.Retain()
 	return dest.Send(m)
 }
 
@@ -621,7 +607,6 @@ func (n *Node) handlePush(pc *peerConn, m *Message) error {
 		m.TTL--
 	}
 	m.Hops++
-	m.Retain()
 	return dest.Send(m)
 }
 
@@ -665,14 +650,11 @@ func (n *Node) QueryWith(g guid.GUID, criteria string, extensions string) error 
 	if len(targets) == 0 {
 		return errors.New("gnutella: no peers to query")
 	}
-	q := Query{MinSpeed: 0, Criteria: criteria, Extensions: extensions}
-	m := NewMessage(g, MsgQuery, DefaultTTL, 0, q.encodedSize())
-	m.Payload = q.AppendTo(m.Payload)
+	q := Query{Criteria: criteria, Extensions: extensions}
+	m := &Message{GUID: g, Type: MsgQuery, TTL: DefaultTTL, Payload: q.Encode()}
 	for _, pc := range targets {
-		m.Retain()
 		pc.Send(m)
 	}
-	m.Release()
 	return nil
 }
 
@@ -682,7 +664,7 @@ func (n *Node) Ping() { n.PingTTL(1) }
 // PingTTL sends a ping with the given TTL on every connection; TTL > 1
 // also harvests cached pongs from ultrapeers (host discovery).
 func (n *Node) PingTTL(ttl byte) {
-	m := NewMessage(guid.New(), MsgPing, ttl, 0, 0)
+	m := &Message{GUID: guid.New(), Type: MsgPing, TTL: ttl}
 	n.mu.Lock()
 	targets := make([]*peerConn, 0, len(n.peers))
 	for pc := range n.peers {
@@ -690,10 +672,8 @@ func (n *Node) PingTTL(ttl byte) {
 	}
 	n.mu.Unlock()
 	for _, pc := range targets {
-		m.Retain()
 		pc.Send(m)
 	}
-	m.Release()
 }
 
 // SendPush routes a push request toward the servent that produced a hit.
@@ -704,9 +684,7 @@ func (n *Node) SendPush(serventID guid.GUID, index uint32, ip net.IP, port uint1
 	if dest == nil {
 		return errors.New("gnutella: no push route to servent")
 	}
-	m := NewMessage(guid.New(), MsgPush, DefaultTTL, 0, pushSize)
-	m.Payload = p.AppendTo(m.Payload)
-	return dest.Send(m)
+	return dest.Send(&Message{GUID: guid.New(), Type: MsgPush, TTL: DefaultTTL, Payload: p.Encode()})
 }
 
 // Close shuts the node down: listener, every connection, and waits for all

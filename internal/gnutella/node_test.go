@@ -567,9 +567,7 @@ func TestQRPReadyWaitsForPatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("no pong: %v", err)
 		}
-		pong := m.Type == MsgPong
-		m.Release()
-		if pong {
+		if m.Type == MsgPong {
 			break
 		}
 	}

@@ -100,9 +100,6 @@ func Classify(ip net.IP) Class {
 // IsPrivate reports whether ip lies in RFC1918 space.
 func IsPrivate(ip net.IP) bool { return Classify(ip) == Private }
 
-// IsRoutable reports whether ip is publicly routable unicast space.
-func IsRoutable(ip net.IP) bool { return Classify(ip) == Public }
-
 // ParseV4 parses a dotted-quad IPv4 address, returning an error for anything
 // else (including IPv6 and empty strings).
 func ParseV4(s string) (net.IP, error) {

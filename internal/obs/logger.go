@@ -33,7 +33,6 @@ func (l Level) String() string {
 // callers log unconditionally.
 type Logger struct {
 	min    Level
-	name   string
 	printf func(format string, args ...any)
 }
 
@@ -46,19 +45,6 @@ func NewLogger(min Level, printf func(format string, args ...any)) *Logger {
 	return &Logger{min: min, printf: printf}
 }
 
-// Named returns a logger that prefixes every record with name (a node or
-// subsystem identity).
-func (l *Logger) Named(name string) *Logger {
-	if l == nil {
-		return nil
-	}
-	full := name
-	if l.name != "" {
-		full = l.name + "/" + name
-	}
-	return &Logger{min: l.min, name: full, printf: l.printf}
-}
-
 // Enabled reports whether records at lv would be emitted.
 func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.min }
 
@@ -66,22 +52,11 @@ func (l *Logger) emit(lv Level, format string, args ...any) {
 	if !l.Enabled(lv) {
 		return
 	}
-	msg := fmt.Sprintf(format, args...)
-	if l.name != "" {
-		l.printf("[%s] %s: %s", lv, l.name, msg)
-		return
-	}
-	l.printf("[%s] %s", lv, msg)
+	l.printf("[%s] %s", lv, fmt.Sprintf(format, args...))
 }
 
 // Debugf logs at debug level.
 func (l *Logger) Debugf(format string, args ...any) { l.emit(LevelDebug, format, args...) }
-
-// Infof logs at info level.
-func (l *Logger) Infof(format string, args ...any) { l.emit(LevelInfo, format, args...) }
-
-// Warnf logs at warn level.
-func (l *Logger) Warnf(format string, args ...any) { l.emit(LevelWarn, format, args...) }
 
 // Errorf logs at error level.
 func (l *Logger) Errorf(format string, args ...any) { l.emit(LevelError, format, args...) }

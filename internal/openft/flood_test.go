@@ -95,11 +95,9 @@ func TestFloodDropPathsRetire(t *testing.T) {
 		f := n.floods.Open(SearchFloodID(id))
 		var wire bytes.Buffer
 		for i := 0; i < 2; i++ {
-			p := req()
-			if err := WritePacket(&wire, p); err != nil {
+			if err := WritePacket(&wire, req()); err != nil {
 				t.Fatal(err)
 			}
-			p.Release()
 			n.floods.Sent(SearchFloodID(id)) // the sender's count
 		}
 		f.Release()
@@ -131,7 +129,6 @@ func TestFloodSendPathZeroAllocs(t *testing.T) {
 	p := SearchReq{ID: 7002, TTL: 2, Query: "flood accounting"}.Encode()
 	send := func(want error) func() {
 		return func() {
-			p.Retain()
 			if err := s.Send(p); !errors.Is(err, want) {
 				t.Fatalf("Send = %v, want %v", err, want)
 			}
@@ -145,7 +142,6 @@ func TestFloodSendPathZeroAllocs(t *testing.T) {
 		t.Fatalf("dropped send allocs = %v, want 0", allocs)
 	}
 	s.Close() // drains the queue
-	p.Release()
 	f.Release()
 	if !completed(f) {
 		t.Fatal("queued and dropped search packets were not all retired")

@@ -113,8 +113,6 @@ func (p *Packet) FloodKey() (p2p.FloodID, bool) {
 }
 
 // ReadFrame reads one packet from br.
-//
-// lint:hotpath
 func (codec) ReadFrame(br *bufio.Reader) (*Packet, error) { return ReadPacket(br) }
 
 // WriteFrame stages p in bw without flushing and returns its size on the
@@ -204,21 +202,17 @@ func (n *Node) acceptSession(c net.Conn, br *bufio.Reader) {
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
 	p, err := ReadPacket(br)
 	if err != nil || p.Cmd != CmdVersionReq {
-		p.Release() // nil-safe; owed back on the mismatch path too
 		met.handshakeAcceptErr.Inc()
 		c.Close()
 		return
 	}
-	p.Release()
 	p, err = ReadPacket(br)
 	if err != nil || p.Cmd != CmdNodeInfo {
-		p.Release()
 		met.handshakeAcceptErr.Inc()
 		c.Close()
 		return
 	}
 	info, err := ParseNodeInfo(p.Payload)
-	p.Release() // ParseNodeInfo copied every field out of the payload
 	if err != nil {
 		met.handshakeAcceptErr.Inc()
 		c.Close()
@@ -273,21 +267,17 @@ func (n *Node) connect(addr string) (*session, error) {
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
 	p, err := ReadPacket(br)
 	if err != nil || p.Cmd != CmdVersionResp {
-		p.Release()
 		met.handshakeDialErr.Inc()
 		c.Close()
 		return nil, errors.New("openft: bad version response")
 	}
-	p.Release()
 	p, err = ReadPacket(br)
 	if err != nil || p.Cmd != CmdNodeInfo {
-		p.Release()
 		met.handshakeDialErr.Inc()
 		c.Close()
 		return nil, errors.New("openft: missing node info")
 	}
 	info, err := ParseNodeInfo(p.Payload)
-	p.Release()
 	if err != nil {
 		met.handshakeDialErr.Inc()
 		c.Close()
@@ -616,11 +606,9 @@ func (n *Node) handleSearchResp(s *session, p *Packet) error {
 		}
 		return nil
 	}
-	// Relay results (not remote End markers) toward the origin. The packet
-	// is the session loop's borrow; the relay takes its own reference,
-	// which origin.send consumes on every path.
+	// Relay results (not remote End markers) toward the origin, as they
+	// came.
 	if origin != nil && !resp.End {
-		p.Retain()
 		return origin.Send(p)
 	}
 	return nil

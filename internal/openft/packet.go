@@ -23,10 +23,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
-
-	"p2pmalware/internal/bufpool"
 )
 
 // Command is the 16-bit packet command.
@@ -104,97 +100,25 @@ func (c Class) String() string {
 // MaxPacketPayload bounds packet payloads.
 const MaxPacketPayload = 32 << 10
 
-// Packet is one framed OpenFT message.
-//
-// Like gnutella.Message, packets come in two flavors. A plain &Packet{} is
-// unmanaged: it lives on the garbage-collected heap, Retain/Release are
-// no-ops, and it may be shared freely (handshake version packets use
-// these). NewPacket returns a managed packet drawn from a pool, its
-// payload backed by a bufpool slab, carrying one reference; every send
-// consumes one reference and the final Release recycles both object and
-// slab. The retain/copy contract at the routing boundary is documented in
-// DESIGN.md ("Buffer ownership & arena contract").
+// Packet is one framed OpenFT message. Like gnutella.Message, it is a
+// plain heap value that any holder may keep: ReadPacket gives each packet
+// its own payload, and a relay hands a received packet on as it came.
 type Packet struct {
 	Cmd     Command
 	Payload []byte
-
-	// refs counts outstanding owners of a managed packet; it stays 0 for
-	// the unmanaged flavor.
-	refs atomic.Int32
-	// slab is the pooled payload backing returned to bufpool on final
-	// release; nil for unmanaged packets and empty payloads.
-	slab []byte
 }
 
-// pktPool recycles managed packet headers; their payload slabs cycle
-// through bufpool separately so a child-resp-sized packet never pins a
-// search-hit-sized slab.
-var pktPool = sync.Pool{New: func() any { return new(Packet) }}
-
-// NewPacket returns a pooled packet holding one reference, with an empty
-// payload backed by a slab of at least payloadCap bytes (none when
-// payloadCap is 0). Build the payload with append into p.Payload; growing
-// past the hint is safe (append falls back to the GC heap and the
-// orphaned slab is still recycled).
-//
-// lint:hotpath
-func NewPacket(cmd Command, payloadCap int) *Packet {
-	p := pktPool.Get().(*Packet)
-	p.Cmd = cmd
-	if payloadCap > 0 {
-		p.slab = bufpool.GetSlab(payloadCap)
-		p.Payload = p.slab[:0]
-	} else {
-		p.slab = nil
-		p.Payload = nil
-	}
-	p.refs.Store(1)
-	return p
-}
-
-// Retain adds one reference to a managed packet. Callers must already
-// hold a reference (the search-response relay retains before handing the
-// borrowed packet to the origin session). No-op on unmanaged packets.
-//
-// lint:hotpath
-func (p *Packet) Retain() {
-	if p == nil || p.refs.Load() == 0 {
-		return
-	}
-	p.refs.Add(1)
-}
-
-// Release drops one reference; the final release returns the payload slab
-// to bufpool and the packet to its pool. The caller must not touch the
-// packet afterwards. No-op on unmanaged packets, so cleanup code may
-// release unconditionally.
-//
-// lint:hotpath
-func (p *Packet) Release() {
-	if p == nil || p.refs.Load() == 0 {
-		return
-	}
-	if p.refs.Add(-1) > 0 {
-		return
-	}
-	if p.slab != nil {
-		bufpool.PutSlab(p.slab)
-	}
-	p.Cmd = 0
-	p.Payload = nil
-	p.slab = nil
-	pktPool.Put(p)
-}
-
-// Managed reports whether p is pool-managed (reference-counted).
-func (p *Packet) Managed() bool { return p.refs.Load() != 0 }
+// Release does nothing: packets are left to the garbage collector. It
+// remains only because perfbench's replay (perfbench/replay.go) still
+// calls it; ROADMAP's perfbench item drops that call, then this method.
+func (p *Packet) Release() {}
 
 // ErrPacketSize is returned for payloads over MaxPacketPayload.
 var ErrPacketSize = errors.New("openft: packet exceeds size limit")
 
 // WritePacket frames and writes p. The header stages through a stack
 // array and the payload is written as-is — no per-packet frame buffer is
-// allocated. Reference accounting stays with the caller.
+// allocated.
 func WritePacket(w io.Writer, p *Packet) error {
 	if len(p.Payload) > MaxPacketPayload {
 		return ErrPacketSize
@@ -216,8 +140,7 @@ func WritePacket(w io.Writer, p *Packet) error {
 // writeTo stages p into a session's write buffer without flushing, so a
 // burst of outbound packets coalesces into one wire write. bufio latches
 // errors internally, so byte-at-a-time header staging is safe; the final
-// error surfaces here or at Flush. Reference accounting stays with the
-// caller.
+// error surfaces here or at Flush.
 //
 // lint:hotpath
 func (p *Packet) writeTo(bw *bufio.Writer) error {
@@ -268,16 +191,7 @@ func readHeader(r io.Reader) (plen uint16, cmd Command, err error) {
 	return binary.BigEndian.Uint16(hdr[0:]), Command(binary.BigEndian.Uint16(hdr[2:])), nil
 }
 
-// ReadPacket reads one framed packet.
-//
-// The returned packet is pool-managed: its payload lives in a bufpool
-// slab and the caller holds the one reference. The node's session loop
-// releases it after dispatch, so anything that must outlive the handler —
-// a relay target, a collector — either takes its own reference (Retain)
-// or copies what it needs; the parsed forms (ParseSearchReq,
-// ParseSearchResp, ...) already copy every field out of the payload.
-//
-// lint:hotpath
+// ReadPacket reads one framed packet into a payload of its own.
 func ReadPacket(r io.Reader) (*Packet, error) {
 	plen, cmd, err := readHeader(r)
 	if err != nil {
@@ -286,11 +200,10 @@ func ReadPacket(r io.Reader) (*Packet, error) {
 	if int(plen) > MaxPacketPayload {
 		return nil, ErrPacketSize
 	}
-	p := NewPacket(cmd, int(plen))
+	p := &Packet{Cmd: cmd}
 	if plen > 0 {
-		p.Payload = p.slab[:plen]
+		p.Payload = make([]byte, plen)
 		if _, err := io.ReadFull(r, p.Payload); err != nil {
-			p.Release()
 			return nil, err
 		}
 	}
@@ -417,18 +330,14 @@ type NodeInfo struct {
 	Alias string
 }
 
-// Encode builds a NodeInfo packet into a pooled payload slab.
-//
-// lint:hotpath
+// Encode builds a NodeInfo packet.
 func (ni NodeInfo) Encode() *Packet {
-	p := NewPacket(CmdNodeInfo, 2+4+2+len(ni.Alias)+1)
-	w := fieldWriter{b: p.Payload}
+	w := fieldWriter{b: make([]byte, 0, 2+4+2+len(ni.Alias)+1)}
 	w.u16(uint16(ni.Class))
 	w.ip(ni.IP)
 	w.u16(ni.Port)
 	w.str(ni.Alias)
-	p.Payload = w.b
-	return p
+	return &Packet{Cmd: CmdNodeInfo, Payload: w.b}
 }
 
 // ParseNodeInfo decodes a NodeInfo payload.
@@ -448,17 +357,13 @@ type Share struct {
 	Path string
 }
 
-// Encode builds an AddShare packet into a pooled payload slab.
-//
-// lint:hotpath
+// Encode builds an ADDSHARE or REMSHARE packet.
 func (s Share) Encode(cmd Command) *Packet {
-	p := NewPacket(cmd, 4+len(s.MD5)+1+len(s.Path)+1)
-	w := fieldWriter{b: p.Payload}
+	w := fieldWriter{b: make([]byte, 0, 4+len(s.MD5)+1+len(s.Path)+1)}
 	w.u32(s.Size)
 	w.str(s.MD5)
 	w.str(s.Path)
-	p.Payload = w.b
-	return p
+	return &Packet{Cmd: cmd, Payload: w.b}
 }
 
 // ParseShare decodes an ADDSHARE/REMSHARE payload.
@@ -478,17 +383,13 @@ type SearchReq struct {
 	Query string
 }
 
-// Encode builds a SearchReq packet into a pooled payload slab.
-//
-// lint:hotpath
+// Encode builds a SearchReq packet.
 func (s SearchReq) Encode() *Packet {
-	p := NewPacket(CmdSearchReq, 4+2+len(s.Query)+1)
-	w := fieldWriter{b: p.Payload}
+	w := fieldWriter{b: make([]byte, 0, 4+2+len(s.Query)+1)}
 	w.u32(s.ID)
 	w.u16(s.TTL)
 	w.str(s.Query)
-	p.Payload = w.b
-	return p
+	return &Packet{Cmd: CmdSearchReq, Payload: w.b}
 }
 
 // ParseSearchReq decodes a search request payload.
@@ -510,12 +411,9 @@ type SearchResp struct {
 	Path string
 }
 
-// Encode builds a SearchResp packet into a pooled payload slab.
-//
-// lint:hotpath
+// Encode builds a SearchResp packet.
 func (s SearchResp) Encode() *Packet {
-	p := NewPacket(CmdSearchResp, 4+4+2+4+len(s.MD5)+1+len(s.Path)+1)
-	w := fieldWriter{b: p.Payload}
+	w := fieldWriter{b: make([]byte, 0, 4+4+2+4+len(s.MD5)+1+len(s.Path)+1)}
 	w.u32(s.ID)
 	if s.End {
 		w.ip(net.IPv4zero)
@@ -530,8 +428,7 @@ func (s SearchResp) Encode() *Packet {
 		w.str(s.MD5)
 		w.str(s.Path)
 	}
-	p.Payload = w.b
-	return p
+	return &Packet{Cmd: CmdSearchResp, Payload: w.b}
 }
 
 // ParseSearchResp decodes a search response payload.
@@ -553,21 +450,16 @@ type NodeListEntry struct {
 	Class Class
 }
 
-// EncodeNodeList builds a NODELIST packet carrying the given entries,
-// into a pooled payload slab.
-//
-// lint:hotpath
+// EncodeNodeList builds a NODELIST packet carrying the given entries.
 func EncodeNodeList(entries []NodeListEntry) *Packet {
-	p := NewPacket(CmdNodeList, 2+8*len(entries))
-	w := fieldWriter{b: p.Payload}
+	w := fieldWriter{b: make([]byte, 0, 2+8*len(entries))}
 	w.u16(uint16(len(entries)))
 	for _, e := range entries {
 		w.ip(e.IP)
 		w.u16(e.Port)
 		w.u16(uint16(e.Class))
 	}
-	p.Payload = w.b
-	return p
+	return &Packet{Cmd: CmdNodeList, Payload: w.b}
 }
 
 // ParseNodeList decodes a NODELIST payload.
@@ -593,17 +485,13 @@ type ChildResp struct {
 	Accepted bool
 }
 
-// Encode builds a ChildResp packet into a pooled payload slab.
-//
-// lint:hotpath
+// Encode builds a ChildResp packet.
 func (c ChildResp) Encode() *Packet {
 	v := byte(0)
 	if c.Accepted {
 		v = 1
 	}
-	p := NewPacket(CmdChildResp, 1)
-	p.Payload = append(p.Payload, v)
-	return p
+	return &Packet{Cmd: CmdChildResp, Payload: []byte{v}}
 }
 
 // ParseChildResp decodes a child response payload.
@@ -621,17 +509,13 @@ type Stats struct {
 	SizeKB   uint32
 }
 
-// Encode builds a StatsResp packet into a pooled payload slab.
-//
-// lint:hotpath
+// Encode builds a StatsResp packet.
 func (s Stats) Encode() *Packet {
-	p := NewPacket(CmdStatsResp, 12)
-	w := fieldWriter{b: p.Payload}
+	w := fieldWriter{b: make([]byte, 0, 12)}
 	w.u32(s.Children)
 	w.u32(s.Shares)
 	w.u32(s.SizeKB)
-	p.Payload = w.b
-	return p
+	return &Packet{Cmd: CmdStatsResp, Payload: w.b}
 }
 
 // ParseStats decodes a stats payload.

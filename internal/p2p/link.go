@@ -13,17 +13,16 @@ import (
 const SendQueueCap = 512
 
 // Frame is one message a Link carries: a Gnutella descriptor or an OpenFT
-// packet. Frames are reference-counted; every send consumes a reference.
+// packet. A link only reads a frame, so one frame may go to several links.
 type Frame interface {
 	// FloodKey names the flood the frame belongs to and reports whether
 	// the flood ledger counts it.
 	FloodKey() (FloodID, bool)
-	Release()
 }
 
 // Codec is one protocol's framing on a link's buffered streams.
 type Codec[F Frame] interface {
-	// ReadFrame returns the next whole frame, holding one reference.
+	// ReadFrame returns the next whole frame.
 	ReadFrame(br *bufio.Reader) (F, error)
 	// WriteFrame stages f without flushing and returns its wire size.
 	WriteFrame(bw *bufio.Writer, f F) (int, error)
@@ -102,9 +101,7 @@ func (l *Link[F]) Start(wg *sync.WaitGroup) {
 }
 
 // Send queues f for the writer; it never blocks on the network. A full
-// queue drops f and a closed link refuses it. Send consumes one reference
-// in every outcome, so a caller sending one frame to several links retains
-// it once per extra link.
+// queue drops f and a closed link refuses it.
 //
 // lint:hotpath
 func (l *Link[F]) Send(f F) error { return l.enqueue(f, false) }
@@ -141,9 +138,8 @@ func (l *Link[F]) enqueue(f F, last bool) error {
 	}
 }
 
-// Write writes and flushes f at once, consuming its reference, for a
-// handshake that speaks before the writer starts; it must not run
-// alongside WriteLoop.
+// Write writes and flushes f at once, for a handshake that speaks before
+// the writer starts; it must not run alongside WriteLoop.
 func (l *Link[F]) Write(f F) error {
 	if id, counted := f.FloodKey(); counted {
 		l.led.Sent(id)
@@ -165,7 +161,6 @@ func (l *Link[F]) discard(f F) {
 	if id, counted := f.FloodKey(); counted {
 		l.led.Retire(id)
 	}
-	f.Release()
 }
 
 // drainQueue discards everything queued on a link that has shut down.
@@ -181,8 +176,8 @@ func (l *Link[F]) drainQueue() {
 	}
 }
 
-// stage writes f into the buffer, records it with the outbox and releases
-// it. A frame that fails to stage never reached the peer in full.
+// stage writes f into the buffer and records it with the outbox. A frame
+// that fails to stage never reached the peer in full.
 //
 // lint:hotpath
 func (l *Link[F]) stage(f F) error {
@@ -194,7 +189,6 @@ func (l *Link[F]) stage(f F) error {
 	} else if counted {
 		l.led.Retire(id)
 	}
-	f.Release()
 	return err
 }
 
@@ -247,10 +241,8 @@ func (l *Link[F]) WriteLoop() {
 }
 
 // Serve reads frames and hands each to handle until a read fails or handle
-// returns an error. The loop owns each frame's reference and releases it
-// once handle returns, so a handler that keeps or forwards the frame
-// retains it. A counted frame is retired once its handler returns: every
-// send it caused has been counted by then. When the loop stops, Serve
+// returns an error. A counted frame is retired once its handler returns:
+// every send it caused has been counted by then. When the loop stops, Serve
 // shuts the link down and retires the counted frames still buffered, which
 // the peer delivered in full; a frame cut off mid-way is its sender's.
 func (l *Link[F]) Serve(handle func(F) error) {
@@ -266,7 +258,6 @@ func (l *Link[F]) Serve(handle func(F) error) {
 		if counted {
 			l.led.Retire(id)
 		}
-		f.Release()
 		if err != nil {
 			return
 		}
