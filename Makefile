@@ -37,17 +37,23 @@ fuzz-smoke:
 # Chaos gate: the fault-profile × worker-count survival matrix plus every
 # identity test (*EmitIdentical*: same-seed and worker-count byte equality
 # of records and spans, churned runs included, faulted or clean) and the
-# fetch-width test (the default width's waiting transfers all in flight
-# at once), under the race detector, twice. The race detector's
-# scheduling is the perturbation that would expose a leaked flood count
-# or a flood that ends early. The pooled-body tests (TestPooledBodies*:
-# concurrent serves and downloads of lazy and static files over recycled
-# slabs) run ten times under it, and the universes' one churn path
-# (netsim's Churn and build-determinism tests) five times.
+# fetch-stage tests (TestFetchStageHoldsWaitingTransfers*: the default
+# width's waiting transfers all in flight at once, one faulted query's
+# transfers all in flight at once, and a clean query's fetches in turn),
+# under the race detector, twice. The race detector's scheduling is the
+# perturbation that would expose a leaked flood count, a flood that ends
+# early, or a query whose result depends on which of its fetches finishes
+# first. The pooled-body tests (TestPooledBodies*: concurrent serves and
+# downloads of lazy and static files over recycled slabs) run ten times
+# under it, and the universes' one churn path (netsim's Churn and
+# build-determinism tests) five times. The gate takes about 45 s on two
+# cores; each command's -timeout turns a deadlock (say, between query
+# workers and transfer goroutines) into a failure within minutes instead
+# of go test's default ten.
 chaos:
-	go test ./internal/core/ -race -count=2 -run 'TestStudySurvivesFaultMatrix|EmitIdentical|TestFetchStageHoldsWaitingTransfers'
-	go test ./internal/gnutella/ ./internal/openft/ -race -count=10 -run 'TestPooledBodies'
-	go test ./internal/netsim/ -race -count=5 -run 'Churn|Deterministic'
+	go test ./internal/core/ -race -count=2 -timeout 3m -run 'TestStudySurvivesFaultMatrix|EmitIdentical|TestFetchStageHoldsWaitingTransfers'
+	go test ./internal/gnutella/ ./internal/openft/ -race -count=10 -timeout 3m -run 'TestPooledBodies'
+	go test ./internal/netsim/ -race -count=5 -timeout 3m -run 'Churn|Deterministic'
 
 # Golden gate: each TestGoldenTrace* test runs one study, and every
 # case's span and record streams must match testdata/golden/ byte for

@@ -124,7 +124,7 @@ func main() {
 		churn   = flag.Float64("churn", 0, "fraction of honest LimeWire leaves replaced per virtual day")
 		fake    = flag.Float64("fake-files", 0, "fraction of honest downloadable shares that are decoys (size lies)")
 		quiet   = flag.Bool("quiet", false, "suppress progress output")
-		workers = flag.Int("workers", 0, "download/scan worker pool size per network (0 = 16); traces are byte-identical for any value")
+		workers = flag.Int("workers", 0, "transfers in flight per network (0 = 16); traces are byte-identical for any value")
 		faults  = flag.String("faults", "", "fault-injection profile ("+strings.Join(faultsim.ProfileNames(), ", ")+") or a FaultPlan JSON file; empty or \"off\" disables")
 
 		progress    = flag.Duration("progress", 24*time.Hour, "virtual interval between progress reports (0 disables)")
@@ -197,7 +197,7 @@ func main() {
 	}
 	if !*quiet {
 		log.Printf("study complete: %d records over %d trace days (wall time %v)",
-			len(trace.Records), trace.Days(), time.Since(start).Round(time.Second))
+			len(trace.Records), trace.Days(), time.Since(start).Round(time.Millisecond))
 	}
 
 	f, err := os.Create(*out)
@@ -217,13 +217,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := study.WriteSpans(sf); err != nil {
+		all := study.Spans()
+		if err := obs.WriteSpansJSONL(sf, all); err != nil {
 			log.Fatal(err)
 		}
 		if err := sf.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("wrote %s (%d spans)\n", *spans, len(study.Spans()))
+		fmt.Printf("wrote %s (%d spans)\n", *spans, len(all))
 	}
 
 	if *filterdURL != "" {
@@ -276,6 +277,11 @@ func checkFlags(days, perDay, workers, filterdK int, churn, fake float64) error 
 	return nil
 }
 
+// filterdTimeout bounds the whole block-list push, reply included, so a
+// daemon that accepts the connection and never answers cannot keep the
+// finished study from exiting.
+const filterdTimeout = 5 * time.Second
+
 // pushBlockList trains the paper's size filter on the finished trace (one
 // filter per measured network, k most common malicious sizes each) and
 // streams the union of their block lists into a running filterd via its
@@ -294,7 +300,8 @@ func pushBlockList(baseURL string, trace *dataset.Trace, networks []dataset.Netw
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(strings.TrimSuffix(baseURL, "/")+"/update", "application/json", bytes.NewReader(body))
+	client := &http.Client{Timeout: filterdTimeout}
+	resp, err := client.Post(strings.TrimSuffix(baseURL, "/")+"/update", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("filterd update: %w", err)
 	}

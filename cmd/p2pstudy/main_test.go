@@ -3,11 +3,17 @@ package main
 import (
 	"errors"
 	"io/fs"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"p2pmalware/internal/dataset"
 )
 
 // runMainEnv, when set, makes the test binary run p2pstudy's main instead
@@ -83,5 +89,28 @@ func TestCheckFlagsAcceptsBounds(t *testing.T) {
 		if err := checkFlags(1, 1, 0, 0, c.churn, c.fake); err != nil {
 			t.Errorf("checkFlags(days 1, queries 1, workers 0, k 0, churn %v, fake %v) = %v", c.churn, c.fake, err)
 		}
+	}
+}
+
+// TestPushBlockListGivesUpOnASilentDaemon: a filterd that takes the block
+// list and never answers must not keep the finished study from exiting.
+// The push fails with a timeout once filterdTimeout has passed.
+func TestPushBlockListGivesUpOnASilentDaemon(t *testing.T) {
+	done := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-done }))
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { close(done) }) // before srv.Close, which waits for the handler
+	tr := dataset.NewTrace()
+	tr.Add(dataset.ResponseRecord{Network: dataset.LimeWire, Size: 96256, Malware: "W32.Kratos.C"})
+	errc := make(chan error, 1)
+	go func() { errc <- pushBlockList(srv.URL, tr, []dataset.Network{dataset.LimeWire}, 10) }()
+	select {
+	case err := <-errc:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("push to a daemon that never answers: err = %v, want a timeout", err)
+		}
+	case <-time.After(4 * filterdTimeout):
+		t.Fatalf("push to a daemon that never answers still waiting after %v", 4*filterdTimeout)
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2pmalware/internal/archive"
@@ -104,6 +106,11 @@ func runNetwork[H any](s *Study, tr *dataset.Trace, info netInfo, sink *floodSin
 		cache: newFetchCache(),
 		met:   newNetMetrics(info.name),
 		spans: s.newSpanRecorder(info.name),
+	}
+	if r.fx != nil {
+		// Deferred calls run last in, first out: the transfer goroutines
+		// stop after the pipeline, whose workers send them every fetch.
+		defer r.fx.startTransfers(s.cfg.Workers)()
 	}
 	r.pl = newPipeline(s.cfg.Workers, r.met)
 	defer r.pl.stop()
@@ -212,7 +219,14 @@ func (r *runner[H]) task(i int, now time.Time, term workload.Term) *pipeTask {
 
 // fetchAll builds one record per hit and downloads and scans the
 // downloadable ones, logging each one's cache trail on t for attempt
-// spans.
+// spans. A clean run's in-memory transfers never wait, so the query
+// fetches its hits one after another. Under a fault plan a transfer may
+// sleep on injected latency or retry backoff, so fetchAtOnce runs the
+// query's fetches side by side. The gate is the plan itself: a churn-only
+// plan's transfers never wait either, but its queries fan out too.
+// Either way the results are applied here in record order, so records,
+// attempt numbers and attempt-span ownership do not depend on which fetch
+// finished first.
 func (r *runner[H]) fetchAll(t *pipeTask, now time.Time, term workload.Term, hits []H) []dataset.ResponseRecord {
 	start := time.Now()
 	recs := make([]dataset.ResponseRecord, len(hits))
@@ -225,17 +239,53 @@ func (r *runner[H]) fetchAll(t *pipeTask, now time.Time, term workload.Term, hit
 		rec.Downloadable = archive.IsDownloadable(rec.Filename)
 		recs[k] = rec
 	}
+	var held []fetched
+	if r.fx != nil {
+		held = r.fetchAtOnce(t, hits, recs)
+	}
 	for k := range recs {
 		if !recs[k].Downloadable {
 			continue
 		}
 		t.downloads++
-		res, trail := r.fetch(hits, recs, k, &t.scanNS)
-		applyResult(&recs[k], res)
-		t.trails = append(t.trails, trail)
+		var f fetched
+		if held != nil {
+			f = held[k]
+		} else {
+			f.res, f.trail = r.fetch(hits, recs, k, &t.scanNS)
+		}
+		applyResult(&recs[k], f.res)
+		t.trails = append(t.trails, f.trail)
 	}
 	r.met.stageFetch.ObserveDuration(time.Since(start))
 	return recs
+}
+
+// fetched is one record's fetch: its verdict and its cache trail.
+type fetched struct {
+	res   fetchResult
+	trail []*fetchEntry
+}
+
+// fetchAtOnce hands every downloadable hit of a faulted query to the
+// network's transfer goroutines, each fetch as soon as one is free, and
+// returns what each fetched, per record, after the last fetch returns.
+// It changes no record, so the fetches may all read them.
+func (r *runner[H]) fetchAtOnce(t *pipeTask, hits []H, recs []dataset.ResponseRecord) []fetched {
+	out := make([]fetched, len(recs))
+	var wg sync.WaitGroup
+	for k := range recs {
+		if !recs[k].Downloadable {
+			continue
+		}
+		wg.Add(1)
+		r.fx.transfers <- func() {
+			defer wg.Done()
+			out[k].res, out[k].trail = r.fetch(hits, recs, k, &t.scanNS)
+		}
+	}
+	wg.Wait()
+	return out
 }
 
 // fetch fetches hits[k] and returns its labelled verdict plus the trail of
@@ -244,7 +294,7 @@ func (r *runner[H]) fetchAll(t *pipeTask, now time.Time, term workload.Term, hit
 // alternate sources: other hits of the same query with the same altKey
 // and another endpoint, tried in sorted-hit order so the choice is
 // deterministic. recs holds the query's records, index-aligned with hits.
-func (r *runner[H]) fetch(hits []H, recs []dataset.ResponseRecord, k int, scanNS *int64) (fetchResult, []*fetchEntry) {
+func (r *runner[H]) fetch(hits []H, recs []dataset.ResponseRecord, k int, scanNS *atomic.Int64) (fetchResult, []*fetchEntry) {
 	rec := &recs[k]
 	e := r.fetchOnce(hits[k], rec, scanNS)
 	trail := []*fetchEntry{e}
@@ -273,10 +323,10 @@ func (r *runner[H]) fetch(hits []H, recs []dataset.ResponseRecord, k int, scanNS
 // its entry. The cache gives singleflight semantics per cacheKey. Under a
 // fault plan a direct fetch first asks the per-host circuit breaker; fault
 // decisions are PRF-keyed by (plan seed, cache key, attempt), so the
-// cached result is the same no matter which worker fetches first. Every
+// cached result is the same no matter which fetch gets there first. Every
 // path leaves a per-attempt log in the entry, fate-classified into stable
 // tokens for span emission.
-func (r *runner[H]) fetchOnce(h H, rec *dataset.ResponseRecord, scanNS *int64) *fetchEntry {
+func (r *runner[H]) fetchOnce(h H, rec *dataset.ResponseRecord, scanNS *atomic.Int64) *fetchEntry {
 	key, addr := r.a.cacheKey(h), source(rec)
 	return r.cache.do(key, addr, func() fetchResult {
 		if r.fx != nil && !rec.PushFlagged && !r.fx.br.allowed(rec.SourceIP) {

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"p2pmalware/internal/dataset"
+	"p2pmalware/internal/faultsim"
 	"p2pmalware/internal/netsim"
 	"p2pmalware/internal/p2p"
 	"p2pmalware/internal/stats"
@@ -248,35 +250,55 @@ func TestRunnerErrorText(t *testing.T) {
 	}
 }
 
-// gatedNet is fakeNet with one hit per flood, each under its own cache
-// key so the fetch cache cannot fold two queries' downloads into one, and
-// with fetches that wait until want of them are inside at once, or until
-// stalled closes.
+// gatedNet is fakeNet whose i-th flood answers with perFlood[i-1] hits
+// (one past the end of perFlood), each from its own source under its own
+// content key, so neither the fetch cache nor an alternate source can fold
+// two downloads into one. A hit's port is its flood's number. Its fetches
+// wait until want of them are inside at once, or until stalled closes, and
+// it records the most that were inside at once, in all and per flood, and
+// each flood's fetches in the order they began.
 type gatedNet struct {
 	*fakeNet
-	want    int
-	full    chan struct{} // closed once want fetches are inside at once
-	stalled chan struct{}
+	perFlood []int
+	want     int
+	full     chan struct{} // closed once want fetches are inside at once
+	stalled  chan struct{}
 
 	mu     sync.Mutex
-	inside int // guarded by mu
-	most   int // guarded by mu
+	inside map[uint16]int      // per flood; guarded by mu
+	all    int                 // guarded by mu
+	most   int                 // guarded by mu
+	mostOf map[uint16]int      // per flood; guarded by mu
+	began  map[uint16][]string // sources per flood; guarded by mu
+}
+
+// answers is how many hits flood i (from 1) answers with.
+func (g *gatedNet) answers(i int) int {
+	if i <= len(g.perFlood) {
+		return g.perFlood[i-1]
+	}
+	return 1
 }
 
 func (g *gatedNet) flood(term string) (p2p.FloodID, func() error) {
 	g.floods++
 	id := p2p.FloodID{g.floods}
 	return id, func() error {
-		g.sink.add(id, fakeHit{ip: "10.0.0.1", port: uint16(id[0]), key: "k"})
+		for k := 0; k < g.answers(int(id[0])); k++ {
+			g.sink.add(id, fakeHit{ip: fmt.Sprintf("10.0.0.%d", k+1), port: uint16(id[0]), key: fmt.Sprint(k)})
+		}
 		return nil
 	}
 }
 
 func (g *gatedNet) fetch(h fakeHit, addr string, _ p2p.Transport, _ p2p.RetryPolicy) ([]byte, []p2p.Attempt, error) {
 	g.mu.Lock()
-	g.inside++
-	if g.inside > g.most {
-		g.most = g.inside
+	g.all++
+	g.inside[h.port]++
+	g.mostOf[h.port] = max(g.mostOf[h.port], g.inside[h.port])
+	g.began[h.port] = append(g.began[h.port], addr)
+	if g.all > g.most {
+		g.most = g.all
 		if g.most == g.want {
 			close(g.full)
 		}
@@ -284,7 +306,8 @@ func (g *gatedNet) fetch(h fakeHit, addr string, _ p2p.Transport, _ p2p.RetryPol
 	g.mu.Unlock()
 	defer func() {
 		g.mu.Lock()
-		g.inside--
+		g.all--
+		g.inside[h.port]--
 		g.mu.Unlock()
 	}()
 	select {
@@ -295,23 +318,23 @@ func (g *gatedNet) fetch(h fakeHit, addr string, _ p2p.Transport, _ p2p.RetryPol
 	}
 }
 
-// TestFetchStageHoldsWaitingTransfers pins the fetch stage's default
-// width without timing anything: at Workers 0, fetchWidth transfers that
-// wait on their peers must all be in flight at once, however few cores
-// the process has. Each of fetchWidth queries answers with its own hit,
-// and each fetch waits until fetchWidth fetches are inside together. A
-// pool as narrow as GOMAXPROCS never gets there, and the guard then
-// fails the test instead of letting it hang.
-func TestFetchStageHoldsWaitingTransfers(t *testing.T) {
+// runGated runs cfg's study loop over g on two cores, with a guard that
+// stalls g's fetches after 10 s instead of letting a test hang, and checks
+// that every record downloaded: a stalled fetch did not. It returns g once
+// the run is over.
+func runGated(t *testing.T, cfg StudyConfig, want int, perFlood []int) *gatedNet {
+	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	stalled := make(chan struct{})
 	guard := time.AfterFunc(10*time.Second, func() { close(stalled) })
 	defer guard.Stop()
 	fake := &gatedNet{
-		fakeNet: &fakeNet{mem: p2p.NewMem(), sink: &floodSink[fakeHit]{}},
-		want:    fetchWidth, full: make(chan struct{}), stalled: stalled,
+		fakeNet:  &fakeNet{mem: p2p.NewMem(), sink: &floodSink[fakeHit]{}},
+		perFlood: perFlood, want: want, full: make(chan struct{}), stalled: stalled,
+		inside: make(map[uint16]int), mostOf: make(map[uint16]int), began: make(map[uint16][]string),
 	}
-	st, err := NewStudy(StudyConfig{Seed: 5, Days: 1, QueriesPerDay: fetchWidth, LimeWire: &netsim.LimeWireConfig{}})
+	cfg.Seed, cfg.Days, cfg.LimeWire = 5, 1, &netsim.LimeWireConfig{}
+	st, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,18 +343,63 @@ func TestFetchStageHoldsWaitingTransfers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fake.mu.Lock()
-	most := fake.most
-	fake.mu.Unlock()
-	if most < fetchWidth {
-		t.Fatalf("at most %d fetches were in flight at once, want %d", most, fetchWidth)
+	records := 0
+	for i := 1; i <= cfg.QueriesPerDay; i++ {
+		records += fake.answers(i)
 	}
-	if len(tr.Records) != fetchWidth {
-		t.Fatalf("%d records, want one per query (%d)", len(tr.Records), fetchWidth)
+	if len(tr.Records) != records {
+		t.Fatalf("%d records, want %d", len(tr.Records), records)
 	}
 	for i, rec := range tr.Records {
 		if !rec.Downloaded {
 			t.Errorf("record %d (%s:%d): not downloaded: %s", i, rec.SourceIP, rec.SourcePort, rec.DownloadError)
 		}
+	}
+	return fake
+}
+
+// TestFetchStageHoldsWaitingTransfers pins the fetch stage's default
+// width without timing anything: at Workers 0, fetchWidth transfers that
+// wait on their peers must all be in flight at once, however few cores
+// the process has. Each of fetchWidth queries answers with its own hit,
+// and each fetch waits until fetchWidth fetches are inside together. A
+// pool as narrow as GOMAXPROCS never gets there, and the guard then
+// fails the test instead of letting it hang.
+func TestFetchStageHoldsWaitingTransfers(t *testing.T) {
+	if g := runGated(t, StudyConfig{QueriesPerDay: fetchWidth}, fetchWidth, nil); g.most < fetchWidth {
+		t.Fatalf("at most %d fetches were in flight at once, want %d", g.most, fetchWidth)
+	}
+}
+
+// TestFetchStageHoldsWaitingTransfersOfOneFaultedQuery pins the fan-out
+// under a fault plan: one query that answers with fetchWidth hits holds
+// fetchWidth fetches in flight at once, so its transfers wait side by
+// side, not one after another in one worker. A query that fetched its
+// hits in turn never gets there, and the guard fails the test.
+func TestFetchStageHoldsWaitingTransfersOfOneFaultedQuery(t *testing.T) {
+	cfg := StudyConfig{QueriesPerDay: 1, Faults: &faultsim.FaultPlan{LatencyMaxMS: 1}}
+	if g := runGated(t, cfg, fetchWidth, []int{fetchWidth}); g.most < fetchWidth {
+		t.Fatalf("at most %d of the query's fetches were in flight at once, want %d", g.most, fetchWidth)
+	}
+}
+
+// TestFetchStageHoldsWaitingTransfersCleanQueryInTurn pins the fan-out's
+// gate: in a clean run a query fetches its hits one after another, in
+// record order. The first query answers with fetchWidth hits and the
+// second with one, and every fetch waits until two are inside at once.
+// The first query's first fetch is released by the second query's, in
+// another worker, and its later fetches find the gate open. Had the first
+// query fanned out, its own fetches would have begun in the order the
+// scheduler ran them, and two of them would most likely have met inside.
+func TestFetchStageHoldsWaitingTransfersCleanQueryInTurn(t *testing.T) {
+	g := runGated(t, StudyConfig{QueriesPerDay: 2}, 2, []int{fetchWidth, 1})
+	if g.mostOf[1] != 1 {
+		t.Errorf("the first query had %d fetches in flight at once, want 1", g.mostOf[1])
+	}
+	if g.most != 2 {
+		t.Errorf("at most %d fetches were in flight at once, want 2 (one per query)", g.most)
+	}
+	if began := g.began[1]; len(began) != fetchWidth || !sort.StringsAreSorted(began) {
+		t.Errorf("the first query's fetches began in the order %v, want its %d sources in record order", began, fetchWidth)
 	}
 }

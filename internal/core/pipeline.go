@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2pmalware/internal/dataset"
@@ -33,6 +34,11 @@ import (
 //     deduplicating fetch cache and scan it. Query N+1's flood overlaps
 //     query N's downloads and scans — downloads only read per-file
 //     static content, so they cannot perturb later queries' responses.
+//     A clean run's worker fetches its query's hits one after another,
+//     so the width bounds the transfers in flight. Under a fault plan a
+//     worker hands its query's hits to the network's Workers transfer
+//     goroutines, so they are fetched side by side, and those bound the
+//     transfers in flight and the bodies they hold instead.
 //  4. Commit (single committer goroutine): in submission order, append
 //     the query's records and emit its spans, stamped with the query's
 //     virtual timestamp — so records and spans are byte-identical to the
@@ -73,11 +79,12 @@ type pipeTask struct {
 
 	// downloads, scanNS and trails are filled by run(): how many
 	// downloadable records the query produced (deterministic — it gates
-	// the scan span), the accumulated wall time this query's worker spent
-	// inside the scanner (wall-only data), and per downloadable record the
-	// fetch-cache entries it touched, for attempt spans.
+	// the scan span), the wall time this query's fetches spent inside the
+	// scanner, summed over fetches that may run at once (wall-only data),
+	// and per downloadable record the fetch-cache entries it touched, for
+	// attempt spans.
 	downloads int
-	scanNS    int64
+	scanNS    atomic.Int64
 	trails    [][]*fetchEntry
 }
 
@@ -99,12 +106,14 @@ type pipeline struct {
 }
 
 // fetchWidth is each network's fetch-stage width when StudyConfig.Workers
-// is 0. A transfer spends most of its wall time waiting, on its peer and
-// under a fault plan on injected latency and retry backoff, so the width
-// is set by how many waits should overlap, not by the number of cores: a
-// pool as wide as GOMAXPROCS stalls whenever that many transfers sleep at
-// once. Each worker holds at most one body, a slab of at most 512 KiB, so
-// the stage holds at most 8 MiB of bodies per network.
+// is 0: the number of workers, and under a fault plan the number of
+// transfer goroutines. A transfer spends most of its wall time waiting,
+// on its peer and under a fault plan on injected latency and retry
+// backoff, so the width is set by how many waits should overlap, not by
+// the number of cores: a pool as wide as GOMAXPROCS stalls whenever that
+// many transfers sleep at once. Each transfer in flight holds at most one
+// body, a slab of at most 512 KiB, and the width bounds the transfers in
+// flight, so the stage holds at most 8 MiB of bodies per network.
 const fetchWidth = 16
 
 // collectDepth is how many submitted queries may wait for the collector.
@@ -196,7 +205,7 @@ func emitQuerySpans(t *pipeTask, commitEnd time.Time) {
 	r.AddWall(obs.Span{Time: t.at, Seq: t.seq, Stage: obs.StageFetchWait, Parent: rootID}, t.wCollectEnd, t.wRunStart)
 	r.AddWall(obs.Span{Time: t.at, Seq: t.seq, Stage: obs.StageFetch, ID: fetchID, Parent: rootID}, t.wRunStart, t.wRunEnd)
 	if t.downloads > 0 {
-		r.AddWallUS(obs.Span{Time: t.at, Seq: t.seq, Stage: obs.StageScan, Parent: fetchID}, t.scanNS/1000)
+		r.AddWallUS(obs.Span{Time: t.at, Seq: t.seq, Stage: obs.StageScan, Parent: fetchID}, t.scanNS.Load()/1000)
 	}
 	r.AddWall(obs.Span{Time: t.at, Seq: t.seq, Stage: obs.StageCommitHold, Parent: rootID}, t.wRunEnd, t.wCommitStart)
 	r.AddWall(obs.Span{Time: t.at, Seq: t.seq, Stage: obs.StageCommit, Parent: rootID}, t.wCommitStart, commitEnd)
@@ -284,14 +293,20 @@ func (s *floodSink[R]) add(id p2p.FloodID, rs ...R) {
 var errCircuitOpen = errors.New("circuit open: host suppressed after repeated transfer failures")
 
 // netFaults bundles one network's fault-mode state: the deterministic
-// transport injector, the resolved retry policy, and the per-host
-// circuit breaker. A nil *netFaults means the study runs clean — every
-// fault-path branch is skipped and the engine fetches, records, and
-// traces exactly as it did before fault injection existed.
+// transport injector, the resolved retry policy, the per-host circuit
+// breaker, and the hand-off to the transfer goroutines that run a
+// query's fetches side by side. A nil *netFaults means the study runs
+// clean — every fault-path branch is skipped and the engine fetches,
+// records, and traces exactly as it did before fault injection existed.
 type netFaults struct {
 	inj    *faultsim.Injector
 	policy p2p.RetryPolicy
 	br     *breaker
+	// transfers hands one fetch at a time to the network's Workers
+	// transfer goroutines (startTransfers). It is unbuffered, so a fetch
+	// starts only once a transfer goroutine is free: the width bounds the
+	// transfers in flight and the bodies they hold.
+	transfers chan func()
 }
 
 // newNetFaults wires a network's fault state, or returns nil when the
@@ -301,7 +316,30 @@ func (s *Study) newNetFaults(network string, inner p2p.Transport) *netFaults {
 	if inj == nil {
 		return nil
 	}
-	return &netFaults{inj: inj, policy: s.fetchRetryPolicy(), br: newBreaker()}
+	return &netFaults{inj: inj, policy: s.fetchRetryPolicy(), br: newBreaker(), transfers: make(chan func())}
+}
+
+// startTransfers starts the network's n transfer goroutines, each running
+// the fetches it receives one after another, and returns the call that
+// stops them and waits for them to exit. Call that once nothing can send
+// another fetch. Goroutines that live for the whole study grow their
+// stacks once; a goroutine per fetch would grow one for every transfer,
+// which showed as several percent of a faulted study's CPU.
+func (f *netFaults) startTransfers(n int) (stop func()) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for fetch := range f.transfers {
+				fetch()
+			}
+		}()
+	}
+	return func() {
+		close(f.transfers)
+		wg.Wait()
+	}
 }
 
 // breaker is a per-host circuit breaker with virtual-day epochs.
@@ -402,16 +440,17 @@ const fateCircuitOpen = "circuit_open"
 
 // labelFetch scans a fetched body once — the MD5 is shared between the
 // scanner's hash signatures and the record's content identity — and
-// condenses it to a fetchResult. scanNS, when non-nil, accumulates the wall time spent in
-// the scanner so the executing query's scan span can report it.
-func (s *Study) labelFetch(body []byte, err error, scanNS *int64) fetchResult {
+// condenses it to a fetchResult. scanNS, when non-nil, accumulates the
+// wall time spent in the scanner so the executing query's scan span can
+// report it.
+func (s *Study) labelFetch(body []byte, err error, scanNS *atomic.Int64) fetchResult {
 	if err != nil {
 		return fetchResult{err: err}
 	}
 	scanStart := time.Now()
 	sum, ds := s.engine.ScanSum(body)
 	if scanNS != nil {
-		*scanNS += int64(time.Since(scanStart))
+		scanNS.Add(int64(time.Since(scanStart)))
 	}
 	res := fetchResult{hash: scanner.HexSum(sum), size: int64(len(body))}
 	if len(ds) > 0 {
@@ -437,7 +476,7 @@ func applyResult(rec *dataset.ResponseRecord, res fetchResult) {
 // fetchCache deduplicates downloads per cache key with singleflight
 // semantics: concurrent requests for one key share a single fetch+scan,
 // which both saves work and keeps push-callback registrations (keyed by
-// servent and index) from colliding across workers.
+// servent and index) from colliding across concurrent fetches.
 type fetchCache struct {
 	mu      sync.Mutex
 	entries map[string]*fetchEntry // guarded by mu

@@ -45,12 +45,15 @@ type StudyConfig struct {
 	// golden gate diffs. Span identity, hierarchy, fates, and backoffs are
 	// unaffected either way.
 	SpanWallLatency bool
-	// Workers sizes each network's download/scan worker pool (default
-	// 16: a transfer mostly waits on its peer, so the pool is sized for
-	// transfers in flight, not for cores). Records and spans are
-	// byte-identical for any worker count: the committer re-serializes
-	// results into issue order before any record is appended or span
-	// emitted.
+	// Workers bounds each network's transfers in flight, and the bodies
+	// they hold (default 16: a transfer mostly waits on its peer, so the
+	// width counts waits that overlap, not cores). A clean run has
+	// Workers download/scan workers, each fetching its query's hits one
+	// after another; under a fault plan the workers hand each query's
+	// hits to Workers transfer goroutines, which fetch them side by side.
+	// Records and spans are
+	// byte-identical for any value: the committer re-serializes results
+	// into issue order before any record is appended or span emitted.
 	Workers int
 	// Faults, when non-nil and active, injects deterministic transport
 	// faults (latency, refusals, resets, truncation, corruption,
@@ -86,7 +89,6 @@ func (c *StudyConfig) applyDefaults() {
 type Study struct {
 	cfg    StudyConfig
 	engine *scanner.Engine
-	trace  *dataset.Trace
 	// Progress, when set, receives coarse progress lines.
 	Progress func(format string, args ...any)
 
@@ -123,7 +125,7 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Study{cfg: cfg, engine: engine, trace: dataset.NewTrace()}, nil
+	return &Study{cfg: cfg, engine: engine}, nil
 }
 
 // Run executes the configured study and returns the labelled trace. The
@@ -163,14 +165,12 @@ func (s *Study) Run() (*dataset.Trace, error) {
 			return nil, err
 		}
 	}
+	all := dataset.NewTrace()
 	for _, tr := range traces {
-		s.trace.Merge(tr)
+		all.Merge(tr)
 	}
-	return s.trace, nil
+	return all, nil
 }
-
-// Trace returns the (possibly partial) trace.
-func (s *Study) Trace() *dataset.Trace { return s.trace }
 
 // newSpanRecorder builds a network's span recorder and registers it for
 // later merging. Span stamps come from the caller (the committer reuses
@@ -204,9 +204,6 @@ func (s *Study) Spans() []obs.Span {
 func (s *Study) WriteSpans(w io.Writer) error {
 	return obs.WriteSpansJSONL(w, s.Spans())
 }
-
-// Engine returns the ground-truth scanner.
-func (s *Study) Engine() *scanner.Engine { return s.engine }
 
 func (s *Study) progress(format string, args ...any) {
 	if s.Progress != nil {

@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"p2pmalware/internal/archive"
@@ -105,8 +106,24 @@ func New(sigs []Signature) (*Engine, error) {
 
 // FromCatalogs builds the ground-truth engine for the synthetic corpus:
 // one pattern signature per family (its embedded marker) plus one hash
-// signature per variant specimen.
+// signature per variant specimen. Building and hashing the specimens is
+// most of the cost and each is independent, so they are all built at
+// once first; the signatures are then read from malware's process-wide
+// specimen cache in catalog order, errors included.
 func FromCatalogs(catalogs ...*malware.Catalog) (*Engine, error) {
+	var wg sync.WaitGroup
+	for _, c := range catalogs {
+		for _, f := range c.Families {
+			for v := 0; v < f.NumVariants(); v++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, _ = f.Shared(v)
+				}()
+			}
+		}
+	}
+	wg.Wait()
 	var sigs []Signature
 	for _, c := range catalogs {
 		for _, f := range c.Families {
