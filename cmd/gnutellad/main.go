@@ -74,15 +74,15 @@ func main() {
 	if *ultrapeer {
 		role = gnutella.Ultrapeer
 	}
-	var logger *obs.Logger
+	var logf func(format string, args ...any)
 	if *debug {
-		logger = obs.NewLogger(obs.LevelDebug, log.Printf)
+		logf = func(format string, args ...any) { log.Printf("[debug] "+format, args...) }
 	}
 	node := gnutella.NewNode(gnutella.Config{
 		Role: role, Transport: p2p.TCP{},
 		ListenAddr: *listen, AdvertiseIP: ip,
 		UserAgent: "gnutellad/1.0", Library: lib,
-		Log: logger,
+		Logf: logf,
 		OnQueryHit: func(qh *gnutella.QueryHit, m *gnutella.Message) {
 			for _, h := range qh.Hits {
 				fmt.Printf("hit: %q size=%d from %s:%d (%s)\n",

@@ -80,15 +80,15 @@ func main() {
 		ip = net.IPv4(127, 0, 0, 1)
 	}
 
-	var logger *obs.Logger
+	var logf func(format string, args ...any)
 	if *debug {
-		logger = obs.NewLogger(obs.LevelDebug, log.Printf)
+		logf = func(format string, args ...any) { log.Printf("[debug] "+format, args...) }
 	}
 	node := openft.NewNode(openft.Config{
 		Class: cls, Transport: p2p.TCP{},
 		ListenAddr: *listen, AdvertiseIP: ip,
 		Alias: "openftd", Library: lib,
-		Log: logger,
+		Logf: logf,
 		OnSearchResult: func(r openft.SearchResp) {
 			fmt.Printf("result: %q size=%d md5=%s from %s:%d\n",
 				r.Path, r.Size, r.MD5, r.IP, r.Port)

@@ -21,7 +21,7 @@
 //
 // Usage:
 //
-//	p2panalyze report -trace trace.jsonl [-top 10] [-network limewire]
+//	p2panalyze report -trace trace.jsonl [-network limewire]
 //	p2panalyze filter -trace trace.jsonl -train-frac 0.25 -k 10
 //	p2panalyze filter -trace trace.jsonl -sweep 1,2,3,5,10,20,50
 //	p2panalyze records -trace trace.jsonl -malware W32.Sivex.A -limit 10
@@ -108,7 +108,6 @@ func parseReport(args []string) (string, traceWriter, error) {
 	fs := flag.NewFlagSet("p2panalyze report", flag.ExitOnError)
 	tracePath := fs.String("trace", "trace.jsonl", "trace file written by p2pstudy")
 	var opts analysis.ReportOptions
-	fs.IntVar(&opts.TopK, "top", 10, "rows in the top-malware table")
 	network := fs.String("network", "", "restrict to one network (limewire or openft)")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 inside Parse
 

@@ -349,16 +349,13 @@ func Gini(counts []int) float64 {
 	sorted := make([]int, len(counts))
 	copy(sorted, counts)
 	sort.Ints(sorted)
-	var cum, total float64
-	var weighted float64
+	var total, weighted float64
 	for i, c := range sorted {
 		if c < 0 {
 			c = 0
 		}
 		total += float64(c)
-		cum += float64(c)
 		weighted += float64(i+1) * float64(c)
-		_ = cum
 	}
 	if total == 0 {
 		return 0

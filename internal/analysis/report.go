@@ -65,10 +65,11 @@ func sortVendorShares(vs []VendorShare) {
 	}
 }
 
+// reportTopK is the number of rows in the top-malware tables.
+const reportTopK = 10
+
 // ReportOptions tune WriteReport.
 type ReportOptions struct {
-	// TopK is the number of rows in the top-malware tables (default 10).
-	TopK int
 	// Networks restricts the report (default: both).
 	Networks []dataset.Network
 }
@@ -76,9 +77,6 @@ type ReportOptions struct {
 // WriteReport renders the full evaluation — tables T1-T4, T6 and T7 and
 // figures F1-F4 — as text. `p2panalyze report` is a thin wrapper around it.
 func WriteReport(w io.Writer, tr *dataset.Trace, opts ReportOptions) error {
-	if opts.TopK <= 0 {
-		opts.TopK = 10
-	}
 	networks := opts.Networks
 	if len(networks) == 0 {
 		networks = []dataset.Network{dataset.LimeWire, dataset.OpenFT}
@@ -113,7 +111,7 @@ func WriteReport(w io.Writer, tr *dataset.Trace, opts ReportOptions) error {
 	}
 
 	for _, nw := range networks {
-		top := TopMalware(tr, nw, opts.TopK)
+		top := TopMalware(tr, nw, reportTopK)
 		if len(top) == 0 {
 			continue
 		}

@@ -13,6 +13,7 @@ import (
 
 	"p2pmalware/internal/faultsim"
 	"p2pmalware/internal/netsim"
+	"p2pmalware/internal/obs"
 	"p2pmalware/internal/p2p"
 )
 
@@ -107,7 +108,7 @@ func checkGoldenCase(t *testing.T, c goldenCase, suffixes ...string) {
 		t.Fatal(err)
 	}
 	writers := map[string]func(io.Writer) error{
-		"_spans":   st.WriteSpans,
+		"_spans":   func(w io.Writer) error { return obs.WriteSpansJSONL(w, st.Spans()) },
 		"_records": tr.WriteJSONL,
 	}
 	for _, s := range suffixes {

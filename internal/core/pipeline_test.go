@@ -38,7 +38,7 @@ func studyStreams(t *testing.T, cfg StudyConfig) (spans, records []byte) {
 		t.Fatal(err)
 	}
 	var sp, rec bytes.Buffer
-	if err := st.WriteSpans(&sp); err != nil {
+	if err := obs.WriteSpansJSONL(&sp, st.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.WriteJSONL(&rec); err != nil {

@@ -23,11 +23,12 @@ func spanStudy(t *testing.T, seed uint64, workers int, wall bool) ([]byte, []obs
 	if _, err := st.Run(); err != nil {
 		t.Fatal(err)
 	}
+	spans := st.Spans()
 	var buf bytes.Buffer
-	if err := st.WriteSpans(&buf); err != nil {
+	if err := obs.WriteSpansJSONL(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), st.Spans()
+	return buf.Bytes(), spans
 }
 
 // TestWorkerCountsEmitIdenticalSpans is TestWorkerCountsEmitIdenticalTraces

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -188,7 +187,7 @@ func (s *Study) newSpanRecorder(scope string) *obs.SpanRecorder {
 // Spans returns the merged span stream from every network measured so
 // far, ordered deterministically by (time, scope, emission order). With
 // SpanWallLatency off, two same-seed runs — at any worker count — produce
-// byte-identical streams under WriteSpans.
+// byte-identical streams under obs.WriteSpansJSONL.
 func (s *Study) Spans() []obs.Span {
 	s.mu.Lock()
 	recs := append([]*obs.SpanRecorder(nil), s.spanRecs...)
@@ -198,11 +197,6 @@ func (s *Study) Spans() []obs.Span {
 		streams[i] = r.Spans()
 	}
 	return obs.MergeSpans(streams...)
-}
-
-// WriteSpans writes the merged span stream as JSONL.
-func (s *Study) WriteSpans(w io.Writer) error {
-	return obs.WriteSpansJSONL(w, s.Spans())
 }
 
 func (s *Study) progress(format string, args ...any) {

@@ -19,23 +19,17 @@ import (
 	"p2pmalware/internal/stats"
 )
 
-// Config sizes the simulated user population.
+// The simulated population: users downloaders, each making
+// downloadsPerUser download attempts.
+const (
+	users            = 200
+	downloadsPerUser = 20
+)
+
+// Config seeds the simulated user population.
 type Config struct {
-	// Users is the number of simulated downloaders (default 200).
-	Users int
-	// DownloadsPerUser is each user's download count (default 20).
-	DownloadsPerUser int
 	// Seed drives the users' random choices.
 	Seed uint64
-}
-
-func (c *Config) applyDefaults() {
-	if c.Users <= 0 {
-		c.Users = 200
-	}
-	if c.DownloadsPerUser <= 0 {
-		c.DownloadsPerUser = 20
-	}
 }
 
 // Outcome summarizes a deployment simulation.
@@ -67,7 +61,6 @@ type queryGroup struct {
 // the given filter deployed (nil = no filter). Results are deterministic
 // for a given (trace, filter, config).
 func Simulate(tr *dataset.Trace, nw dataset.Network, f filter.Filter, cfg Config) (Outcome, error) {
-	cfg.applyDefaults()
 	name := "none"
 	if f != nil {
 		name = f.Name()
@@ -98,8 +91,8 @@ func Simulate(tr *dataset.Trace, nw dataset.Network, f filter.Filter, cfg Config
 	}
 
 	rng := stats.NewRNG(cfg.Seed, 0xDE91)
-	for u := 0; u < cfg.Users; u++ {
-		for d := 0; d < cfg.DownloadsPerUser; d++ {
+	for u := 0; u < users; u++ {
+		for d := 0; d < downloadsPerUser; d++ {
 			out.Attempts++
 			g := groups[rng.IntN(len(groups))]
 			// The servent filters the result list before the user sees it.

@@ -35,11 +35,11 @@ func deployTrace() *dataset.Trace {
 }
 
 func TestSimulateNoFilterInfectionRate(t *testing.T) {
-	out, err := Simulate(deployTrace(), dataset.LimeWire, nil, Config{Users: 100, DownloadsPerUser: 10, Seed: 1})
+	out, err := Simulate(deployTrace(), dataset.LimeWire, nil, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Filter != "none" || out.Attempts != 1000 || out.Downloads != 1000 {
+	if out.Filter != "none" || out.Attempts != 4000 || out.Downloads != 4000 {
 		t.Fatalf("outcome = %+v", out)
 	}
 	// 3 of 4 results malicious -> ~75% infection rate.
@@ -51,14 +51,14 @@ func TestSimulateNoFilterInfectionRate(t *testing.T) {
 func TestSimulateSizeFilterPreventsInfections(t *testing.T) {
 	tr := deployTrace()
 	f := filter.TrainSizeFilter(tr, dataset.LimeWire, 1)
-	out, err := Simulate(tr, dataset.LimeWire, f, Config{Users: 100, DownloadsPerUser: 10, Seed: 1})
+	out, err := Simulate(tr, dataset.LimeWire, f, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Infections != 0 {
 		t.Fatalf("infections with perfect filter = %d", out.Infections)
 	}
-	if out.Downloads != 1000 {
+	if out.Downloads != 4000 {
 		t.Fatalf("downloads = %d (clean alternatives exist in every group)", out.Downloads)
 	}
 	if out.BlockedClean != 0 {
@@ -80,7 +80,7 @@ func TestSimulateEverythingFiltered(t *testing.T) {
 		Downloadable: true, Downloaded: true, Malware: "FamA",
 	})
 	f := filter.TrainSizeFilter(tr, dataset.LimeWire, 1)
-	out, err := Simulate(tr, dataset.LimeWire, f, Config{Users: 10, DownloadsPerUser: 5, Seed: 2})
+	out, err := Simulate(tr, dataset.LimeWire, f, Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,9 +156,6 @@ func (s *Snapshot) Blocks(size int64, downloadable bool) bool {
 // (0 is the empty snapshot a fresh Service starts with).
 func (s *Snapshot) Version() uint64 { return s.version }
 
-// Tolerance returns the snapshot's matching tolerance in bytes.
-func (s *Snapshot) Tolerance() int64 { return s.tol }
-
 // NumSizes returns the block-list length.
 func (s *Snapshot) NumSizes() int { return len(s.sorted) }
 

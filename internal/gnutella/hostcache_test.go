@@ -135,7 +135,7 @@ func TestPlainPingDoesNotHarvest(t *testing.T) {
 	leaf.Start()
 	defer leaf.Close()
 	leaf.Connect("a:1")
-	leaf.Ping() // TTL 1: direct pong only
+	leaf.PingTTL(1) // direct pong only
 	time.Sleep(100 * time.Millisecond)
 	for _, h := range leaf.KnownHosts() {
 		if h == "5.9.21.2:6346" {

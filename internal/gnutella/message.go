@@ -98,12 +98,6 @@ var (
 	ErrBadString    = errors.New("gnutella: unterminated string")
 )
 
-// Ping has an empty payload in the classic protocol.
-type Ping struct{}
-
-// Encode returns the ping payload.
-func (Ping) Encode() []byte { return nil }
-
 // Pong advertises a reachable servent and its shared-library size.
 type Pong struct {
 	// Port is the advertised listening port.
@@ -213,9 +207,8 @@ type Hit struct {
 
 // QHD flag bits (first flags byte of the EQHD "open data").
 const (
-	QHDPush  = 0x01 // responder is firewalled; downloads need a push
-	QHDBusy  = 0x04 // all upload slots busy
-	QHDStale = 0x02 // (historic "uploaded at least once" bit position varies; kept for parity)
+	QHDPush = 0x01 // responder is firewalled; downloads need a push
+	QHDBusy = 0x04 // all upload slots busy
 )
 
 // QueryHit is the response descriptor carrying result records.
@@ -406,18 +399,6 @@ func (b Bye) Encode() []byte {
 	binary.LittleEndian.PutUint16(dst, b.Code)
 	dst = append(dst, b.Reason...)
 	return append(dst, 0)
-}
-
-// ParseBye decodes a bye payload.
-func ParseBye(b []byte) (Bye, error) {
-	if len(b) < 3 {
-		return Bye{}, fmt.Errorf("%w: bye is %d bytes", ErrShortPayload, len(b))
-	}
-	i := indexNull(b[2:])
-	if i < 0 {
-		i = len(b) - 2
-	}
-	return Bye{Code: binary.LittleEndian.Uint16(b), Reason: string(b[2 : 2+i])}, nil
 }
 
 func indexNull(b []byte) int {

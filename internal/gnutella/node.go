@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"sync"
 	"time"
 
 	"p2pmalware/internal/guid"
-	"p2pmalware/internal/obs"
 	"p2pmalware/internal/p2p"
 )
 
@@ -71,10 +71,9 @@ type Config struct {
 	// ultrapeers forward it every query — the trick query-echo malware
 	// used to see (and answer) all search traffic.
 	PromiscuousQRP bool
-	// HitLimit caps results per query hit descriptor (default 64).
-	HitLimit int
-	// Log, when set, receives leveled debug logging (see internal/obs).
-	Log *obs.Logger
+	// Logf, when set, receives debug detail: each descriptor a peer sent
+	// that the node could not handle.
+	Logf func(format string, args ...any)
 	// ServentID is the servent GUID placed in query hits. The zero value
 	// mints a random one; simulated universes pass a seeded one so their
 	// records reproduce.
@@ -119,6 +118,9 @@ type peerConn struct {
 	qrpMu      sync.Mutex
 }
 
+// hitLimit caps the results in one query hit descriptor.
+const hitLimit = 64
+
 // byeBound is how long Close lets its writers flush their byes before it
 // cuts off the peers that have not read theirs.
 const byeBound = time.Second
@@ -140,9 +142,6 @@ func NewNode(cfg Config) *Node {
 	}
 	if cfg.MaxLeaves <= 0 {
 		cfg.MaxLeaves = 32
-	}
-	if cfg.HitLimit <= 0 {
-		cfg.HitLimit = 64
 	}
 	if cfg.Library == nil {
 		cfg.Library = p2p.NewLibrary()
@@ -381,16 +380,12 @@ func (n *Node) QRPReadyLeaves() int {
 func (n *Node) runPeer(pc *peerConn) {
 	pc.Serve(func(m *Message) error {
 		err := n.handle(pc, m)
-		if err != nil {
-			n.logf("handle %s from %s: %v", m.Type, pc.RemoteAddr(), err)
+		if err != nil && n.cfg.Logf != nil {
+			n.cfg.Logf("handle %s from %s: %v", m.Type, pc.RemoteAddr(), err)
 		}
 		return err
 	})
 	n.removePeer(pc)
-}
-
-func (n *Node) logf(format string, args ...any) {
-	n.cfg.Log.Debugf(format, args...)
 }
 
 func (n *Node) handle(pc *peerConn, m *Message) error {
@@ -421,10 +416,9 @@ func (n *Node) sendPong(pc *peerConn, g guid.GUID, ttl, hops byte, p Pong) error
 }
 
 func (n *Node) handlePing(pc *peerConn, m *Message) error {
-	lib := n.cfg.Library
-	var kb uint32
-	files := uint32(lib.Len())
-	pong := Pong{Port: n.cfg.AdvertisePort, IP: n.cfg.AdvertiseIP, Files: files, KB: kb}
+	files, size := n.cfg.Library.Totals()
+	pong := Pong{Port: n.cfg.AdvertisePort, IP: n.cfg.AdvertiseIP,
+		Files: uint32(files), KB: uint32(min(size>>10, math.MaxUint32))}
 	if err := n.sendPong(pc, m.GUID, m.Hops+1, 0, pong); err != nil {
 		return err
 	}
@@ -547,7 +541,7 @@ func (n *Node) answer(q *Query, m *Message) []Hit {
 	if n.cfg.QueryResponder != nil {
 		return n.cfg.QueryResponder(q, m)
 	}
-	files := n.cfg.Library.Match(q.Criteria, n.cfg.HitLimit)
+	files := n.cfg.Library.Match(q.Criteria, hitLimit)
 	hits := make([]Hit, 0, len(files))
 	for _, f := range files {
 		hits = append(hits, Hit{Index: f.Index, Size: uint32(f.Size), Name: f.Name, Extensions: f.SHA1})
@@ -657,9 +651,6 @@ func (n *Node) QueryWith(g guid.GUID, criteria string, extensions string) error 
 	}
 	return nil
 }
-
-// Ping sends a TTL-1 ping on every connection (liveness probe).
-func (n *Node) Ping() { n.PingTTL(1) }
 
 // PingTTL sends a ping with the given TTL on every connection; TTL > 1
 // also harvests cached pongs from ultrapeers (host discovery).

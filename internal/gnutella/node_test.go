@@ -579,3 +579,94 @@ func TestQRPReadyWaitsForPatch(t *testing.T) {
 	}
 	waitFor(t, func() bool { return up.QRPReadyLeaves() == 1 })
 }
+
+// sharingLeaf starts a leaf that shares lib and dials it as an ultrapeer
+// would, completing the handshake by hand so the test reads the leaf's
+// replies frame by frame.
+func sharingLeaf(t *testing.T, lib *p2p.Library) *wireConn {
+	t.Helper()
+	mem := p2p.NewMem()
+	leaf := NewNode(Config{Role: Leaf, Transport: mem, ListenAddr: "leaf:1",
+		AdvertiseIP: net.IPv4(24, 16, 50, 1), AdvertisePort: 6346, Library: lib})
+	if err := leaf.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { leaf.Close() })
+	c, err := mem.Dial("leaf:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	br := bufio.NewReader(c)
+	if _, err := ClientHandshake(c, br, HandshakeOptions{Ultrapeer: true, UserAgent: "probe", Timeout: 2 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	return newWireConnFrom(c, br)
+}
+
+func TestPongAdvertisesLibrarySize(t *testing.T) {
+	lib := p2p.NewLibrary()
+	for i, size := range []int{3000, 5000, 1 << 20} {
+		lib.Add(p2p.StaticFile(fmt.Sprintf("shared file %d.exe", i), make([]byte, size)))
+	}
+	fc := sharingLeaf(t, lib)
+	if err := fc.Write(&Message{GUID: guid.New(), Type: MsgPing, TTL: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		m, err := fc.Read()
+		if err != nil {
+			t.Fatalf("no pong: %v", err)
+		}
+		if m.Type != MsgPong {
+			continue
+		}
+		pong, err := ParsePong(m.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 1,056,576 bytes are 1031.8 KB: the total, rounded down once.
+		if pong.Files != 3 || pong.KB != 1031 {
+			t.Fatalf("pong advertises %d files of %d KB, want 3 files of 1031 KB", pong.Files, pong.KB)
+		}
+		return
+	}
+}
+
+func TestQueryHitCapsAt64Hits(t *testing.T) {
+	lib := p2p.NewLibrary()
+	for i := 0; i < 70; i++ {
+		lib.Add(p2p.StaticFile(fmt.Sprintf("capped file %02d.exe", i), []byte{byte(i)}))
+	}
+	fc := sharingLeaf(t, lib)
+	q := Query{Criteria: "capped file"}
+	if err := fc.Write(&Message{GUID: guid.New(), Type: MsgQuery, TTL: 1, Payload: q.Encode()}); err != nil {
+		t.Fatal(err)
+	}
+	// The leaf answers in order, so the pong follows every hit the query
+	// drew.
+	if err := fc.Write(&Message{GUID: guid.New(), Type: MsgPing, TTL: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var counts []int
+	for {
+		m, err := fc.Read()
+		if err != nil {
+			t.Fatalf("no pong after the query: %v", err)
+		}
+		if m.Type == MsgPong {
+			break
+		}
+		if m.Type == MsgQueryHit {
+			qh, err := ParseQueryHit(m.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts = append(counts, len(qh.Hits))
+		}
+	}
+	if len(counts) != 1 || counts[0] != 64 {
+		t.Fatalf("query hits carried %v hits, want one query hit of 64", counts)
+	}
+}

@@ -78,7 +78,6 @@ func (rt *routeTable) dropPeer(pc *peerConn) {
 		if dest == pc {
 			// Keep the GUID for duplicate suppression but route nowhere.
 			rt.dests[g] = nil
-			_ = g
 		}
 	}
 }

@@ -3,8 +3,7 @@
 //
 // Gnutella GUIDs follow the conventions established by modern servents
 // (LimeWire, BearShare): byte 8 is 0xFF to mark a "new" GUID and byte 15 is
-// 0x00. Query GUIDs may additionally encode out-of-band (OOB) reply address
-// information in their first six bytes.
+// 0x00.
 package guid
 
 import (
@@ -12,7 +11,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"net"
 )
 
 // Size is the length of a GUID in bytes.
@@ -81,13 +79,6 @@ func (g GUID) String() string {
 	return hex.EncodeToString(g[:])
 }
 
-// Bytes returns a copy of the GUID's bytes.
-func (g GUID) Bytes() []byte {
-	b := make([]byte, Size)
-	copy(b, g[:])
-	return b
-}
-
 // IsZero reports whether g is the all-zero GUID.
 func (g GUID) IsZero() bool {
 	return g == Zero
@@ -97,27 +88,4 @@ func (g GUID) IsZero() bool {
 // (byte 8 == 0xFF, byte 15 == 0x00).
 func (g GUID) IsModern() bool {
 	return g[8] == 0xFF && g[15] == 0x00
-}
-
-// MarkOOB encodes an out-of-band reply address and port into the GUID per
-// the Gnutella OOB extension: bytes 0-3 carry the IPv4 address and bytes
-// 13-14 carry the little-endian port. It returns the marked GUID.
-func (g GUID) MarkOOB(ip net.IP, port uint16) GUID {
-	v4 := ip.To4()
-	if v4 == nil {
-		return g
-	}
-	out := g
-	copy(out[0:4], v4)
-	out[13] = byte(port)
-	out[14] = byte(port >> 8)
-	return out
-}
-
-// OOBAddr extracts the out-of-band reply address and port encoded in a
-// marked query GUID.
-func (g GUID) OOBAddr() (net.IP, uint16) {
-	ip := net.IPv4(g[0], g[1], g[2], g[3])
-	port := uint16(g[13]) | uint16(g[14])<<8
-	return ip, port
 }

@@ -51,10 +51,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// Routable reports whether addresses of this class can be reached across the
-// public Internet.
-func (c Class) Routable() bool { return c == Public }
-
 var (
 	net10      = mustCIDR("10.0.0.0/8")
 	net172     = mustCIDR("172.16.0.0/12")

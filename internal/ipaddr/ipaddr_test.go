@@ -55,17 +55,6 @@ func TestClassString(t *testing.T) {
 	}
 }
 
-func TestRoutable(t *testing.T) {
-	if !Public.Routable() {
-		t.Error("Public not routable")
-	}
-	for _, c := range []Class{Private, Loopback, LinkLocal, Reserved, Invalid} {
-		if c.Routable() {
-			t.Errorf("%v routable", c)
-		}
-	}
-}
-
 func TestParseV4(t *testing.T) {
 	if _, err := ParseV4("1.2.3.4"); err != nil {
 		t.Errorf("ParseV4 valid: %v", err)

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"crypto/md5"
 	"fmt"
 	"testing"
 	"time"
@@ -303,7 +304,7 @@ func checkSpecimenFile(t *testing.T, f *malware.Family, file *p2p.SharedFile, sh
 	if !bytes.Equal(body.Bytes, fresh) {
 		t.Fatalf("%s variant %d: served bytes differ from a fresh build", f.Name, v)
 	}
-	if file.SHA1 != p2p.URNSHA1(fresh) || file.MD5 != scanner.HexHash(fresh) {
+	if file.SHA1 != p2p.URNSHA1(fresh) || file.MD5 != scanner.HexSum(md5.Sum(fresh)) {
 		t.Fatalf("%s variant %d: SHA1 %s / MD5 %s are not the bytes' digests", f.Name, v, file.SHA1, file.MD5)
 	}
 	key := fmt.Sprintf("%s/%d", f.Name, v)

@@ -3,8 +3,8 @@
 // histograms addressable by name plus a small label set), span tracing
 // whose identities are derived and whose timestamps are virtual trace
 // time, so same-seed runs emit byte-identical span streams, a structured
-// event tracer for the benchmark's replay, a small leveled logger, and
-// HTTP introspection endpoints (Prometheus text and expvar-style JSON).
+// event tracer for the benchmark's replay, and HTTP introspection
+// endpoints (Prometheus text and expvar-style JSON).
 //
 // Handles returned by the registry are resolved once at construction time
 // (the cold path takes a registration mutex); increments and observations
@@ -106,19 +106,9 @@ func (h *Histogram) Observe(v int64) {
 // lint:hotpath
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Microseconds()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.n.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // LatencyBuckets are the default histogram bounds for durations in
 // microseconds: 50µs to 5s.
 var LatencyBuckets = []int64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 500000, 1000000, 5000000}
-
-// SizeBuckets are the default histogram bounds for byte sizes: 256B to the
-// 64MiB transfer cap.
-var SizeBuckets = []int64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20}
 
 // metricKind discriminates registry entries.
 type metricKind int
@@ -271,32 +261,9 @@ type HistogramSnapshot struct {
 	Count int64
 }
 
-// Quantile returns an estimate of the q-quantile (0..1) from the bucket
-// counts: the upper edge of the bucket containing the q-th observation.
-func (h HistogramSnapshot) Quantile(q float64) int64 {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := int64(q * float64(h.Count))
-	if rank >= h.Count {
-		rank = h.Count - 1
-	}
-	var seen int64
-	for i, c := range h.Counts {
-		seen += c
-		if seen > rank {
-			if i < len(h.Bounds) {
-				return h.Bounds[i]
-			}
-			// Overflow bucket: no upper edge; report the last bound.
-			return h.Bounds[len(h.Bounds)-1]
-		}
-	}
-	return h.Bounds[len(h.Bounds)-1]
-}
-
 // Snapshot is a consistent-enough point-in-time view of a registry, with
-// canonical `name{k="v"}` keys, for tests and the JSON endpoint.
+// canonical `name{k="v"}` keys. Tests read metrics through it; the JSON
+// endpoint writes the registry directly (WriteJSON).
 type Snapshot struct {
 	Counters   map[string]int64
 	Gauges     map[string]int64

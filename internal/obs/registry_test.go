@@ -68,9 +68,6 @@ func TestSnapshotValues(t *testing.T) {
 			t.Fatalf("bucket %d = %d, want %d", i, c, want[i])
 		}
 	}
-	if q := hs.Quantile(0.5); q != 100 {
-		t.Fatalf("p50 = %d, want 100", q)
-	}
 }
 
 func TestConcurrentUpdates(t *testing.T) {

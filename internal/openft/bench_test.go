@@ -40,13 +40,3 @@ func BenchmarkSearchRespParse(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkShareMatches(b *testing.B) {
-	sh := Share{MD5: "abc", Size: 1000, Path: "madonna hung up full version.exe"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !shareMatches(sh, "madonna hung up") {
-			b.Fatal("match failed")
-		}
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"p2pmalware/internal/obs"
 	"p2pmalware/internal/p2p"
 )
 
@@ -39,9 +38,9 @@ type Config struct {
 	SearchTTL uint16
 	// OnSearchResult receives results for searches this node issued.
 	OnSearchResult func(SearchResp)
-	// Log, when set, receives leveled debug logging (see internal/obs),
-	// the same hook gnutella.Config carries.
-	Log *obs.Logger
+	// Logf, when set, receives debug detail: each packet a peer sent that
+	// the node could not handle.
+	Logf func(format string, args ...any)
 }
 
 // Node is one OpenFT node.
@@ -62,7 +61,6 @@ type Node struct {
 	// USER state: pending searches and local share-by-md5.
 	myShares   map[string]*p2p.SharedFile // md5 -> file; guarded by mu
 	mySearches map[uint32]bool            // guarded by mu
-	knownNodes map[string]Class           // "ip:port" -> class, from NODELIST; guarded by mu
 
 	// floods is the universe's flood ledger (see p2p.FloodLedger), nil
 	// over transports that keep none.
@@ -183,9 +181,6 @@ func (n *Node) Addr() string {
 	}
 	return n.listener.Addr().String()
 }
-
-// Class returns the node's class.
-func (n *Node) Class() Class { return n.cfg.Class }
 
 func (n *Node) dispatch(c net.Conn, br *bufio.Reader, sniff string) {
 	if sniff == "GET " || sniff == "HEAD" {
@@ -434,16 +429,12 @@ func (n *Node) removeSession(s *session) {
 func (n *Node) runSession(s *session) {
 	s.Serve(func(p *Packet) error {
 		err := n.handle(s, p)
-		if err != nil {
-			n.logf("handle %s from %s: %v", p.Cmd, s.RemoteAddr(), err)
+		if err != nil && n.cfg.Logf != nil {
+			n.cfg.Logf("handle %s from %s: %v", p.Cmd, s.RemoteAddr(), err)
 		}
 		return err
 	})
 	n.removeSession(s)
-}
-
-func (n *Node) logf(format string, args ...any) {
-	n.cfg.Log.Debugf(format, args...)
 }
 
 func (n *Node) handle(s *session, p *Packet) error {
@@ -475,8 +466,6 @@ func (n *Node) handle(s *session, p *Packet) error {
 		return n.handleStatsReq(s)
 	case CmdNodeListReq:
 		return n.handleNodeListReq(s)
-	case CmdNodeList:
-		return n.handleNodeList(s, p)
 	default:
 		return nil // unknown commands are ignored
 	}
@@ -635,50 +624,6 @@ func (n *Node) handleNodeListReq(s *session) error {
 	return s.Send(EncodeNodeList(entries))
 }
 
-// handleNodeList records advertised nodes for later connection attempts.
-func (n *Node) handleNodeList(s *session, p *Packet) error {
-	entries, err := ParseNodeList(p.Payload)
-	if err != nil {
-		return err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, e := range entries {
-		key := fmt.Sprintf("%s:%d", e.IP, e.Port)
-		if n.knownNodes == nil {
-			n.knownNodes = make(map[string]Class)
-		}
-		n.knownNodes[key] = e.Class
-	}
-	return nil
-}
-
-// KnownNodes returns the nodes learned from NODELIST responses, as
-// "ip:port" -> class.
-func (n *Node) KnownNodes() map[string]Class {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[string]Class, len(n.knownNodes))
-	for k, v := range n.knownNodes {
-		out[k] = v
-	}
-	return out
-}
-
-// RequestNodeList asks every current session for its node list; learned
-// nodes appear in KnownNodes after replies arrive.
-func (n *Node) RequestNodeList() {
-	n.mu.Lock()
-	sessions := make([]*session, 0, len(n.sessions))
-	for s := range n.sessions {
-		sessions = append(sessions, s)
-	}
-	n.mu.Unlock()
-	for _, s := range sessions {
-		s.Send(&Packet{Cmd: CmdNodeListReq})
-	}
-}
-
 func (n *Node) handleStatsReq(s *session) error {
 	n.mu.Lock()
 	var shares, kb uint32
@@ -691,12 +636,6 @@ func (n *Node) handleStatsReq(s *session) error {
 	st := Stats{Children: uint32(len(n.childShares)), Shares: shares, SizeKB: kb}
 	n.mu.Unlock()
 	return s.Send(st.Encode())
-}
-
-// shareMatches applies OpenFT keyword AND-matching to a share path.
-func shareMatches(sh Share, query string) bool {
-	var kwBuf [16]string
-	return p2p.MatchesAllKeywords(sh.Path, p2p.AppendKeywords(kwBuf[:0], query))
 }
 
 // Search issues a search through every connected SEARCH parent and returns

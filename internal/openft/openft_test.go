@@ -407,34 +407,65 @@ func TestMaxChildrenEnforced(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	mem := p2p.NewMem()
-	_, _ = buildTier(t, mem, 2, map[string][]byte{"a file.exe": bytes.Repeat([]byte("x"), 2048)})
-	// Ask the hub for stats over a raw session.
-	probe := NewNode(Config{Class: ClassUser, Transport: mem, ListenAddr: "probe:1",
-		AdvertiseIP: net.IPv4(24, 16, 15, 1), AdvertisePort: 1216})
-	probe.Start()
-	defer probe.Close()
-	s, err := probe.connect("hub:1215")
+// rawSession dials addr and completes the VersionReq/NodeInfo handshake
+// by hand as a USER node, so the test reads the remote's answers packet
+// by packet.
+func rawSession(t *testing.T, mem *p2p.Mem, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	c, err := mem.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hijack: read stats response by sending a StatsReq and waiting; the
-	// node has no stats callback, so read via a custom session is not
-	// possible here — instead check hub internals through a second hub
-	// query path: send and sleep, then inspect via handleStatsReq's reply
-	// by wrapping the session reader. Simplest: call handleStatsReq
-	// indirectly is private; accept the reply on the session loop is
-	// swallowed. So just verify the request does not kill the session.
-	if err := s.Send(&Packet{Cmd: CmdStatsReq}); err != nil {
+	t.Cleanup(func() { c.Close() })
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	info := NodeInfo{Class: ClassUser, IP: net.IPv4(24, 16, 15, 1), Port: 1216, Alias: "probe"}
+	if err := WritePacket(c, &Packet{Cmd: CmdVersionReq}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
-	probe.mu.Lock()
-	alive := probe.sessions[s]
-	probe.mu.Unlock()
-	if !alive {
-		t.Fatal("stats request killed the session")
+	if err := WritePacket(c, info.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(c)
+	for _, want := range []Command{CmdVersionResp, CmdNodeInfo} {
+		if p, err := ReadPacket(br); err != nil || p.Cmd != want {
+			t.Fatalf("handshake: got %v, %v; want %v", p, err, want)
+		}
+	}
+	return c, br
+}
+
+// ask sends a payload-less request on a raw session and returns the first
+// packet of the answering command.
+func ask(t *testing.T, c net.Conn, br *bufio.Reader, req, resp Command) *Packet {
+	t.Helper()
+	if err := WritePacket(c, &Packet{Cmd: req}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		p, err := ReadPacket(br)
+		if err != nil {
+			t.Fatalf("no %v answer: %v", resp, err)
+		}
+		if p.Cmd == resp {
+			return p
+		}
+	}
+}
+
+func TestStats(t *testing.T) {
+	mem := p2p.NewMem()
+	_, _ = buildTier(t, mem, 2, map[string][]byte{
+		"a file.exe":      bytes.Repeat([]byte("x"), 2048),
+		"big archive.zip": bytes.Repeat([]byte("y"), 5000),
+	})
+	c, br := rawSession(t, mem, "hub:1215")
+	st, err := ParseStats(ask(t, c, br, CmdStatsReq, CmdStatsResp).Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each child shares 2 KB and 5000 B (4 KB, rounded down per share).
+	if st.Children != 2 || st.Shares != 4 || st.SizeKB != 12 {
+		t.Fatalf("stats = %+v, want 2 children, 4 shares, 12 KB", st)
 	}
 }
 
@@ -505,22 +536,16 @@ func TestNodeListExchange(t *testing.T) {
 	if err := hub1.Connect("hub2:1215"); err != nil {
 		t.Fatal(err)
 	}
-
-	u := NewNode(Config{Class: ClassUser, Transport: mem, ListenAddr: "u:1216",
-		AdvertiseIP: net.IPv4(24, 16, 30, 1), AdvertisePort: 1216})
-	u.Start()
-	defer u.Close()
-	if err := u.Connect("hub1:1215"); err != nil {
+	c, br := rawSession(t, mem, "hub1:1215")
+	entries, err := ParseNodeList(ask(t, c, br, CmdNodeListReq, CmdNodeList).Payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	u.RequestNodeList()
-	waitFor(t, func() bool {
-		known := u.KnownNodes()
-		_, ok := known["128.211.30.2:1215"]
-		return ok
-	})
-	if cls := u.KnownNodes()["128.211.30.2:1215"]; cls&ClassIndex == 0 {
-		t.Fatalf("learned class = %v, want search|index", cls)
+	// The user itself is neither SEARCH nor INDEX, so hub2 is the only
+	// node to list.
+	want := NodeListEntry{IP: net.IPv4(128, 211, 30, 2), Port: 1215, Class: ClassSearch | ClassIndex}
+	if len(entries) != 1 || !entries[0].IP.Equal(want.IP) || entries[0].Port != want.Port || entries[0].Class != want.Class {
+		t.Fatalf("node list = %+v, want [%+v]", entries, want)
 	}
 }
 

@@ -180,12 +180,13 @@ func MatchesAllKeywords(name string, kws []string) bool {
 }
 
 // Library is a keyword-indexed shared folder. It is safe for concurrent
-// use: population churn adds and removes files while query handling reads.
+// use: population churn adds files while query handling reads.
 type Library struct {
 	mu        sync.RWMutex
 	files     map[uint32]*SharedFile     // guarded by mu
 	byKeyword map[string]map[uint32]bool // guarded by mu
 	nextIndex uint32                     // guarded by mu
+	size      int64                      // total bytes of files; guarded by mu
 }
 
 // NewLibrary returns an empty library.
@@ -215,6 +216,7 @@ func (l *Library) Add(f *SharedFile) (uint32, error) {
 	l.nextIndex++
 	f.Index = l.nextIndex
 	l.files[f.Index] = f
+	l.size += f.Size
 	for _, kw := range Keywords(f.Name) {
 		set, ok := l.byKeyword[kw]
 		if !ok {
@@ -224,25 +226,6 @@ func (l *Library) Add(f *SharedFile) (uint32, error) {
 		set[f.Index] = true
 	}
 	return f.Index, nil
-}
-
-// Remove drops the file with the given index.
-func (l *Library) Remove(index uint32) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	f, ok := l.files[index]
-	if !ok {
-		return
-	}
-	delete(l.files, index)
-	for _, kw := range Keywords(f.Name) {
-		if set, ok := l.byKeyword[kw]; ok {
-			delete(set, index)
-			if len(set) == 0 {
-				delete(l.byKeyword, kw)
-			}
-		}
-	}
 }
 
 // Get returns the file with the given index, or nil.
@@ -274,6 +257,14 @@ func (l *Library) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return len(l.files)
+}
+
+// Totals returns the number of shared files and their total size in
+// bytes, the two figures a Gnutella pong advertises.
+func (l *Library) Totals() (files int, size int64) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return len(l.files), l.size
 }
 
 // Match returns the files matching a query: every query keyword must

@@ -226,15 +226,9 @@ func (e *Engine) scan(data []byte, sum [md5.Size]byte, budget int) []Detection {
 	return dedup
 }
 
-// HexHash returns the hex MD5 of data, the content identity used in trace
-// records.
-func HexHash(data []byte) string {
-	d := md5.Sum(data)
-	return hex.EncodeToString(d[:])
-}
-
-// HexSum renders an already-computed MD5 digest the same way HexHash does,
-// for callers that scanned via ScanSum and must not hash twice.
+// HexSum renders an MD5 digest as lower-case hex, the content identity
+// used in trace records, for callers that scanned via ScanSum and must
+// not hash twice.
 func HexSum(sum [md5.Size]byte) string {
 	return hex.EncodeToString(sum[:])
 }

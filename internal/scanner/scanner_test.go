@@ -208,13 +208,13 @@ func TestMultipleFamiliesInOneArchive(t *testing.T) {
 	}
 }
 
-func TestHexHash(t *testing.T) {
-	h := HexHash([]byte("abc"))
+func TestHexSum(t *testing.T) {
+	h := HexSum(md5.Sum([]byte("abc")))
 	if h != "900150983cd24fb0d6963f7d28e17f72" {
-		t.Fatalf("HexHash = %s", h)
+		t.Fatalf("HexSum = %s", h)
 	}
-	if len(HexHash(nil)) != 32 {
-		t.Fatal("HexHash(nil) wrong length")
+	if len(HexSum(md5.Sum(nil))) != 32 {
+		t.Fatal("HexSum of nothing has the wrong length")
 	}
 }
 

@@ -39,18 +39,6 @@ func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 
-// NormFloat64 returns a standard normal variate.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // Fill fills p with pseudo-random bytes (for deterministic GUIDs and file
 // content) and reports (len(p), nil) so it can serve as an io.Reader-style
 // read function. Each 8-byte word is one Uint64 draw stored little-endian;
@@ -120,49 +108,4 @@ func (z *Zipf) PMF(i int) float64 {
 		return z.cum[0]
 	}
 	return z.cum[i] - z.cum[i-1]
-}
-
-// WeightedChoice selects index i with probability weights[i]/sum(weights).
-// It panics if weights is empty or sums to zero or less.
-type WeightedChoice struct {
-	cum []float64
-	rng *RNG
-}
-
-// NewWeightedChoice builds a sampler over the given non-negative weights.
-func NewWeightedChoice(rng *RNG, weights []float64) *WeightedChoice {
-	if len(weights) == 0 {
-		panic("stats: empty weights")
-	}
-	cum := make([]float64, len(weights))
-	var total float64
-	for i, w := range weights {
-		if w < 0 {
-			panic("stats: negative weight")
-		}
-		total += w
-		cum[i] = total
-	}
-	if total <= 0 {
-		panic("stats: weights sum to zero")
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return &WeightedChoice{cum: cum, rng: rng}
-}
-
-// Next draws an index.
-func (w *WeightedChoice) Next() int {
-	u := w.rng.Float64()
-	lo, hi := 0, len(w.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -141,58 +141,3 @@ func TestZipfPanics(t *testing.T) {
 	}()
 	NewZipf(NewRNG(1, 1), 1, 0)
 }
-
-func TestWeightedChoice(t *testing.T) {
-	g := NewRNG(3, 9)
-	w := NewWeightedChoice(g, []float64{0.1, 0.0, 0.9})
-	counts := make([]int, 3)
-	const n = 20000
-	for i := 0; i < n; i++ {
-		counts[w.Next()]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight index drawn %d times", counts[1])
-	}
-	got := float64(counts[2]) / n
-	if math.Abs(got-0.9) > 0.02 {
-		t.Fatalf("index 2 share = %v, want 0.9", got)
-	}
-}
-
-func TestWeightedChoicePanics(t *testing.T) {
-	for name, weights := range map[string][]float64{
-		"empty": {},
-		"zero":  {0, 0},
-		"neg":   {1, -1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			NewWeightedChoice(NewRNG(1, 1), weights)
-		}()
-	}
-}
-
-func TestPermAndShuffle(t *testing.T) {
-	g := NewRNG(2, 2)
-	p := g.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("bad permutation %v", p)
-		}
-		seen[v] = true
-	}
-	xs := []int{1, 2, 3, 4, 5}
-	sum := 0
-	g.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 15 {
-		t.Fatal("shuffle lost elements")
-	}
-}

@@ -1,11 +1,10 @@
 // Package stats provides the statistical primitives used across the
-// measurement study: frequency counters with top-K extraction, histograms,
-// empirical CDFs, percentiles, and skewed samplers (Zipf) with
-// deterministic seeding for reproducible simulations.
+// measurement study: frequency counters with top-K extraction, empirical
+// CDFs and percentiles, and deterministic random streams with a skewed
+// (Zipf) sampler for reproducible simulations.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -37,9 +36,6 @@ func (c *Counter) Inc(key string) { c.Add(key, 1) }
 
 // Get returns the count for key.
 func (c *Counter) Get(key string) int64 { return c.counts[key] }
-
-// Total returns the sum of all counts.
-func (c *Counter) Total() int64 { return c.total }
 
 // Len returns the number of distinct keys.
 func (c *Counter) Len() int { return len(c.counts) }
@@ -74,76 +70,6 @@ func (c *Counter) TopK(k int) []Entry {
 	}
 	return entries
 }
-
-// TopShare returns the combined share of the total held by the k
-// highest-count keys.
-func (c *Counter) TopShare(k int) float64 {
-	var s float64
-	for _, e := range c.TopK(k) {
-		s += e.Share
-	}
-	return s
-}
-
-// Histogram accumulates observations into fixed-width buckets over
-// [min, max); values outside the range land in underflow/overflow buckets.
-type Histogram struct {
-	min, max, width float64
-	buckets         []int64
-	under, over     int64
-	count           int64
-	sum             float64
-}
-
-// NewHistogram returns a histogram with n equal-width buckets over
-// [min, max). It panics if n <= 0 or max <= min, which are programming
-// errors.
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min {
-		panic(fmt.Sprintf("stats: bad histogram bounds [%v,%v) n=%d", min, max, n))
-	}
-	return &Histogram{min: min, max: max, width: (max - min) / float64(n), buckets: make([]int64, n)}
-}
-
-// Observe records one observation of v.
-func (h *Histogram) Observe(v float64) {
-	h.count++
-	h.sum += v
-	switch {
-	case v < h.min:
-		h.under++
-	case v >= h.max:
-		h.over++
-	default:
-		i := int((v - h.min) / h.width)
-		if i >= len(h.buckets) { // guard against FP edge at max
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Mean returns the mean of all observations (0 if none).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Bucket returns the lower bound and count of bucket i.
-func (h *Histogram) Bucket(i int) (lo float64, n int64) {
-	return h.min + float64(i)*h.width, h.buckets[i]
-}
-
-// NumBuckets returns the number of in-range buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Outliers returns the underflow and overflow counts.
-func (h *Histogram) Outliers() (under, over int64) { return h.under, h.over }
 
 // CDF is an empirical cumulative distribution over float64 samples.
 type CDF struct {
@@ -198,49 +124,4 @@ func (c *CDF) Percentile(p float64) float64 {
 		rank = 1
 	}
 	return c.sorted[rank-1]
-}
-
-// Points returns up to n evenly spaced (value, cumulative fraction) points
-// suitable for plotting. It returns nil for an empty CDF.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	c.ensure()
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	pts := make([][2]float64, 0, n)
-	for i := 1; i <= n; i++ {
-		idx := i*len(c.sorted)/n - 1
-		pts = append(pts, [2]float64{c.sorted[idx], float64(idx+1) / float64(len(c.sorted))})
-	}
-	return pts
-}
-
-// Mean returns the sample mean (0 if empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Stddev returns the population standard deviation (0 if fewer than two
-// samples).
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }

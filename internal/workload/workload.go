@@ -124,16 +124,3 @@ func (g *Generator) Corpus() []Term { return g.corpus }
 // TermProbability returns the probability of the term at the given corpus
 // rank, useful for calibrating populations.
 func (g *Generator) TermProbability(rank int) float64 { return g.zipf.PMF(rank) }
-
-// Categories returns the distinct categories in corpus order.
-func Categories(corpus []Term) []Category {
-	seen := make(map[Category]bool)
-	var out []Category
-	for _, t := range corpus {
-		if !seen[t.Category] {
-			seen[t.Category] = true
-			out = append(out, t.Category)
-		}
-	}
-	return out
-}

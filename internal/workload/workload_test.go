@@ -12,6 +12,7 @@ func TestDefaultCorpusSanity(t *testing.T) {
 		t.Fatalf("corpus too small: %d", len(corpus))
 	}
 	seen := make(map[string]bool)
+	cats := make(map[Category]bool)
 	for _, term := range corpus {
 		if term.Text == "" || term.Category == "" {
 			t.Fatalf("bad term %+v", term)
@@ -20,8 +21,8 @@ func TestDefaultCorpusSanity(t *testing.T) {
 			t.Fatalf("duplicate term %q", term.Text)
 		}
 		seen[term.Text] = true
+		cats[term.Category] = true
 	}
-	cats := Categories(corpus)
 	if len(cats) != 5 {
 		t.Fatalf("categories = %v", cats)
 	}
