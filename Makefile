@@ -34,21 +34,22 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzACMatch -fuzztime=10s ./internal/scanner
 	go test -run='^$$' -fuzz=FuzzAppendRecord -fuzztime=10s ./internal/dataset
 
-# Chaos gate: the fault-profile × worker-count survival matrix plus every
-# identity test (*EmitIdentical*: same-seed and worker-count byte equality
-# of records and spans, churned runs included, faulted or clean) and the
+# Chaos gate: the fault-profile × -workers survival matrix plus every
+# identity test (*EmitIdentical*: same-seed and -workers byte equality of
+# records and spans, churned runs included, faulted or clean) and the
 # fetch-stage tests (TestFetchStageHoldsWaitingTransfers*: the default
-# width's waiting transfers all in flight at once, one faulted query's
-# transfers all in flight at once, and a clean query's fetches in turn),
-# under the race detector, twice. The race detector's scheduling is the
-# perturbation that would expose a leaked flood count, a flood that ends
-# early, or a query whose result depends on which of its fetches finishes
-# first. The pooled-body tests (TestPooledBodies*: concurrent serves and
-# downloads of lazy and static files over recycled slabs) run ten times
-# under it, and the universes' one churn path (netsim's Churn and
-# build-determinism tests) five times. The gate takes about 45 s on two
-# cores; each command's -timeout turns a deadlock (say, between query
-# workers and transfer goroutines) into a failure within minutes instead
+# width's waiting transfers all in flight at once, one query's transfers
+# all in flight at once, clean and faulted, and a later flood failing
+# while an earlier query's transfers are in flight), under the race
+# detector, twice. The race detector's scheduling is the perturbation
+# that would expose a leaked flood count, a flood that ends early, or a
+# query whose result depends on which of its fetches finishes first. The
+# pooled-body tests (TestPooledBodies*: concurrent serves and downloads
+# of lazy and static files over recycled slabs) run ten times under it,
+# and the universes' one churn path (netsim's Churn and build-determinism
+# tests) five times. The gate takes about 45 s on two cores; each
+# command's -timeout turns a deadlock (say, between a query's fetch
+# goroutine and the transfer pool) into a failure within minutes instead
 # of go test's default ten.
 chaos:
 	go test ./internal/core/ -race -count=2 -timeout 3m -run 'TestStudySurvivesFaultMatrix|EmitIdentical|TestFetchStageHoldsWaitingTransfers'

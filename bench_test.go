@@ -14,7 +14,7 @@ const benchSeed = 2006
 
 // runStudyPair runs the benchmark-scale two-network study (2 days; 60
 // LimeWire and 100 OpenFT queries a day, since OpenFT needs more queries
-// for stable malicious counts) with an explicit worker-pool size and
+// for stable malicious counts) with an explicit transfer-pool width and
 // returns the total records produced.
 func runStudyPair(b *testing.B, workers int) int {
 	b.Helper()
@@ -41,7 +41,7 @@ func runStudyPair(b *testing.B, workers int) int {
 }
 
 // BenchmarkStudyPipeline times the end-to-end two-network study on the
-// pipelined engine with an 8-worker download/scan pool. ns/op is the
+// pipelined engine with 8 transfers in flight per network. ns/op is the
 // headline end-to-end wall time; study-sec restates it for the
 // benchmark-JSON artifact.
 func BenchmarkStudyPipeline(b *testing.B) {
@@ -54,11 +54,11 @@ func BenchmarkStudyPipeline(b *testing.B) {
 	b.ReportMetric(float64(records), "records")
 }
 
-// BenchmarkStudySequential runs the same study with a single download
-// worker. Stage overlap (issue/collect/fetch/commit) still applies; the
-// StudyPipeline/StudySequential ratio isolates what fetch-pool width
-// buys on the host, independent of the scanner rewrite and the stage
-// pipelining both configurations share.
+// BenchmarkStudySequential runs the same study with one transfer in
+// flight per network. Stage overlap (issue/collect/fetch/commit) still
+// applies; the StudyPipeline/StudySequential ratio isolates what
+// transfer-pool width buys on the host, independent of the scanner
+// rewrite and the stage pipelining both configurations share.
 func BenchmarkStudySequential(b *testing.B) {
 	var records int
 	b.ResetTimer()

@@ -30,7 +30,8 @@ var stageOrder = map[string]int{
 }
 
 // queueStages measure waiting for a pipeline resource and serviceStages
-// doing work; together they tile the root query span exactly.
+// doing work (fetch includes its waits for a free transfer); together they
+// tile the root query span exactly.
 var (
 	queueStages   = map[string]bool{obs.StageCollectWait: true, obs.StageFetchWait: true, obs.StageCommitHold: true}
 	serviceStages = map[string]bool{obs.StageCollect: true, obs.StageFetch: true, obs.StageCommit: true}

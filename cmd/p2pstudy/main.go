@@ -110,48 +110,60 @@ func (p *profiler) write(name string) {
 	fmt.Printf("wrote %s\n", path)
 }
 
+// The flags. checkFlags rejects values outside their ranges before run
+// builds anything.
+var (
+	days    = flag.Int("days", 30, "virtual trace length in days")
+	perDay  = flag.Int("queries-per-day", 96, "queries issued per day per network")
+	seed    = flag.Uint64("seed", 2006, "simulation seed")
+	network = flag.String("network", "both", "network to measure: both, limewire, openft")
+	out     = flag.String("out", "trace.jsonl", "output trace path (JSONL)")
+	csvOut  = flag.String("csv", "", "optional CSV export path")
+	churn   = flag.Float64("churn", 0, "fraction of honest LimeWire leaves replaced per virtual day")
+	fake    = flag.Float64("fake-files", 0, "fraction of honest downloadable shares that are decoys (size lies)")
+	quiet   = flag.Bool("quiet", false, "suppress progress output")
+	workers = flag.Int("workers", 0, "transfers in flight per network (0 = 16); traces are byte-identical for any value")
+	faults  = flag.String("faults", "", "fault-injection profile ("+strings.Join(faultsim.ProfileNames(), ", ")+") or a FaultPlan JSON file; empty or \"off\" disables")
+
+	progress    = flag.Duration("progress", 24*time.Hour, "virtual interval between progress reports (0 disables)")
+	spans       = flag.String("spans", "", "optional span-stream output path (JSONL, for p2panalyze spans)")
+	spansWall   = flag.Bool("spans-wall-latency", false, "add measured wall_us durations to spans (breaks span determinism)")
+	metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /varz, and /debug/pprof on this address during the run")
+	profSpec    = flag.String("profile", "", "comma-separated runtime profiles to capture: cpu, heap, mutex")
+	profDir     = flag.String("profile-dir", ".", "directory for -profile output (cpu.pprof, heap.pprof, mutex.pprof)")
+	filterdURL  = flag.String("filterd", "", "base URL of a running filterd (e.g. http://localhost:8940); the study's trained block list is streamed to it on completion")
+	filterdK    = flag.Int("filterd-k", 10, "block-list length trained per network for -filterd (0 = every malicious size)")
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("p2pstudy: ")
-
-	var (
-		days    = flag.Int("days", 30, "virtual trace length in days")
-		perDay  = flag.Int("queries-per-day", 96, "queries issued per day per network")
-		seed    = flag.Uint64("seed", 2006, "simulation seed")
-		network = flag.String("network", "both", "network to measure: both, limewire, openft")
-		out     = flag.String("out", "trace.jsonl", "output trace path (JSONL)")
-		csvOut  = flag.String("csv", "", "optional CSV export path")
-		churn   = flag.Float64("churn", 0, "fraction of honest LimeWire leaves replaced per virtual day")
-		fake    = flag.Float64("fake-files", 0, "fraction of honest downloadable shares that are decoys (size lies)")
-		quiet   = flag.Bool("quiet", false, "suppress progress output")
-		workers = flag.Int("workers", 0, "transfers in flight per network (0 = 16); traces are byte-identical for any value")
-		faults  = flag.String("faults", "", "fault-injection profile ("+strings.Join(faultsim.ProfileNames(), ", ")+") or a FaultPlan JSON file; empty or \"off\" disables")
-
-		progress    = flag.Duration("progress", 24*time.Hour, "virtual interval between progress reports (0 disables)")
-		spans       = flag.String("spans", "", "optional span-stream output path (JSONL, for p2panalyze spans)")
-		spansWall   = flag.Bool("spans-wall-latency", false, "add measured wall_us durations to spans (breaks span determinism)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /varz, and /debug/pprof on this address during the run")
-		profSpec    = flag.String("profile", "", "comma-separated runtime profiles to capture: cpu, heap, mutex")
-		profDir     = flag.String("profile-dir", ".", "directory for -profile output (cpu.pprof, heap.pprof, mutex.pprof)")
-		filterdURL  = flag.String("filterd", "", "base URL of a running filterd (e.g. http://localhost:8940); the study's trained block list is streamed to it on completion")
-		filterdK    = flag.Int("filterd-k", 10, "block-list length trained per network for -filterd (0 = every malicious size)")
-	)
 	flag.Parse()
 	if err := checkFlags(*days, *perDay, *workers, *filterdK, *churn, *fake); err != nil {
 		fmt.Fprintf(os.Stderr, "p2pstudy: %v\n", err)
 		os.Exit(2)
 	}
 
+	if err := run(); err != nil {
+		log.Print(err)
+		os.Exit(1)
+	}
+}
+
+// run carries out the study the flags describe. A failure returns rather
+// than exits, so the deferred profile stops and metrics-server close run
+// first: a failed run keeps its profiles.
+func run() error {
 	prof, err := startProfiles(*profSpec, *profDir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer prof.stop()
 
 	if *metricsAddr != "" {
 		srv, err := obs.StartServer(*metricsAddr, nil)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer srv.Close()
 		log.Printf("metrics on http://%s/metrics", srv.Addr())
@@ -159,7 +171,7 @@ func main() {
 
 	plan, err := faultsim.Load(*faults)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	cfg := core.StudyConfig{
@@ -177,12 +189,12 @@ func main() {
 	case "openft":
 		cfg.OpenFT = &netsim.OpenFTConfig{Seed: *seed}
 	default:
-		log.Fatalf("unknown -network %q (want both, limewire, or openft)", *network)
+		return fmt.Errorf("unknown -network %q (want both, limewire, or openft)", *network)
 	}
 
 	study, err := core.NewStudy(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !*quiet {
 		study.Progress = func(format string, args ...any) {
@@ -193,36 +205,22 @@ func main() {
 	start := time.Now()
 	trace, err := study.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !*quiet {
 		log.Printf("study complete: %d records over %d trace days (wall time %v)",
 			len(trace.Records), trace.Days(), time.Since(start).Round(time.Millisecond))
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := trace.WriteJSONL(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
+	if err := writeFile(*out, trace.WriteJSONL); err != nil {
+		return err
 	}
 	fmt.Printf("wrote %s (%d records)\n", *out, len(trace.Records))
 
 	if *spans != "" {
-		sf, err := os.Create(*spans)
-		if err != nil {
-			log.Fatal(err)
-		}
 		all := study.Spans()
-		if err := obs.WriteSpansJSONL(sf, all); err != nil {
-			log.Fatal(err)
-		}
-		if err := sf.Close(); err != nil {
-			log.Fatal(err)
+		if err := writeFile(*spans, func(w io.Writer) error { return obs.WriteSpansJSONL(w, all) }); err != nil {
+			return err
 		}
 		fmt.Printf("wrote %s (%d spans)\n", *spans, len(all))
 	}
@@ -236,23 +234,30 @@ func main() {
 			networks = append(networks, dataset.OpenFT)
 		}
 		if err := pushBlockList(*filterdURL, trace, networks, *filterdK); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	if *csvOut != "" {
-		cf, err := os.Create(*csvOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.WriteCSV(cf); err != nil {
-			log.Fatal(err)
-		}
-		if err := cf.Close(); err != nil {
-			log.Fatal(err)
+		if err := writeFile(*csvOut, trace.WriteCSV); err != nil {
+			return err
 		}
 		fmt.Printf("wrote %s\n", *csvOut)
 	}
+	return nil
+}
+
+// writeFile creates path, fills it with write and closes it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // checkFlags rejects flag values outside the ranges the study accepts, so a
@@ -270,7 +275,7 @@ func checkFlags(days, perDay, workers, filterdK int, churn, fake float64) error 
 	case !(fake >= 0 && fake <= 1):
 		return fmt.Errorf("-fake-files %v is outside [0, 1]", fake)
 	case workers < 0:
-		return fmt.Errorf("-workers %d is negative (0 = 16 workers)", workers)
+		return fmt.Errorf("-workers %d is negative (0 = 16 transfers)", workers)
 	case filterdK < 0:
 		return fmt.Errorf("-filterd-k %d is negative (0 = every malicious size)", filterdK)
 	}

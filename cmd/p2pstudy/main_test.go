@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
 	"net"
@@ -83,12 +84,36 @@ func TestRejectsNegativeFilterdK(t *testing.T) {
 }
 
 // TestCheckFlagsAcceptsBounds keeps the ends of every range, and 0 for
-// -workers (16 workers) and -filterd-k (every malicious size).
+// -workers (16 transfers) and -filterd-k (every malicious size).
 func TestCheckFlagsAcceptsBounds(t *testing.T) {
 	for _, c := range []struct{ churn, fake float64 }{{0, 0}, {1, 1}} {
 		if err := checkFlags(1, 1, 0, 0, c.churn, c.fake); err != nil {
 			t.Errorf("checkFlags(days 1, queries 1, workers 0, k 0, churn %v, fake %v) = %v", c.churn, c.fake, err)
 		}
+	}
+}
+
+// TestFailedRunKeepsItsProfile: a run that fails after its profiles have
+// started exits 1 and still writes them, so the run one most wants
+// profiled leaves a complete CPU profile, not an empty file. A pprof CPU
+// profile is gzip-compressed.
+func TestFailedRunKeepsItsProfile(t *testing.T) {
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-quiet", "-network", "openft", "-days", "1", "-queries-per-day", "1",
+		"-out", filepath.Join(dir, "trace.jsonl"), "-profile", "cpu", "-profile-dir", dir,
+		"-faults", filepath.Join(dir, "missing.json"))
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	msg, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("p2pstudy with a missing fault plan: err = %v, want exit status 1; output:\n%s", err, msg)
+	}
+	prof, err := os.ReadFile(filepath.Join(dir, "cpu.pprof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(prof, []byte{0x1f, 0x8b}) {
+		t.Fatalf("cpu.pprof holds %d bytes and does not begin with the gzip magic; output:\n%s", len(prof), msg)
 	}
 }
 

@@ -28,7 +28,7 @@ func (h lwHit) push() bool { return h.qh.Flags&gnutella.QHDPush != 0 }
 type limeWire struct {
 	client *gnutella.Node
 	// pushLocks serializes push downloads per (servent, index), so
-	// concurrent workers cannot collide on the push-callback registration.
+	// concurrent fetches cannot collide on the push-callback registration.
 	pushLocks *keyedLocks
 }
 

@@ -106,13 +106,8 @@ func runNetwork[H any](s *Study, tr *dataset.Trace, info netInfo, sink *floodSin
 		cache: newFetchCache(),
 		met:   newNetMetrics(info.name),
 		spans: s.newSpanRecorder(info.name),
+		pl:    newPipeline(s.cfg.Workers),
 	}
-	if r.fx != nil {
-		// Deferred calls run last in, first out: the transfer goroutines
-		// stop after the pipeline, whose workers send them every fetch.
-		defer r.fx.startTransfers(s.cfg.Workers)()
-	}
-	r.pl = newPipeline(s.cfg.Workers, r.met)
 	defer r.pl.stop()
 	if r.fx != nil {
 		r.info.churn = max(r.info.churn, s.cfg.Faults.ChurnPerDay)
@@ -200,12 +195,10 @@ func (r *runner[H]) task(i int, now time.Time, term workload.Term) *pipeTask {
 	var floodErr error
 	t.collect = func() {
 		id, send := r.a.flood(term.Text)
-		start := time.Now()
 		if hits, floodErr = r.sink.collect(r.info.mem.Floods(), id, send); floodErr != nil {
 			floodErr = fmt.Errorf("query %d %q: %w", i, term.Text, floodErr)
 			return
 		}
-		r.met.stageCollect.ObserveDuration(time.Since(start))
 		sort.Slice(hits, func(x, y int) bool { return r.a.less(hits[x], hits[y]) })
 	}
 	t.run = func() {
@@ -217,18 +210,14 @@ func (r *runner[H]) task(i int, now time.Time, term workload.Term) *pipeTask {
 	return t
 }
 
-// fetchAll builds one record per hit and downloads and scans the
-// downloadable ones, logging each one's cache trail on t for attempt
-// spans. A clean run's in-memory transfers never wait, so the query
-// fetches its hits one after another. Under a fault plan a transfer may
-// sleep on injected latency or retry backoff, so fetchAtOnce runs the
-// query's fetches side by side. The gate is the plan itself: a churn-only
-// plan's transfers never wait either, but its queries fan out too.
-// Either way the results are applied here in record order, so records,
-// attempt numbers and attempt-span ownership do not depend on which fetch
-// finished first.
+// fetchAll builds one record per hit and hands each downloadable one to
+// the pipeline's transfer goroutines, each as soon as one is free, to be
+// downloaded and scanned; it returns once the last fetch has. Each fetch
+// writes its verdict into its own record and its cache trail into its own
+// slot of t.trails, and reads only other records' source fields, which no
+// fetch writes. So records, attempt numbers and attempt-span ownership do
+// not depend on which fetch finished first.
 func (r *runner[H]) fetchAll(t *pipeTask, now time.Time, term workload.Term, hits []H) []dataset.ResponseRecord {
-	start := time.Now()
 	recs := make([]dataset.ResponseRecord, len(hits))
 	for k, h := range hits {
 		rec := r.a.response(h)
@@ -239,53 +228,23 @@ func (r *runner[H]) fetchAll(t *pipeTask, now time.Time, term workload.Term, hit
 		rec.Downloadable = archive.IsDownloadable(rec.Filename)
 		recs[k] = rec
 	}
-	var held []fetched
-	if r.fx != nil {
-		held = r.fetchAtOnce(t, hits, recs)
-	}
-	for k := range recs {
-		if !recs[k].Downloadable {
-			continue
-		}
-		t.downloads++
-		var f fetched
-		if held != nil {
-			f = held[k]
-		} else {
-			f.res, f.trail = r.fetch(hits, recs, k, &t.scanNS)
-		}
-		applyResult(&recs[k], f.res)
-		t.trails = append(t.trails, f.trail)
-	}
-	r.met.stageFetch.ObserveDuration(time.Since(start))
-	return recs
-}
-
-// fetched is one record's fetch: its verdict and its cache trail.
-type fetched struct {
-	res   fetchResult
-	trail []*fetchEntry
-}
-
-// fetchAtOnce hands every downloadable hit of a faulted query to the
-// network's transfer goroutines, each fetch as soon as one is free, and
-// returns what each fetched, per record, after the last fetch returns.
-// It changes no record, so the fetches may all read them.
-func (r *runner[H]) fetchAtOnce(t *pipeTask, hits []H, recs []dataset.ResponseRecord) []fetched {
-	out := make([]fetched, len(recs))
+	t.trails = make([][]*fetchEntry, len(recs))
 	var wg sync.WaitGroup
 	for k := range recs {
 		if !recs[k].Downloadable {
 			continue
 		}
+		t.downloads++
 		wg.Add(1)
-		r.fx.transfers <- func() {
+		r.pl.transfers <- func() {
 			defer wg.Done()
-			out[k].res, out[k].trail = r.fetch(hits, recs, k, &t.scanNS)
+			var res fetchResult
+			res, t.trails[k] = r.fetch(hits, recs, k, &t.scanNS)
+			applyResult(&recs[k], res)
 		}
 	}
 	wg.Wait()
-	return out
+	return recs
 }
 
 // fetch fetches hits[k] and returns its labelled verdict plus the trail of

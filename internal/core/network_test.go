@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +20,7 @@ import (
 var (
 	errRetry = errors.New("fake: connection reset")
 	errFatal = errors.New("fake: not found")
+	errFlood = errors.New("fake: flood failed")
 )
 
 // fakeHit is one scripted response of fakeNet.
@@ -253,23 +253,21 @@ func TestRunnerErrorText(t *testing.T) {
 // gatedNet is fakeNet whose i-th flood answers with perFlood[i-1] hits
 // (one past the end of perFlood), each from its own source under its own
 // content key, so neither the fetch cache nor an alternate source can fold
-// two downloads into one. A hit's port is its flood's number. Its fetches
-// wait until want of them are inside at once, or until stalled closes, and
-// it records the most that were inside at once, in all and per flood, and
-// each flood's fetches in the order they began.
+// two downloads into one. A hit's port is its flood's number. Flood
+// failAt, when set, is the last and fails instead of answering. Its fetches, and failAt's send, wait inside a gate
+// until want of them are inside at once, or until stalled closes, and it
+// records the most that were inside at once.
 type gatedNet struct {
 	*fakeNet
 	perFlood []int
+	failAt   int
 	want     int
-	full     chan struct{} // closed once want fetches are inside at once
+	full     chan struct{} // closed once want are inside at once
 	stalled  chan struct{}
 
 	mu     sync.Mutex
-	inside map[uint16]int      // per flood; guarded by mu
-	all    int                 // guarded by mu
-	most   int                 // guarded by mu
-	mostOf map[uint16]int      // per flood; guarded by mu
-	began  map[uint16][]string // sources per flood; guarded by mu
+	inside int // guarded by mu
+	most   int // guarded by mu
 }
 
 // answers is how many hits flood i (from 1) answers with.
@@ -280,10 +278,39 @@ func (g *gatedNet) answers(i int) int {
 	return 1
 }
 
+// enter waits inside the gate and reports whether it filled (false:
+// stalled closed first).
+func (g *gatedNet) enter() bool {
+	g.mu.Lock()
+	g.inside++
+	if g.inside > g.most {
+		g.most = g.inside
+		if g.most == g.want {
+			close(g.full)
+		}
+	}
+	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		g.inside--
+		g.mu.Unlock()
+	}()
+	select {
+	case <-g.full:
+		return true
+	case <-g.stalled:
+		return false
+	}
+}
+
 func (g *gatedNet) flood(term string) (p2p.FloodID, func() error) {
 	g.floods++
 	id := p2p.FloodID{g.floods}
 	return id, func() error {
+		if int(id[0]) == g.failAt {
+			g.enter()
+			return errFlood
+		}
 		for k := 0; k < g.answers(int(id[0])); k++ {
 			g.sink.add(id, fakeHit{ip: fmt.Sprintf("10.0.0.%d", k+1), port: uint16(id[0]), key: fmt.Sprint(k)})
 		}
@@ -292,60 +319,35 @@ func (g *gatedNet) flood(term string) (p2p.FloodID, func() error) {
 }
 
 func (g *gatedNet) fetch(h fakeHit, addr string, _ p2p.Transport, _ p2p.RetryPolicy) ([]byte, []p2p.Attempt, error) {
-	g.mu.Lock()
-	g.all++
-	g.inside[h.port]++
-	g.mostOf[h.port] = max(g.mostOf[h.port], g.inside[h.port])
-	g.began[h.port] = append(g.began[h.port], addr)
-	if g.all > g.most {
-		g.most = g.all
-		if g.most == g.want {
-			close(g.full)
-		}
-	}
-	g.mu.Unlock()
-	defer func() {
-		g.mu.Lock()
-		g.all--
-		g.inside[h.port]--
-		g.mu.Unlock()
-	}()
-	select {
-	case <-g.full:
-		return []byte("MZ" + addr), []p2p.Attempt{{Fate: p2p.FateOf(nil)}}, nil
-	case <-g.stalled:
+	if !g.enter() {
 		return nil, []p2p.Attempt{{Fate: p2p.FateOf(errRetry)}}, errRetry
 	}
+	return []byte("MZ" + addr), []p2p.Attempt{{Fate: p2p.FateOf(nil)}}, nil
 }
 
 // runGated runs cfg's study loop over g on two cores, with a guard that
-// stalls g's fetches after 10 s instead of letting a test hang, and checks
-// that every record downloaded: a stalled fetch did not. It returns g once
-// the run is over.
-func runGated(t *testing.T, cfg StudyConfig, want int, perFlood []int) *gatedNet {
+// stalls g's gate after 10 s instead of letting a test hang, and returns
+// runNetwork's error once the run is over. It checks that every query
+// before failAt committed its records and that every record downloaded: a
+// stalled fetch did not.
+func runGated(t *testing.T, cfg StudyConfig, g *gatedNet) error {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	stalled := make(chan struct{})
-	guard := time.AfterFunc(10*time.Second, func() { close(stalled) })
+	g.stalled = make(chan struct{})
+	guard := time.AfterFunc(10*time.Second, func() { close(g.stalled) })
 	defer guard.Stop()
-	fake := &gatedNet{
-		fakeNet:  &fakeNet{mem: p2p.NewMem(), sink: &floodSink[fakeHit]{}},
-		perFlood: perFlood, want: want, full: make(chan struct{}), stalled: stalled,
-		inside: make(map[uint16]int), mostOf: make(map[uint16]int), began: make(map[uint16][]string),
-	}
+	g.fakeNet = &fakeNet{mem: p2p.NewMem(), sink: &floodSink[fakeHit]{}}
+	g.full = make(chan struct{})
 	cfg.Seed, cfg.Days, cfg.LimeWire = 5, 1, &netsim.LimeWireConfig{}
 	st, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := dataset.NewTrace()
-	err = runNetwork[fakeHit](st, tr, netInfo{name: "fake", network: dataset.LimeWire, stream: 1, mem: fake.mem}, fake.sink, fake)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runErr := runNetwork[fakeHit](st, tr, netInfo{name: "fake", network: dataset.LimeWire, stream: 1, mem: g.mem}, g.sink, g)
 	records := 0
-	for i := 1; i <= cfg.QueriesPerDay; i++ {
-		records += fake.answers(i)
+	for i := 1; i <= cfg.QueriesPerDay && i != g.failAt; i++ {
+		records += g.answers(i)
 	}
 	if len(tr.Records) != records {
 		t.Fatalf("%d records, want %d", len(tr.Records), records)
@@ -355,7 +357,7 @@ func runGated(t *testing.T, cfg StudyConfig, want int, perFlood []int) *gatedNet
 			t.Errorf("record %d (%s:%d): not downloaded: %s", i, rec.SourceIP, rec.SourcePort, rec.DownloadError)
 		}
 	}
-	return fake
+	return runErr
 }
 
 // TestFetchStageHoldsWaitingTransfers pins the fetch stage's default
@@ -366,40 +368,56 @@ func runGated(t *testing.T, cfg StudyConfig, want int, perFlood []int) *gatedNet
 // pool as narrow as GOMAXPROCS never gets there, and the guard then
 // fails the test instead of letting it hang.
 func TestFetchStageHoldsWaitingTransfers(t *testing.T) {
-	if g := runGated(t, StudyConfig{QueriesPerDay: fetchWidth}, fetchWidth, nil); g.most < fetchWidth {
+	g := &gatedNet{want: fetchWidth}
+	if err := runGated(t, StudyConfig{QueriesPerDay: fetchWidth}, g); err != nil {
+		t.Fatal(err)
+	}
+	if g.most < fetchWidth {
 		t.Fatalf("at most %d fetches were in flight at once, want %d", g.most, fetchWidth)
 	}
 }
 
-// TestFetchStageHoldsWaitingTransfersOfOneFaultedQuery pins the fan-out
-// under a fault plan: one query that answers with fetchWidth hits holds
-// fetchWidth fetches in flight at once, so its transfers wait side by
-// side, not one after another in one worker. A query that fetched its
-// hits in turn never gets there, and the guard fails the test.
-func TestFetchStageHoldsWaitingTransfersOfOneFaultedQuery(t *testing.T) {
-	cfg := StudyConfig{QueriesPerDay: 1, Faults: &faultsim.FaultPlan{LatencyMaxMS: 1}}
-	if g := runGated(t, cfg, fetchWidth, []int{fetchWidth}); g.most < fetchWidth {
-		t.Fatalf("at most %d of the query's fetches were in flight at once, want %d", g.most, fetchWidth)
+// TestFetchStageHoldsWaitingTransfersOfOneQuery pins the fan-out, clean
+// and under a fault plan: one query that answers with fetchWidth hits
+// holds fetchWidth fetches in flight at once, so its transfers wait side
+// by side, not one after another. A query that fetched its hits in turn
+// never gets there, and the guard fails the test.
+func TestFetchStageHoldsWaitingTransfersOfOneQuery(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		faults *faultsim.FaultPlan
+	}{
+		{"clean", nil},
+		{"faulted", &faultsim.FaultPlan{LatencyMaxMS: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := &gatedNet{want: fetchWidth, perFlood: []int{fetchWidth}}
+			if err := runGated(t, StudyConfig{QueriesPerDay: 1, Faults: c.faults}, g); err != nil {
+				t.Fatal(err)
+			}
+			if g.most < fetchWidth {
+				t.Fatalf("at most %d of the query's fetches were in flight at once, want %d", g.most, fetchWidth)
+			}
+		})
 	}
 }
 
-// TestFetchStageHoldsWaitingTransfersCleanQueryInTurn pins the fan-out's
-// gate: in a clean run a query fetches its hits one after another, in
-// record order. The first query answers with fetchWidth hits and the
-// second with one, and every fetch waits until two are inside at once.
-// The first query's first fetch is released by the second query's, in
-// another worker, and its later fetches find the gate open. Had the first
-// query fanned out, its own fetches would have begun in the order the
-// scheduler ran them, and two of them would most likely have met inside.
-func TestFetchStageHoldsWaitingTransfersCleanQueryInTurn(t *testing.T) {
-	g := runGated(t, StudyConfig{QueriesPerDay: 2}, 2, []int{fetchWidth, 1})
-	if g.mostOf[1] != 1 {
-		t.Errorf("the first query had %d fetches in flight at once, want 1", g.mostOf[1])
+// TestFetchStageHoldsWaitingTransfersWhileALaterFloodFails pins the stop
+// order with transfers in flight: the first query answers with fetchWidth
+// hits, and the second query's flood fails from inside the gate, which
+// fills only once all of the first query's transfers are inside with it.
+// runNetwork must return that flood's error, after the first query's
+// records. A collector that waited for a query's fetches before the next
+// flood would never fill the gate, and the guard would fail the test; a
+// pool closed before the fetches had handed it their transfers would
+// panic.
+func TestFetchStageHoldsWaitingTransfersWhileALaterFloodFails(t *testing.T) {
+	g := &gatedNet{want: fetchWidth + 1, perFlood: []int{fetchWidth}, failAt: 2}
+	err := runGated(t, StudyConfig{QueriesPerDay: 2}, g)
+	if !errors.Is(err, errFlood) {
+		t.Fatalf("err = %v, want the second flood's %v", err, errFlood)
 	}
-	if g.most != 2 {
-		t.Errorf("at most %d fetches were in flight at once, want 2 (one per query)", g.most)
-	}
-	if began := g.began[1]; len(began) != fetchWidth || !sort.StringsAreSorted(began) {
-		t.Errorf("the first query's fetches began in the order %v, want its %d sources in record order", began, fetchWidth)
+	if g.most < g.want {
+		t.Fatalf("at most %d were inside at once, want the first query's %d fetches and the failing flood", g.most, fetchWidth)
 	}
 }

@@ -29,20 +29,18 @@ import (
 //     arrive (an echo host draws its decoy filename per query), so two
 //     floods in flight at once would permute those draws and change
 //     response *content*, not just order.
-//  3. Fetch (worker pool, StudyConfig.Workers wide, fetchWidth by
-//     default): download each downloadable hit through the
-//     deduplicating fetch cache and scan it. Query N+1's flood overlaps
-//     query N's downloads and scans — downloads only read per-file
-//     static content, so they cannot perturb later queries' responses.
-//     A clean run's worker fetches its query's hits one after another,
-//     so the width bounds the transfers in flight. Under a fault plan a
-//     worker hands its query's hits to the network's Workers transfer
-//     goroutines, so they are fetched side by side, and those bound the
-//     transfers in flight and the bodies they hold instead.
+//  3. Fetch (one goroutine per collected query): build the query's
+//     records and hand each downloadable hit to the network's pool of
+//     StudyConfig.Workers transfer goroutines (fetchWidth by default),
+//     which download it through the deduplicating fetch cache and scan
+//     it. The pool bounds the transfers in flight and the bodies they
+//     hold; a query's transfers run side by side, and overlap later
+//     queries' floods — downloads only read per-file static content, so
+//     they cannot perturb later queries' responses.
 //  4. Commit (single committer goroutine): in submission order, append
 //     the query's records and emit its spans, stamped with the query's
 //     virtual timestamp — so records and spans are byte-identical to the
-//     sequential engine's regardless of worker count.
+//     sequential engine's at any Workers value.
 //
 // Day-boundary churn and periodic progress callbacks call barrier() first,
 // which drains the pipeline: they observe (and are ordered in the span
@@ -52,7 +50,7 @@ import (
 type pipeTask struct {
 	// collect executes stage 2 on the collector goroutine.
 	collect func()
-	// run executes stage 3 in a worker.
+	// run executes stage 3 in the query's fetch goroutine.
 	run func()
 	// commit executes stage 4 on the committer goroutine.
 	commit func()
@@ -66,14 +64,15 @@ type pipeTask struct {
 	spans *obs.SpanRecorder
 
 	// Wall-clock stage stamps. Each is written by exactly one pipeline
-	// goroutine and read by the committer; the channel handoffs between
-	// stages order the accesses. Together they partition the query's
-	// end-to-end wall time exactly: every stage span is cut from this one
-	// set of stamps, so the children tile the root with no gap or overlap.
+	// goroutine and read by the committer; the channel handoffs and the
+	// go statement between stages order the accesses. Together they
+	// partition the query's end-to-end wall time exactly: every stage span
+	// is cut from this one set of stamps, so the children tile the root
+	// with no gap or overlap.
 	wSubmit       time.Time // submit()        (clock goroutine)
 	wCollectStart time.Time // collector picks the task up
 	wCollectEnd   time.Time // collect() returned
-	wRunStart     time.Time // a worker picks the task up
+	wRunStart     time.Time // the query's fetch goroutine starts
 	wRunEnd       time.Time // run() returned
 	wCommitStart  time.Time // committer reaches the task
 
@@ -81,39 +80,41 @@ type pipeTask struct {
 	// downloadable records the query produced (deterministic — it gates
 	// the scan span), the wall time this query's fetches spent inside the
 	// scanner, summed over fetches that may run at once (wall-only data),
-	// and per downloadable record the fetch-cache entries it touched, for
-	// attempt spans.
+	// and per record the fetch-cache entries its fetch touched (none for
+	// a record that is not downloadable), for attempt spans.
 	downloads int
 	scanNS    atomic.Int64
 	trails    [][]*fetchEntry
 }
 
-// pipeline is the bounded worker pool plus in-order committer shared by
-// every network runner.
+// pipeline is one network's collector, transfer pool and in-order
+// committer.
 type pipeline struct {
 	collect chan *pipeTask
-	work    chan *pipeTask
-	commitq chan *pipeTask // tasks in submission (= commit) order
-	met     *netMetrics
+	// transfers hands one fetch at a time to the pool's transfer
+	// goroutines. It is unbuffered, so a fetch starts only once a transfer
+	// goroutine is free: the pool's width bounds the transfers in flight
+	// and the bodies they hold.
+	transfers chan func()
+	commitq   chan *pipeTask // tasks in submission (= commit) order
 	// pending counts submitted tasks not yet committed. Add and Wait both
 	// run on the virtual-clock goroutine, so no Add can race a Wait that
 	// is about to return: WaitGroup's reuse rule holds.
 	pending sync.WaitGroup
 
-	workers  sync.WaitGroup
+	pool     sync.WaitGroup
 	done     chan struct{}
 	stopOnce sync.Once
 }
 
-// fetchWidth is each network's fetch-stage width when StudyConfig.Workers
-// is 0: the number of workers, and under a fault plan the number of
-// transfer goroutines. A transfer spends most of its wall time waiting,
-// on its peer and under a fault plan on injected latency and retry
-// backoff, so the width is set by how many waits should overlap, not by
-// the number of cores: a pool as wide as GOMAXPROCS stalls whenever that
-// many transfers sleep at once. Each transfer in flight holds at most one
-// body, a slab of at most 512 KiB, and the width bounds the transfers in
-// flight, so the stage holds at most 8 MiB of bodies per network.
+// fetchWidth is each network's number of transfer goroutines when
+// StudyConfig.Workers is 0. A transfer spends most of its wall time
+// waiting, on its peer and under a fault plan on injected latency and
+// retry backoff, so the width is set by how many waits should overlap,
+// not by the number of cores: a pool as wide as GOMAXPROCS stalls
+// whenever that many transfers sleep at once. Each transfer in flight
+// holds at most one body, a slab of at most 512 KiB, so the stage holds
+// at most 8 MiB of bodies per network.
 const fetchWidth = 16
 
 // collectDepth is how many submitted queries may wait for the collector.
@@ -122,65 +123,60 @@ const fetchWidth = 16
 // collect wait.
 const collectDepth = 2
 
-// newPipeline starts the collector, workers, and the committer. workers
-// must be >= 1. Each queue is sized for its stage, not as a multiple of
-// the worker count: a short collect queue paces issue to the collector,
-// the collector hands each task straight to a free worker, and the commit
-// queue holds every task the stages can hold at once (collectDepth
-// queued, one collecting, one per worker) plus two, so submit waits on
-// commit order only once finished tasks pile up behind an earlier one
-// still fetching.
-func newPipeline(workers int, met *netMetrics) *pipeline {
+// newPipeline starts the collector, a pool of workers transfer
+// goroutines and the committer. workers must be >= 1. Each queue is sized
+// for its stage, not as a multiple of the width: a short collect queue
+// paces issue to the collector, and the commit queue bounds the queries
+// between issue and commit to collectDepth queued, one collecting, one
+// fetching per transfer goroutine and two more, so submit waits on commit
+// order only once finished tasks pile up behind an earlier one still
+// fetching. The transfer goroutines live for the whole study, so each
+// grows its stack once; a goroutine per transfer grew one for every
+// transfer, which showed as several percent of a faulted study's CPU.
+func newPipeline(workers int) *pipeline {
 	p := &pipeline{
-		collect: make(chan *pipeTask, collectDepth),
-		work:    make(chan *pipeTask),
-		commitq: make(chan *pipeTask, workers+collectDepth+2),
-		met:     met,
-		done:    make(chan struct{}),
+		collect:   make(chan *pipeTask, collectDepth),
+		transfers: make(chan func()),
+		commitq:   make(chan *pipeTask, workers+collectDepth+2),
+		done:      make(chan struct{}),
 	}
 	go func() {
-		defer close(p.work)
+		var fetches sync.WaitGroup
 		for t := range p.collect {
-			met.queueCollect.Dec()
 			t.wCollectStart = time.Now()
-			met.stageCollectWait.ObserveDuration(t.wCollectStart.Sub(t.wSubmit))
 			t.collect()
 			t.wCollectEnd = time.Now()
-			met.queueWork.Inc()
-			p.work <- t
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		p.workers.Add(1)
-		go func() {
-			defer p.workers.Done()
-			for t := range p.work {
-				met.queueWork.Dec()
+			fetches.Add(1)
+			go func() {
+				defer fetches.Done()
 				t.wRunStart = time.Now()
-				met.stageFetchWait.ObserveDuration(t.wRunStart.Sub(t.wCollectEnd))
-				met.workersBusy.Inc()
-				met.workerOcc.Observe(met.workersBusy.Value())
 				t.run()
 				t.wRunEnd = time.Now()
-				met.workersBusy.Dec()
 				close(t.ready)
+			}()
+		}
+		// No fetch is left to hand the pool a transfer.
+		fetches.Wait()
+		close(p.transfers)
+	}()
+	for w := 0; w < workers; w++ {
+		p.pool.Add(1)
+		go func() {
+			defer p.pool.Done()
+			for fetch := range p.transfers {
+				fetch()
 			}
 		}()
 	}
 	go func() {
 		defer close(p.done)
 		for t := range p.commitq {
-			waitStart := time.Now()
 			<-t.ready
-			met.stageCommitWait.ObserveDuration(time.Since(waitStart))
-			met.queueCommit.Dec()
 			t.wCommitStart = time.Now()
-			met.stageCommitHold.ObserveDuration(t.wCommitStart.Sub(t.wRunEnd))
 			t.commit()
 			commitEnd := time.Now()
 			emitQuerySpans(t, commitEnd)
 			emitAttemptSpans(t.spans, t.seq, t.at, t.trails)
-			met.inflight.Add(-1)
 			p.pending.Done()
 		}
 	}()
@@ -189,11 +185,13 @@ func newPipeline(workers int, met *netMetrics) *pipeline {
 
 // emitQuerySpans turns one committed task's wall stamps into its span
 // tree: a root query span plus children that partition it — collect
-// queue wait, collect (the flood, to completion), fetch queue wait,
-// fetch service, commit hold, commit — and a scan child under fetch when
-// the query downloaded anything. Runs on the committer goroutine in
-// commit order, which is what makes per-scope span emission order (and
-// therefore the serialized stream) deterministic at any worker count.
+// queue wait, collect (the flood, to completion), fetch wait (until the
+// query's fetch goroutine starts), fetch (waits for free transfers
+// included), commit hold, commit — and a scan child under fetch when the
+// query downloaded anything. Runs on the committer
+// goroutine in commit order, which is what makes per-scope span emission
+// order (and therefore the serialized stream) deterministic at any
+// Workers value.
 func emitQuerySpans(t *pipeTask, commitEnd time.Time) {
 	r := t.spans
 	scope := r.Scope()
@@ -220,9 +218,6 @@ func (p *pipeline) submit(t *pipeTask) {
 	t.ready = make(chan struct{})
 	t.wSubmit = time.Now()
 	p.pending.Add(1)
-	p.met.inflight.Inc()
-	p.met.queueCommit.Inc()
-	p.met.queueCollect.Inc()
 	p.commitq <- t
 	p.collect <- t
 }
@@ -241,9 +236,9 @@ func (p *pipeline) barrier() {
 // after a partial run.
 func (p *pipeline) stop() {
 	p.stopOnce.Do(func() {
-		close(p.collect) // collector drains, then closes work
+		close(p.collect) // collector drains, waits for its fetches, then closes transfers
 		close(p.commitq)
-		p.workers.Wait()
+		p.pool.Wait()
 		<-p.done
 	})
 }
@@ -293,20 +288,14 @@ func (s *floodSink[R]) add(id p2p.FloodID, rs ...R) {
 var errCircuitOpen = errors.New("circuit open: host suppressed after repeated transfer failures")
 
 // netFaults bundles one network's fault-mode state: the deterministic
-// transport injector, the resolved retry policy, the per-host circuit
-// breaker, and the hand-off to the transfer goroutines that run a
-// query's fetches side by side. A nil *netFaults means the study runs
-// clean — every fault-path branch is skipped and the engine fetches,
-// records, and traces exactly as it did before fault injection existed.
+// transport injector, the resolved retry policy, and the per-host circuit
+// breaker. A nil *netFaults means the study runs clean — every fault-path
+// branch is skipped and the engine fetches, records, and traces exactly
+// as it did before fault injection existed.
 type netFaults struct {
 	inj    *faultsim.Injector
 	policy p2p.RetryPolicy
 	br     *breaker
-	// transfers hands one fetch at a time to the network's Workers
-	// transfer goroutines (startTransfers). It is unbuffered, so a fetch
-	// starts only once a transfer goroutine is free: the width bounds the
-	// transfers in flight and the bodies they hold.
-	transfers chan func()
 }
 
 // newNetFaults wires a network's fault state, or returns nil when the
@@ -316,37 +305,14 @@ func (s *Study) newNetFaults(network string, inner p2p.Transport) *netFaults {
 	if inj == nil {
 		return nil
 	}
-	return &netFaults{inj: inj, policy: s.fetchRetryPolicy(), br: newBreaker(), transfers: make(chan func())}
-}
-
-// startTransfers starts the network's n transfer goroutines, each running
-// the fetches it receives one after another, and returns the call that
-// stops them and waits for them to exit. Call that once nothing can send
-// another fetch. Goroutines that live for the whole study grow their
-// stacks once; a goroutine per fetch would grow one for every transfer,
-// which showed as several percent of a faulted study's CPU.
-func (f *netFaults) startTransfers(n int) (stop func()) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for fetch := range f.transfers {
-				fetch()
-			}
-		}()
-	}
-	return func() {
-		close(f.transfers)
-		wg.Wait()
-	}
+	return &netFaults{inj: inj, policy: s.fetchRetryPolicy(), br: newBreaker()}
 }
 
 // breaker is a per-host circuit breaker with virtual-day epochs.
 // Outcomes are recorded by the committer goroutine in commit order, and
 // the open set only changes in advance(), which the clock goroutine
 // calls behind a pipeline barrier (no fetches in flight) at day
-// boundaries. Between epochs the open set is frozen, so fetch workers
+// boundaries. Between epochs the open set is frozen, so fetches
 // observe identical breaker decisions regardless of scheduling — the
 // property the byte-identical-trace guarantee rests on.
 type breaker struct {
@@ -555,7 +521,7 @@ func emitAttemptSpans(r *obs.SpanRecorder, seq int64, at time.Time, trails [][]*
 }
 
 // errBox carries the first fatal error across the pipeline's goroutines:
-// workers and the committer store, clock callbacks poll.
+// the committer and day boundaries store, clock callbacks poll.
 type errBox struct {
 	mu    sync.Mutex
 	first error // first error stored; guarded by mu

@@ -36,7 +36,7 @@ func spanStudy(t *testing.T, seed uint64, workers int, wall bool) ([]byte, []obs
 // serialized span stream must be byte-identical at any worker count —
 // span identity is derived from (scope, seq, stage, attempt), timestamps
 // are virtual, and emission happens in commit order. Run under -race (as
-// CI does) this also stresses the recorder against the worker pool.
+// CI does) this also stresses the recorder against the transfer pool.
 func TestWorkerCountsEmitIdenticalSpans(t *testing.T) {
 	base, _ := spanStudy(t, 57, 1, false)
 	if len(base) == 0 {

@@ -44,13 +44,11 @@ type StudyConfig struct {
 	// golden gate diffs. Span identity, hierarchy, fates, and backoffs are
 	// unaffected either way.
 	SpanWallLatency bool
-	// Workers bounds each network's transfers in flight, and the bodies
+	// Workers is how many transfer goroutines each network's fetch stage
+	// runs, so it bounds the network's transfers in flight and the bodies
 	// they hold (default 16: a transfer mostly waits on its peer, so the
-	// width counts waits that overlap, not cores). A clean run has
-	// Workers download/scan workers, each fetching its query's hits one
-	// after another; under a fault plan the workers hand each query's
-	// hits to Workers transfer goroutines, which fetch them side by side.
-	// Records and spans are
+	// width counts waits that overlap, not cores). Every query, clean or
+	// faulted, hands its downloadable hits to them. Records and spans are
 	// byte-identical for any value: the committer re-serializes results
 	// into issue order before any record is appended or span emitted.
 	Workers int
@@ -186,7 +184,7 @@ func (s *Study) newSpanRecorder(scope string) *obs.SpanRecorder {
 
 // Spans returns the merged span stream from every network measured so
 // far, ordered deterministically by (time, scope, emission order). With
-// SpanWallLatency off, two same-seed runs — at any worker count — produce
+// SpanWallLatency off, two same-seed runs — at any Workers value — produce
 // byte-identical streams under obs.WriteSpansJSONL.
 func (s *Study) Spans() []obs.Span {
 	s.mu.Lock()

@@ -38,14 +38,14 @@ import (
 // and StageChurn) tile a query's end-to-end wall time exactly: their
 // durations are cut from the same clock stamps, so they sum to the root
 // span. StageScan and StageAttempt do not: scan sums scanner time over a
-// query's transfers, and under a fault plan those run at once, so scan,
-// like the attempts' sum, can exceed its fetch parent.
+// query's transfers, which run at once, so scan, like the attempts' sum,
+// can exceed its fetch parent.
 const (
 	StageQuery       = "query"        // root: submit -> commit finished
 	StageCollectWait = "collect_wait" // submit -> collector pickup
 	StageCollect     = "collect"      // flood to completion + sort
-	StageFetchWait   = "fetch_wait"   // collect done -> fetch worker pickup
-	StageFetch       = "fetch"        // download + scan service time
+	StageFetchWait   = "fetch_wait"   // collect done -> the query's fetch goroutine starts
+	StageFetch       = "fetch"        // download + scan, waits for a free transfer included
 	StageScan        = "scan"         // scanner time summed over the query's transfers (child of fetch)
 	StageCommitHold  = "commit_hold"  // fetch done -> committer reaches the task
 	StageCommit      = "commit"       // record append in commit order

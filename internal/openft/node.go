@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -624,16 +625,20 @@ func (n *Node) handleNodeListReq(s *session) error {
 	return s.Send(EncodeNodeList(entries))
 }
 
+// handleStatsReq answers with the children's share count and total size.
+// The bytes are summed first and rounded down to KB once, as a Gnutella
+// pong does, so shares under 1 KB still count.
 func (n *Node) handleStatsReq(s *session) error {
 	n.mu.Lock()
-	var shares, kb uint32
+	var shares uint32
+	var size uint64
 	for _, m := range n.childShares {
 		for _, cs := range m {
 			shares++
-			kb += cs.share.Size / 1024
+			size += uint64(cs.share.Size)
 		}
 	}
-	st := Stats{Children: uint32(len(n.childShares)), Shares: shares, SizeKB: kb}
+	st := Stats{Children: uint32(len(n.childShares)), Shares: shares, SizeKB: uint32(min(size>>10, math.MaxUint32))}
 	n.mu.Unlock()
 	return s.Send(st.Encode())
 }

@@ -452,20 +452,42 @@ func ask(t *testing.T, c net.Conn, br *bufio.Reader, req, resp Command) *Packet 
 	}
 }
 
+// TestStats pins a hub's STATS answer: its children, their shares, and
+// their total size in KB, rounded down once over the summed bytes.
 func TestStats(t *testing.T) {
-	mem := p2p.NewMem()
-	_, _ = buildTier(t, mem, 2, map[string][]byte{
-		"a file.exe":      bytes.Repeat([]byte("x"), 2048),
-		"big archive.zip": bytes.Repeat([]byte("y"), 5000),
-	})
-	c, br := rawSession(t, mem, "hub:1215")
-	st, err := ParseStats(ask(t, c, br, CmdStatsReq, CmdStatsResp).Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each child shares 2 KB and 5000 B (4 KB, rounded down per share).
-	if st.Children != 2 || st.Shares != 4 || st.SizeKB != 12 {
-		t.Fatalf("stats = %+v, want 2 children, 4 shares, 12 KB", st)
+	for _, c := range []struct {
+		name  string
+		files map[string][]byte
+		want  Stats
+	}{{
+		// Each child shares 2,048 B and 5,000 B: 14,096 B in all.
+		name: "whole and partial KB",
+		files: map[string][]byte{
+			"a file.exe":      bytes.Repeat([]byte("x"), 2048),
+			"big archive.zip": bytes.Repeat([]byte("y"), 5000),
+		},
+		want: Stats{Children: 2, Shares: 4, SizeKB: 13},
+	}, {
+		// Each child shares 600 B and 700 B: 2,600 B in all, no share a KB.
+		name: "only sub-KB shares",
+		files: map[string][]byte{
+			"tiny.exe": bytes.Repeat([]byte("x"), 600),
+			"tiny.zip": bytes.Repeat([]byte("y"), 700),
+		},
+		want: Stats{Children: 2, Shares: 4, SizeKB: 2},
+	}} {
+		t.Run(c.name, func(t *testing.T) {
+			mem := p2p.NewMem()
+			_, _ = buildTier(t, mem, 2, c.files)
+			conn, br := rawSession(t, mem, "hub:1215")
+			st, err := ParseStats(ask(t, conn, br, CmdStatsReq, CmdStatsResp).Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != c.want {
+				t.Fatalf("stats = %+v, want %+v", st, c.want)
+			}
+		})
 	}
 }
 
